@@ -15,9 +15,9 @@ import argparse
 import json
 import re
 import sys
-from importlib import resources
 from pathlib import Path
 
+from . import data_path
 from .complexes import load_complex, validate_complex
 from .errors import TrisweepError
 from .groups import (
@@ -42,17 +42,12 @@ from .sweep import (
 from .bundle import holonomy as edge_holonomy
 
 
-def bundled_example(name: str):
-    """Path-like handle on one of the packaged example files."""
-    return resources.files("trisweep").joinpath("examples", name)
-
-
 def _read_text(path: str) -> str:
     p = Path(path)
     if p.exists():
         return p.read_text(encoding="utf-8")
     if "/" not in path and "\\" not in path:
-        handle = bundled_example(path)
+        handle = data_path(path)
         if handle.is_file():
             return handle.read_text(encoding="utf-8")
     raise FileNotFoundError(f"no such file: {path}")
@@ -102,7 +97,20 @@ def _load_connection_for_word(args, complex):
 
 
 def _split_word(word: str) -> list[str]:
-    return [chunk.strip() for chunk in word.split(",")]
+    """Letters of a --word, split at commas outside product arrays and cycles."""
+    letters = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(word):
+        if ch in "[(":
+            depth += 1
+        elif ch in "])":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            letters.append(word[start:i].strip())
+            start = i + 1
+    letters.append(word[start:].strip())
+    return letters
 
 
 def _initial_section(connection, path: EdgePath, word_texts) -> Section:

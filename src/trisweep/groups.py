@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional, Sequence
@@ -84,39 +85,6 @@ def product_group(*factors: GroupDescriptor) -> GroupDescriptor:
     return GroupDescriptor("product", factors=tuple(factors))
 
 
-def descriptor_to_json(group: GroupDescriptor) -> dict:
-    if group.kind == "free":
-        return {"free": list(group.generators)}
-    if group.kind == "cyclic":
-        return {"cyclic": group.modulus}
-    if group.kind == "symmetric":
-        return {"symmetric": group.degree}
-    if group.kind == "dihedral":
-        return {"dihedral": group.modulus}
-    if group.kind == "product":
-        return {"product": [descriptor_to_json(f) for f in group.factors]}
-    raise GroupError(f"unknown backend {group.kind!r}")
-
-
-def descriptor_from_json(obj: Any) -> GroupDescriptor:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise GroupError("group descriptor must be a single-key object")
-    (kind, arg), = obj.items()
-    if kind == "free":
-        if not isinstance(arg, list) or not all(isinstance(g, str) for g in arg):
-            raise GroupError('"free" takes a list of generator names')
-        return free_group(arg)
-    if kind in ("cyclic", "symmetric", "dihedral"):
-        if not isinstance(arg, int) or isinstance(arg, bool):
-            raise GroupError(f'"{kind}" takes an integer parameter')
-        return {"cyclic": cyclic_group, "symmetric": symmetric_group, "dihedral": dihedral_group}[kind](arg)
-    if kind == "product":
-        if not isinstance(arg, list):
-            raise GroupError('"product" takes a list of descriptors')
-        return product_group(*(descriptor_from_json(f) for f in arg))
-    raise GroupError(f"unknown backend {kind!r}")
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """An element in normal form; equality and hashing are structural."""
@@ -151,98 +119,6 @@ def _reduce_free(syllables: Iterable[tuple[str, int]]) -> tuple[tuple[str, int],
             stack.append((g, k))
     return tuple(stack)
 
-
-def element(group: GroupDescriptor, payload: Any) -> GroupElement:
-    """Normalizing constructor; validates the payload for the backend."""
-    if group.kind == "free":
-        raw = tuple((str(g), int(k)) for g, k in payload)
-        for g, _k in raw:
-            if g not in group.generators:
-                raise GroupError(f"unknown generator {g!r}")
-        return GroupElement(group, _reduce_free(raw))
-    if group.kind == "cyclic":
-        return GroupElement(group, int(payload) % group.modulus)
-    if group.kind == "symmetric":
-        images = tuple(int(v) for v in payload)
-        if sorted(images) != list(range(1, group.degree + 1)):
-            raise GroupError(f"{images!r} is not a permutation of 1..{group.degree}")
-        return GroupElement(group, images)
-    if group.kind == "dihedral":
-        rot, flip = payload
-        return GroupElement(group, (int(rot) % group.modulus, int(flip) % 2))
-    if group.kind == "product":
-        items = tuple(payload)
-        if len(items) != len(group.factors):
-            raise GroupError(f"product element needs {len(group.factors)} components")
-        for item, factor in zip(items, group.factors):
-            if not isinstance(item, GroupElement) or item.group != factor:
-                raise GroupError("product component does not match its factor backend")
-        return GroupElement(group, items)
-    raise GroupError(f"unknown backend {group.kind!r}")
-
-
-def identity(group: GroupDescriptor) -> GroupElement:
-    if group.kind == "free":
-        return GroupElement(group, ())
-    if group.kind == "cyclic":
-        return GroupElement(group, 0)
-    if group.kind == "symmetric":
-        return GroupElement(group, tuple(range(1, group.degree + 1)))
-    if group.kind == "dihedral":
-        return GroupElement(group, (0, 0))
-    if group.kind == "product":
-        return GroupElement(group, tuple(identity(f) for f in group.factors))
-    raise GroupError(f"unknown backend {group.kind!r}")
-
-
-def _check_same_backend(a: GroupElement, b: GroupElement) -> None:
-    if a.group != b.group:
-        raise GroupError("backend mismatch: elements live in different groups")
-
-
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    _check_same_backend(a, b)
-    g = a.group
-    if g.kind == "free":
-        return GroupElement(g, _reduce_free(a.payload + b.payload))
-    if g.kind == "cyclic":
-        return GroupElement(g, (a.payload + b.payload) % g.modulus)
-    if g.kind == "symmetric":
-        return GroupElement(g, tuple(a.payload[b.payload[i] - 1] for i in range(g.degree)))
-    if g.kind == "dihedral":
-        i, fa = a.payload
-        j, fb = b.payload
-        rot = (i + (j if fa == 0 else -j)) % g.modulus
-        return GroupElement(g, (rot, fa ^ fb))
-    if g.kind == "product":
-        return GroupElement(g, tuple(multiply(x, y) for x, y in zip(a.payload, b.payload)))
-    raise GroupError(f"unknown backend {g.kind!r}")
-
-
-def inverse(a: GroupElement) -> GroupElement:
-    g = a.group
-    if g.kind == "free":
-        return GroupElement(g, tuple((gen, -k) for gen, k in reversed(a.payload)))
-    if g.kind == "cyclic":
-        return GroupElement(g, (-a.payload) % g.modulus)
-    if g.kind == "symmetric":
-        inv = [0] * g.degree
-        for i, img in enumerate(a.payload):
-            inv[img - 1] = i + 1
-        return GroupElement(g, tuple(inv))
-    if g.kind == "dihedral":
-        i, f = a.payload
-        return GroupElement(g, ((-i) % g.modulus if f == 0 else i, f))
-    if g.kind == "product":
-        return GroupElement(g, tuple(inverse(x) for x in a.payload))
-    raise GroupError(f"unknown backend {g.kind!r}")
-
-
-def conjugate(a: GroupElement, by: GroupElement) -> GroupElement:
-    return multiply(multiply(inverse(by), a), by)
-
-
-# -- parsing and formatting ----------------------------------------------
 
 _SYLLABLE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(-?\d+))?\s*")
 
@@ -286,141 +162,325 @@ def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     return tuple(images)
 
 
+# -- backends ------------------------------------------------------------
+#
+# One backend per kind holds all of that kind's rules, each a function of the
+# descriptor ``g`` and of payloads in normal form:
+#   from_json(arg) -> descriptor      to_json(g) -> the descriptor's JSON argument
+#   normalise(g, raw) -> payload      validates a payload given in code
+#   identity(g), multiply(g, a, b), inverse(g, a) -> payload
+#   parse(g, text) -> payload         format(g, a) -> text
+#   order(g) -> int, or None when the group is infinite
+#   elements(g) -> every payload of a finite group, in a fixed order
+
+_Backend = namedtuple(
+    "_Backend", "from_json to_json normalise identity multiply inverse parse format order elements"
+)
+
+
+class _Backends(dict):
+    """The kind -> backend table; a kind missing from it is a GroupError."""
+
+    def __missing__(self, kind: str):
+        raise GroupError(f"unknown backend {kind!r}")
+
+
+_BACKENDS = _Backends()
+
+
+def _integer_arg(kind: str, arg: Any) -> int:
+    if not isinstance(arg, int) or isinstance(arg, bool):
+        raise GroupError(f'"{kind}" takes an integer parameter')
+    return arg
+
+
+def _free_from_json(arg: Any) -> GroupDescriptor:
+    if not isinstance(arg, list) or not all(isinstance(g, str) for g in arg):
+        raise GroupError('"free" takes a list of generator names')
+    return free_group(arg)
+
+
+def _free_normalise(g: GroupDescriptor, payload: Any) -> tuple[tuple[str, int], ...]:
+    raw = tuple((str(gen), int(k)) for gen, k in payload)
+    for gen, _k in raw:
+        if gen not in g.generators:
+            raise GroupError(f"unknown generator {gen!r}")
+    return _reduce_free(raw)
+
+
+def _free_format(g: GroupDescriptor, a: tuple[tuple[str, int], ...]) -> str:
+    if not a:
+        return "e"
+    return "*".join(gen if k == 1 else f"{gen}^{k}" for gen, k in a)
+
+
+_BACKENDS["free"] = _Backend(
+    from_json=_free_from_json,
+    to_json=lambda g: list(g.generators),
+    normalise=_free_normalise,
+    identity=lambda g: (),
+    multiply=lambda g, a, b: _reduce_free(a + b),
+    inverse=lambda g, a: tuple((gen, -k) for gen, k in reversed(a)),
+    parse=lambda g, text: _free_normalise(g, _parse_word(text)),
+    format=_free_format,
+    order=lambda g: None if g.generators else 1,
+    elements=lambda g: [()],
+)
+
+
+def _cyclic_parse(g: GroupDescriptor, text: str) -> int:
+    body = text.strip()
+    if body == "e":
+        return 0
+    try:
+        value = int(body)
+    except ValueError as exc:
+        raise GroupError(f"syntax error in residue {text!r}") from exc
+    if not 0 <= value < g.modulus:
+        raise GroupError(f"residue {value} out of range [0, {g.modulus})")
+    return value
+
+
+_BACKENDS["cyclic"] = _Backend(
+    from_json=lambda arg: cyclic_group(_integer_arg("cyclic", arg)),
+    to_json=lambda g: g.modulus,
+    normalise=lambda g, payload: int(payload) % g.modulus,
+    identity=lambda g: 0,
+    multiply=lambda g, a, b: (a + b) % g.modulus,
+    inverse=lambda g, a: (-a) % g.modulus,
+    parse=_cyclic_parse,
+    format=lambda g, a: str(a),
+    order=lambda g: g.modulus,
+    elements=lambda g: range(g.modulus),
+)
+
+
+def _symmetric_normalise(g: GroupDescriptor, payload: Any) -> tuple[int, ...]:
+    images = tuple(int(v) for v in payload)
+    if sorted(images) != list(range(1, g.degree + 1)):
+        raise GroupError(f"{images!r} is not a permutation of 1..{g.degree}")
+    return images
+
+
+def _symmetric_inverse(g: GroupDescriptor, a: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * g.degree
+    for i, img in enumerate(a):
+        inv[img - 1] = i + 1
+    return tuple(inv)
+
+
+def _symmetric_parse(g: GroupDescriptor, text: str) -> tuple[int, ...]:
+    body = text.strip()
+    if body.startswith("["):
+        try:
+            arr = json.loads(body)
+        except json.JSONDecodeError as exc:
+            raise GroupError(f"syntax error in one-line permutation {text!r}") from exc
+        if not isinstance(arr, list) or not all(isinstance(v, int) for v in arr) or len(arr) != g.degree:
+            raise GroupError(f"one-line form must list {g.degree} integers")
+        return _symmetric_normalise(g, arr)
+    return _symmetric_normalise(g, _parse_cycles(body, g.degree))
+
+
+def _symmetric_format(g: GroupDescriptor, a: tuple[int, ...]) -> str:
+    cycles = []
+    seen: set[int] = set()
+    for start in range(1, g.degree + 1):
+        if start in seen:
+            continue
+        cyc = [start]
+        seen.add(start)
+        nxt = a[start - 1]
+        while nxt != start:
+            cyc.append(nxt)
+            seen.add(nxt)
+            nxt = a[nxt - 1]
+        if len(cyc) > 1:
+            cycles.append(cyc)
+    if not cycles:
+        return "e"
+    return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
+
+
+_BACKENDS["symmetric"] = _Backend(
+    from_json=lambda arg: symmetric_group(_integer_arg("symmetric", arg)),
+    to_json=lambda g: g.degree,
+    normalise=_symmetric_normalise,
+    identity=lambda g: tuple(range(1, g.degree + 1)),
+    multiply=lambda g, a, b: tuple(a[b[i] - 1] for i in range(g.degree)),
+    inverse=_symmetric_inverse,
+    parse=_symmetric_parse,
+    format=_symmetric_format,
+    order=lambda g: math.factorial(g.degree),
+    elements=lambda g: itertools.permutations(range(1, g.degree + 1)),
+)
+
+
+def _dihedral_normalise(g: GroupDescriptor, payload: Any) -> tuple[int, int]:
+    rot, flip = payload
+    return (int(rot) % g.modulus, int(flip) % 2)
+
+
+def _dihedral_multiply(g: GroupDescriptor, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    i, fa = a
+    j, fb = b
+    return ((i + (j if fa == 0 else -j)) % g.modulus, fa ^ fb)
+
+
+def _dihedral_parse(g: GroupDescriptor, text: str) -> tuple[int, int]:
+    out = (0, 0)
+    for gen, k in _parse_word(text):
+        if gen == "r":
+            step = (k % g.modulus, 0)
+        elif gen == "s":
+            step = (0, k % 2)
+        else:
+            raise GroupError(f"unknown generator {gen!r}: dihedral elements use r and s")
+        out = _dihedral_multiply(g, out, step)
+    return out
+
+
+def _dihedral_format(g: GroupDescriptor, a: tuple[int, int]) -> str:
+    rot, flip = a
+    rpart = "" if rot == 0 else ("r" if rot == 1 else f"r^{rot}")
+    spart = "s" if flip else ""
+    if rpart and spart:
+        return f"{rpart}*{spart}"
+    return rpart or spart or "e"
+
+
+_BACKENDS["dihedral"] = _Backend(
+    from_json=lambda arg: dihedral_group(_integer_arg("dihedral", arg)),
+    to_json=lambda g: g.modulus,
+    normalise=_dihedral_normalise,
+    identity=lambda g: (0, 0),
+    multiply=_dihedral_multiply,
+    inverse=lambda g, a: ((-a[0]) % g.modulus if a[1] == 0 else a[0], a[1]),
+    parse=_dihedral_parse,
+    format=_dihedral_format,
+    order=lambda g: 2 * g.modulus,
+    elements=lambda g: [(r, f) for f in (0, 1) for r in range(g.modulus)],
+)
+
+
+# A product payload is a tuple of factor elements, so its rules call the
+# public operations on each component.
+
+def _product_from_json(arg: Any) -> GroupDescriptor:
+    if not isinstance(arg, list):
+        raise GroupError('"product" takes a list of descriptors')
+    return product_group(*(descriptor_from_json(f) for f in arg))
+
+
+def _product_normalise(g: GroupDescriptor, payload: Any) -> tuple[GroupElement, ...]:
+    items = tuple(payload)
+    if len(items) != len(g.factors):
+        raise GroupError(f"product element needs {len(g.factors)} components")
+    for item, factor in zip(items, g.factors):
+        if not isinstance(item, GroupElement) or item.group != factor:
+            raise GroupError("product component does not match its factor backend")
+    return items
+
+
+def _product_parse(g: GroupDescriptor, text: str) -> tuple[GroupElement, ...]:
+    try:
+        arr = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise GroupError(f"syntax error in product element {text!r}") from exc
+    if not isinstance(arr, list) or len(arr) != len(g.factors):
+        raise GroupError(f"product element must be an array of {len(g.factors)} entries")
+    parts = []
+    for item, factor in zip(arr, g.factors):
+        parts.append(parse_element(item if isinstance(item, str) else json.dumps(item), factor))
+    return tuple(parts)
+
+
+def _product_order(g: GroupDescriptor) -> Optional[int]:
+    orders = [group_order(f) for f in g.factors]
+    return None if None in orders else math.prod(orders)
+
+
+_BACKENDS["product"] = _Backend(
+    from_json=_product_from_json,
+    to_json=lambda g: [descriptor_to_json(f) for f in g.factors],
+    normalise=_product_normalise,
+    identity=lambda g: tuple(identity(f) for f in g.factors),
+    multiply=lambda g, a, b: tuple(multiply(x, y) for x, y in zip(a, b)),
+    inverse=lambda g, a: tuple(inverse(x) for x in a),
+    parse=_product_parse,
+    format=lambda g, a: json.dumps([format_element(x) for x in a]),
+    order=_product_order,
+    elements=lambda g: itertools.product(*(enumerate_elements(f) for f in g.factors)),
+)
+
+
+# -- public operations ---------------------------------------------------
+
+def descriptor_to_json(group: GroupDescriptor) -> dict:
+    return {group.kind: _BACKENDS[group.kind].to_json(group)}
+
+
+def descriptor_from_json(obj: Any) -> GroupDescriptor:
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise GroupError("group descriptor must be a single-key object")
+    (kind, arg), = obj.items()
+    return _BACKENDS[kind].from_json(arg)
+
+
+def element(group: GroupDescriptor, payload: Any) -> GroupElement:
+    """Normalizing constructor; validates the payload for the backend."""
+    return GroupElement(group, _BACKENDS[group.kind].normalise(group, payload))
+
+
+def identity(group: GroupDescriptor) -> GroupElement:
+    return GroupElement(group, _BACKENDS[group.kind].identity(group))
+
+
+def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
+    g = a.group
+    if g != b.group:
+        raise GroupError("backend mismatch: elements live in different groups")
+    return GroupElement(g, _BACKENDS[g.kind].multiply(g, a.payload, b.payload))
+
+
+def inverse(a: GroupElement) -> GroupElement:
+    return GroupElement(a.group, _BACKENDS[a.group.kind].inverse(a.group, a.payload))
+
+
+def conjugate(a: GroupElement, by: GroupElement) -> GroupElement:
+    return multiply(multiply(inverse(by), a), by)
+
+
 def parse_element(text: str, group: GroupDescriptor) -> GroupElement:
     """Parse element text for the given backend; the result is in normal form."""
-    if group.kind == "free":
-        return element(group, _parse_word(text))
-    if group.kind == "cyclic":
-        body = text.strip()
-        if body == "e":
-            return identity(group)
-        try:
-            value = int(body)
-        except ValueError as exc:
-            raise GroupError(f"syntax error in residue {text!r}") from exc
-        if not 0 <= value < group.modulus:
-            raise GroupError(f"residue {value} out of range [0, {group.modulus})")
-        return GroupElement(group, value)
-    if group.kind == "symmetric":
-        body = text.strip()
-        if body.startswith("["):
-            try:
-                arr = json.loads(body)
-            except json.JSONDecodeError as exc:
-                raise GroupError(f"syntax error in one-line permutation {text!r}") from exc
-            if not isinstance(arr, list) or not all(isinstance(v, int) for v in arr) or len(arr) != group.degree:
-                raise GroupError(f"one-line form must list {group.degree} integers")
-            return element(group, arr)
-        return element(group, _parse_cycles(body, group.degree))
-    if group.kind == "dihedral":
-        out = identity(group)
-        for gen, k in _parse_word(text):
-            if gen == "r":
-                step = GroupElement(group, (k % group.modulus, 0))
-            elif gen == "s":
-                step = GroupElement(group, (0, k % 2))
-            else:
-                raise GroupError(f"unknown generator {gen!r}: dihedral elements use r and s")
-            out = multiply(out, step)
-        return out
-    if group.kind == "product":
-        try:
-            arr = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GroupError(f"syntax error in product element {text!r}") from exc
-        if not isinstance(arr, list) or len(arr) != len(group.factors):
-            raise GroupError(f"product element must be an array of {len(group.factors)} entries")
-        parts = []
-        for item, factor in zip(arr, group.factors):
-            parts.append(parse_element(item if isinstance(item, str) else json.dumps(item), factor))
-        return element(group, parts)
-    raise GroupError(f"unknown backend {group.kind!r}")
+    if not isinstance(text, str):
+        raise GroupError(f"element {text!r} must be given as a string")
+    return GroupElement(group, _BACKENDS[group.kind].parse(group, text))
 
 
 def format_element(a: GroupElement) -> str:
-    g = a.group
-    if g.kind == "free":
-        if not a.payload:
-            return "e"
-        return "*".join(gen if k == 1 else f"{gen}^{k}" for gen, k in a.payload)
-    if g.kind == "cyclic":
-        return str(a.payload)
-    if g.kind == "symmetric":
-        cycles = []
-        seen: set[int] = set()
-        for start in range(1, g.degree + 1):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = a.payload[start - 1]
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = a.payload[nxt - 1]
-            if len(cyc) > 1:
-                cycles.append(cyc)
-        if not cycles:
-            return "e"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
-    if g.kind == "dihedral":
-        rot, flip = a.payload
-        rpart = "" if rot == 0 else ("r" if rot == 1 else f"r^{rot}")
-        spart = "s" if flip else ""
-        if rpart and spart:
-            return f"{rpart}*{spart}"
-        return rpart or spart or "e"
-    if g.kind == "product":
-        return json.dumps([format_element(x) for x in a.payload])
-    raise GroupError(f"unknown backend {g.kind!r}")
+    return _BACKENDS[a.group.kind].format(a.group, a.payload)
 
 
 # -- finite-group utilities ----------------------------------------------
 
-def is_finite(group: GroupDescriptor) -> bool:
-    if group.kind == "free":
-        return not group.generators
-    if group.kind == "product":
-        return all(is_finite(f) for f in group.factors)
-    return group.kind in ("cyclic", "symmetric", "dihedral")
-
-
 def group_order(group: GroupDescriptor) -> Optional[int]:
-    if not is_finite(group):
-        return None
-    if group.kind == "free":
-        return 1
-    if group.kind == "cyclic":
-        return group.modulus
-    if group.kind == "symmetric":
-        return math.factorial(group.degree)
-    if group.kind == "dihedral":
-        return 2 * group.modulus
-    return math.prod(group_order(f) for f in group.factors)
+    return _BACKENDS[group.kind].order(group)
+
+
+def is_finite(group: GroupDescriptor) -> bool:
+    return group_order(group) is not None
 
 
 def enumerate_elements(group: GroupDescriptor) -> list[GroupElement]:
     """All elements of a finite backend, in a fixed deterministic order."""
-    if group.kind == "free":
-        if group.generators:
-            raise GroupError("infinite backend: cannot enumerate a free group with generators")
-        return [identity(group)]
-    if group.kind == "cyclic":
-        return [GroupElement(group, r) for r in range(group.modulus)]
-    if group.kind == "symmetric":
-        return [GroupElement(group, p) for p in itertools.permutations(range(1, group.degree + 1))]
-    if group.kind == "dihedral":
-        return [GroupElement(group, (r, f)) for f in (0, 1) for r in range(group.modulus)]
-    if group.kind == "product":
-        pools = [enumerate_elements(f) for f in group.factors]
-        return [GroupElement(group, combo) for combo in itertools.product(*pools)]
-    raise GroupError(f"unknown backend {group.kind!r}")
+    if not is_finite(group):
+        raise GroupError(f"infinite backend: cannot enumerate {json.dumps(descriptor_to_json(group))}")
+    return [GroupElement(group, p) for p in _BACKENDS[group.kind].elements(group)]
 
 
 def center(group: GroupDescriptor) -> list[GroupElement]:
     """The elements commuting with everything, by exhaustive check."""
-    if not is_finite(group):
-        raise GroupError("infinite backend: center enumeration needs a finite group")
     elems = enumerate_elements(group)
     return [z for z in elems if all(multiply(z, u) == multiply(u, z) for u in elems)]
 

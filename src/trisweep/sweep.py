@@ -24,7 +24,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .bundle import Connection1, GaugeTransform
 from .complexes import SimplicialComplex
@@ -140,13 +140,6 @@ class Section:
         groups = {l.group for l in self.letters}
         if len(groups) > 1:
             raise SweepError("section letters must share one backend")
-
-    def word(self) -> GroupElement:
-        """The ordered product of all letters."""
-        out = self.letters[0]
-        for l in self.letters[1:]:
-            out = multiply(out, l)
-        return out
 
 
 @dataclass(frozen=True)
@@ -465,8 +458,6 @@ def center_obstruction_check(group: GroupDescriptor) -> list[GroupElement]:
     Brute force over all pairs: the elements whose commutator with every
     element is the identity.  Coincides with the center of the group.
     """
-    if not is_finite(group):
-        raise GroupError("infinite backend: obstruction check needs a finite group")
     elems = enumerate_elements(group)
     e = identity(group)
     out = []
@@ -596,7 +587,3 @@ def defect_report_to_json(report: DefectReport) -> dict:
         "defects": [format_element(d) for d in report.defects],
         "gauge": {v: format_element(g) for v, g in report.gauge_used.values},
     }
-
-
-def parse_word_letters(texts: Sequence[str], group: GroupDescriptor) -> tuple[GroupElement, ...]:
-    return tuple(parse_element(t, group) for t in texts)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import trisweep as ts
 
@@ -222,3 +225,43 @@ def test_output_is_deterministic():
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+@pytest.mark.parametrize("value", [3, ["0", "0"]], ids=["number", "bare-array"])
+def test_non_string_element_value_is_an_error(tmp_path: Path, value):
+    conn = tmp_path / "conn.json"
+    group = {"cyclic": 12} if isinstance(value, int) else {"product": [{"cyclic": 2}, {"cyclic": 3}]}
+    conn.write_text(json.dumps({"group": group, "edges": {"a>b": value}}))
+    proc = run_cli(
+        "holonomy", "--complex", "tetrahedron.json", "--connection", str(conn), "--path", "a,b,d,a"
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_sweep_word_of_product_elements(tmp_path: Path):
+    group = {"product": [{"cyclic": 2}, {"cyclic": 3}]}
+    edges = {f"{a}>{b}": '["0","0"]' for a, b in (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"))}
+    cells = {}
+    for i, (u, apex, w) in enumerate(itertools.permutations("abcd", 3)):
+        cells[f"{u}.{apex}.{w}"] = json.dumps([str(i % 2), str(i % 3)])
+    conn = tmp_path / "z2xz3.json"
+    conn.write_text(json.dumps({"group": group, "edges": edges, "cells": cells}))
+    word = '["1","0"],["0","1"]'
+    proc = run_cli(
+        "sweep",
+        "--complex", "tetrahedron.json",
+        "--connection", str(conn),
+        "--scheme", "scheme1.json",
+        "--word", word,
+        "--format", "json",
+    )
+    assert proc.returncode == 0, proc.stderr
+    K = ts.load_complex(ts.data_path("tetrahedron.json").read_text())
+    connection = ts.load_connection(conn.read_text(), K)
+    scheme = ts.load_scheme(ts.data_path("scheme1.json").read_text())
+    G = connection.group
+    start = ts.Section(scheme.start_path, (ts.parse_element('["1","0"]', G), ts.parse_element('["0","1"]', G)))
+    expected = [ts.format_element(l) for l in ts.run_scheme(start, scheme, connection).final.letters]
+    assert json.loads(proc.stdout)[-1]["letters"] == expected

@@ -205,6 +205,30 @@ def test_group_order():
     assert ts.group_order(FREE_XY) is None
 
 
+@pytest.mark.parametrize(
+    ("group", "order"),
+    [
+        (ts.free_group([]), 1),
+        (ts.free_group(["x"]), None),
+        (ts.cyclic_group(7), 7),
+        (ts.symmetric_group(4), 24),
+        (ts.dihedral_group(5), 10),
+        (ts.product_group(ts.cyclic_group(3), ts.dihedral_group(2)), 12),
+        (ts.product_group(ts.cyclic_group(3), ts.free_group(["x"])), None),
+    ],
+    ids=["free0", "free1", "Z7", "S4", "D5", "Z3xD2", "Z3xfree1"],
+)
+def test_finiteness_follows_group_order(group, order):
+    assert ts.group_order(group) == order
+    assert ts.is_finite(group) == (order is not None)
+    if order is None:
+        with pytest.raises(GroupError, match="infinite backend"):
+            ts.enumerate_elements(group)
+    else:
+        assert len(set(ts.enumerate_elements(group))) == order
+    assert ts.descriptor_from_json(ts.descriptor_to_json(group)) == group
+
+
 # -- representations ---------------------------------------------------------------
 
 def test_permutation_rep_identity():
