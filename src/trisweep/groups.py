@@ -429,7 +429,10 @@ def descriptor_from_json(obj: Any) -> GroupDescriptor:
 
 def element(group: GroupDescriptor, payload: Any) -> GroupElement:
     """Normalizing constructor; validates the payload for the backend."""
-    return GroupElement(group, _BACKENDS[group.kind].normalise(group, payload))
+    try:
+        return GroupElement(group, _BACKENDS[group.kind].normalise(group, payload))
+    except (ValueError, TypeError) as exc:
+        raise GroupError(f"bad {group.kind} element {payload!r}: {exc}") from exc
 
 
 def identity(group: GroupDescriptor) -> GroupElement:
@@ -464,6 +467,10 @@ def format_element(a: GroupElement) -> str:
 
 # -- finite-group utilities ----------------------------------------------
 
+# Largest group order that whole-group operations enumerate.
+ENUMERATION_LIMIT = 1000
+
+
 def group_order(group: GroupDescriptor) -> Optional[int]:
     return _BACKENDS[group.kind].order(group)
 
@@ -473,9 +480,16 @@ def is_finite(group: GroupDescriptor) -> bool:
 
 
 def enumerate_elements(group: GroupDescriptor) -> list[GroupElement]:
-    """All elements of a finite backend, in a fixed deterministic order."""
-    if not is_finite(group):
+    """All elements of a finite backend, in a fixed deterministic order.
+
+    Every operation over the whole group goes through here, so groups of
+    order above ``ENUMERATION_LIMIT`` fail fast instead of filling memory.
+    """
+    order = group_order(group)
+    if order is None:
         raise GroupError(f"infinite backend: cannot enumerate {json.dumps(descriptor_to_json(group))}")
+    if order > ENUMERATION_LIMIT:
+        raise GroupError(f"group of order {order} is above the enumeration limit of {ENUMERATION_LIMIT}")
     return [GroupElement(group, p) for p in _BACKENDS[group.kind].elements(group)]
 
 
@@ -540,8 +554,6 @@ def cyclic_character(group: GroupDescriptor, power: int = 1) -> Representation:
 
 def table_representation(group: GroupDescriptor, table: Mapping[str, Sequence[Sequence[Any]]]) -> Representation:
     """Explicit matrix table over a finite backend, validated on all pairs."""
-    if not is_finite(group):
-        raise GroupError("table representation needs a finite backend")
     elems = enumerate_elements(group)
     frozen: dict[str, Matrix] = {}
     for key, mat in table.items():

@@ -24,16 +24,24 @@ from .errors import PathError, SchemeError
 
 Step = tuple[str, str]
 
-MOVES = (
-    "alpha_expand",
-    "alpha_merge",
-    "beta_expand",
-    "beta_merge",
-    "x1_insert",
-    "x1_cancel",
-    "deg_insert",
-    "deg_drop",
-)
+# Every move, with the number of path steps it consumes at its position.
+MOVES = {
+    "alpha_expand": 1,
+    "alpha_merge": 2,
+    "beta_expand": 1,
+    "beta_merge": 3,
+    "x1_insert": 0,
+    "x1_cancel": 2,
+    "deg_insert": 0,
+    "deg_drop": 1,
+}
+
+# Vertices of the cell a move names; the moves missing here take no cell.
+_CELL_SIZE = {"alpha_expand": 3, "alpha_merge": 3, "beta_expand": 4, "beta_merge": 4, "x1_insert": 2}
+
+# What a window that does not match its move fails to be, where the path
+# rather than the cell fixes the window.
+_MISMATCH = {"x1_cancel": "an opposite pair", "deg_drop": "degenerate"}
 
 
 @dataclass(frozen=True)
@@ -145,24 +153,21 @@ def x1_homotopic(p: EdgePath, q: EdgePath) -> bool:
     return reduce_x1(p) == reduce_x1(q)
 
 
+def _degenerate_move(p: EdgePath, move: str, position: int) -> EdgePath:
+    try:
+        return apply_move_path(p, HomotopyStep(move, position), None)
+    except SchemeError as exc:
+        raise PathError(str(exc)) from exc
+
+
 def insert_degenerate(p: EdgePath, k: int) -> EdgePath:
     """Insert the degenerate step at the k-th vertex of the chain (0 <= k <= len)."""
-    if not 0 <= k <= len(p.steps):
-        raise PathError(f"insert position {k} out of range for path of length {len(p.steps)}")
-    v = p.vertices[k]
-    return EdgePath(p.steps[:k] + ((v, v),) + p.steps[k:])
+    return _degenerate_move(p, "deg_insert", k)
 
 
 def drop_degenerate(p: EdgePath, idx: int) -> EdgePath:
     """Remove the degenerate step at ``idx``; the path must keep at least one step."""
-    if not 0 <= idx < len(p.steps):
-        raise PathError(f"drop position {idx} out of range")
-    x, y = p.steps[idx]
-    if x != y:
-        raise PathError(f"step ({x},{y}) at position {idx} is not degenerate")
-    if len(p.steps) < 2:
-        raise PathError("cannot drop the only step of an identity path")
-    return EdgePath(p.steps[:idx] + p.steps[idx + 1 :])
+    return _degenerate_move(p, "deg_drop", idx)
 
 
 @dataclass(frozen=True)
@@ -185,14 +190,14 @@ class HomotopyStep:
             raise SchemeError(f"unknown move {self.move!r}")
         if self.position < 0:
             raise SchemeError(f"negative position {self.position}")
-        want = {"alpha_expand": 3, "alpha_merge": 3, "beta_expand": 4, "beta_merge": 4, "x1_insert": 2}
-        if self.move in want:
-            if self.cell is None or len(self.cell) != want[self.move]:
-                raise SchemeError(f"move {self.move} needs a cell with {want[self.move]} vertices")
-            if self.move in ("beta_expand", "beta_merge") and self.cell[0] != self.cell[-1]:
-                raise SchemeError(f"loop cell {'.'.join(self.cell)} must start and end at the same vertex")
-        elif self.cell is not None:
-            raise SchemeError(f"move {self.move} takes no cell")
+        size = _CELL_SIZE.get(self.move)
+        if size is None:
+            if self.cell is not None:
+                raise SchemeError(f"move {self.move} takes no cell")
+        elif self.cell is None or len(self.cell) != size:
+            raise SchemeError(f"move {self.move} needs a cell with {size} vertices")
+        elif size == 4 and self.cell[0] != self.cell[-1]:
+            raise SchemeError(f"loop cell {'.'.join(self.cell)} must start and end at the same vertex")
 
 
 @dataclass(frozen=True)
@@ -203,94 +208,61 @@ class SweepScheme:
     steps: tuple[HomotopyStep, ...]
 
 
-def _require_face(complex, a: str, b: str, c: str, what: str) -> None:
-    if len({a, b, c}) != 3 or not complex.has_face(a, b, c):
-        raise SchemeError(f"cell not supported: {what} needs triangle {{{a},{b},{c}}} in the complex")
+def _steps_text(steps: Sequence[Step]) -> str:
+    return ",".join(f"({x},{y})" for x, y in steps)
+
+
+def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
+    """The steps a move consumes at ``step.position`` and the steps replacing them.
+
+    This is the one place that checks a move against the path and the
+    complex; a move that does not apply raises ``SchemeError``.
+    """
+    steps, i, move, cell = path.steps, step.position, step.move, step.cell
+    found = steps[i : i + MOVES[move]]
+    if i > len(steps) or len(found) < MOVES[move]:
+        raise SchemeError(f"position {i} out of range for {move} on a path of {len(steps)} steps")
+    v = steps[i][0] if i < len(steps) else path.target
+    # a move and its inverse swap the same two windows: the short side and
+    # the long side of a triangle, loop cell, backtracking pair or degenerate step
+    if move.startswith("alpha"):
+        a, c, b = cell
+        short, long = ((a, b),), ((a, c), (c, b))
+    elif move.startswith("beta"):
+        c, a, b, _c = cell
+        short, long = ((c, c),), ((c, a), (a, b), (b, c))
+    elif move.startswith("x1"):
+        x, y = cell or found[0]
+        short, long = (), ((x, y), (y, x))
+    else:
+        short, long = (), ((v, v),)
+    consumed, produced = (short, long) if move.endswith(("expand", "insert")) else (long, short)
+    if found != consumed or (produced and produced[0][0] != v):
+        want = _MISMATCH.get(move) or _steps_text(consumed) or f"vertex {produced[0][0]}"
+        raise SchemeError(f"path mismatch at position {i}: {_steps_text(found) or 'vertex ' + v}, not {want}")
+    if move == "deg_drop" and len(steps) == 1:
+        raise SchemeError("cannot drop the only step of an identity path")
+    if cell is not None:
+        if len(cell) == 2:
+            supported = complex.has_edge(*cell)
+        else:
+            supported = len(set(cell)) == 3 and complex.has_face(*cell[:3])
+        if not supported:
+            shape = "an edge" if len(cell) == 2 else "a triangle"
+            raise SchemeError(f"cell not supported: {cell_name(cell)} is not {shape} of the complex")
+    return consumed, produced
+
+
+def splice_window(path: EdgePath, position: int, consumed: tuple[Step, ...], produced: tuple[Step, ...]) -> EdgePath:
+    """Replace the consumed steps at ``position``; no steps left gives the identity at the source."""
+    steps = path.steps[:position] + produced + path.steps[position + len(consumed) :]
+    return EdgePath(steps) if steps else EdgePath.identity(path.source)
 
 
 def apply_move_path(path: EdgePath, step: HomotopyStep, complex) -> EdgePath:
     """Apply one move to a bare path, checking it against the complex."""
-    steps = path.steps
-    n = len(steps)
-    i = step.position
-    move = step.move
-
-    if move == "alpha_expand":
-        a, c, b = step.cell
-        if i >= n:
-            raise SchemeError(f"position {i} out of range")
-        if steps[i] != (a, b):
-            raise SchemeError(f"path mismatch: step {i} is {steps[i]}, cell expects ({a},{b})")
-        _require_face(complex, a, b, c, f"{a}.{c}.{b}")
-        return EdgePath(steps[:i] + ((a, c), (c, b)) + steps[i + 1 :])
-
-    if move == "alpha_merge":
-        a, c, b = step.cell
-        if i >= n - 1:
-            raise SchemeError(f"position {i} out of range for a two-step merge")
-        if steps[i] != (a, c) or steps[i + 1] != (c, b):
-            raise SchemeError(
-                f"path mismatch: steps {i},{i + 1} are {steps[i]},{steps[i + 1]}, "
-                f"cell expects ({a},{c}),({c},{b})"
-            )
-        _require_face(complex, a, b, c, f"{a}.{c}.{b}")
-        return EdgePath(steps[:i] + ((a, b),) + steps[i + 2 :])
-
-    if move == "beta_expand":
-        c, a, b, _c2 = step.cell
-        if i >= n:
-            raise SchemeError(f"position {i} out of range")
-        if steps[i] != (c, c):
-            raise SchemeError(f"path mismatch: step {i} is {steps[i]}, expected degenerate ({c},{c})")
-        _require_face(complex, c, a, b, f"{c}.{a}.{b}.{c}")
-        return EdgePath(steps[:i] + ((c, a), (a, b), (b, c)) + steps[i + 1 :])
-
-    if move == "beta_merge":
-        c, a, b, _c2 = step.cell
-        if i >= n - 2:
-            raise SchemeError(f"position {i} out of range for a three-step merge")
-        if steps[i : i + 3] != ((c, a), (a, b), (b, c)):
-            raise SchemeError(
-                f"path mismatch: steps {i}..{i + 2} do not trace the boundary ({c},{a}),({a},{b}),({b},{c})"
-            )
-        _require_face(complex, c, a, b, f"{c}.{a}.{b}.{c}")
-        return EdgePath(steps[:i] + ((c, c),) + steps[i + 3 :])
-
-    if move == "x1_insert":
-        x, y = step.cell
-        if i > n:
-            raise SchemeError(f"insert position {i} out of range")
-        if path.vertices[i] != x:
-            raise SchemeError(f"pair ({x},{y}) does not start at vertex {path.vertices[i]} (position {i})")
-        if x == y or not complex.has_edge(x, y):
-            raise SchemeError(f"cell not supported: {{{x},{y}}} is not an edge of the complex")
-        return EdgePath(steps[:i] + ((x, y), (y, x)) + steps[i:])
-
-    if move == "x1_cancel":
-        if i >= n - 1:
-            raise SchemeError(f"position {i} out of range for a pair cancellation")
-        (x, y), nxt = steps[i], steps[i + 1]
-        if nxt != (y, x):
-            raise SchemeError(f"steps {i},{i + 1} are {steps[i]},{nxt}, not an opposite pair")
-        remaining = steps[:i] + steps[i + 2 :]
-        if not remaining:
-            return EdgePath.identity(path.source)
-        return EdgePath(remaining)
-
-    if move == "deg_insert":
-        if i > n:
-            raise SchemeError(f"insert position {i} out of range")
-        return insert_degenerate(path, i)
-
-    if move == "deg_drop":
-        if i >= n:
-            raise SchemeError(f"position {i} out of range")
-        try:
-            return drop_degenerate(path, i)
-        except PathError as exc:
-            raise SchemeError(str(exc)) from exc
-
-    raise SchemeError(f"unknown move {move!r}")
+    consumed, produced = move_window(path, step, complex)
+    return splice_window(path, step.position, consumed, produced)
 
 
 def validate_scheme(scheme: SweepScheme, complex) -> list[EdgePath]:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Mapping, Optional
 
 from .bundle import Connection1, GaugeTransform
@@ -41,7 +41,15 @@ from .groups import (
     multiply,
     parse_element,
 )
-from .paths import EdgePath, HomotopyStep, SweepScheme, apply_move_path
+# apply_move_path is not called here; it stays importable from this module
+from .paths import (
+    EdgePath,
+    HomotopyStep,
+    SweepScheme,
+    apply_move_path,
+    move_window,
+    splice_window,
+)
 
 
 @dataclass(frozen=True)
@@ -187,115 +195,74 @@ def alpha_expand(
     section re-gauged at the new interior vertex, matching the convention
     that parks the identity on the first new edge.
     """
-    a, c, b = cell
-    step = HomotopyStep("alpha_expand", position, cell)
-    new_path = _move_path(section.path, step, connection)
-    phi = connection.alpha_value(a, c, b)
-    w = section.letters[position]
-    if identity_first:
-        pair = (identity(connection.group), multiply(w, phi))
-    else:
-        pair = (w, phi)
-    letters = section.letters[:position] + pair + section.letters[position + 1 :]
-    return Section(new_path, letters)
+    out = apply_move_section(section, HomotopyStep("alpha_expand", position, cell), connection)
+    if not identity_first:
+        return out
+    w, phi = out.letters[position : position + 2]
+    pair = (identity(connection.group), multiply(w, phi))
+    return Section(out.path, out.letters[:position] + pair + out.letters[position + 2 :])
 
 
 def alpha_merge(
     section: Section, cell: tuple[str, str, str], position: int, connection: Connection2
 ) -> Section:
     """Replace the letters (u, v) over (a,c),(c,b) by u*v*phi^-1 over (a,b)."""
-    a, c, b = cell
-    step = HomotopyStep("alpha_merge", position, cell)
-    new_path = _move_path(section.path, step, connection)
-    phi = connection.alpha_value(a, c, b)
-    u, v = section.letters[position], section.letters[position + 1]
-    merged = multiply(multiply(u, v), inverse(phi))
-    letters = section.letters[:position] + (merged,) + section.letters[position + 2 :]
-    return Section(new_path, letters)
+    return apply_move_section(section, HomotopyStep("alpha_merge", position, cell), connection)
 
 
 def beta_expand(
     section: Section, cell: tuple[str, str, str, str], connection: Connection2, position: int = 0
 ) -> Section:
     """Expand the letter w over (c,c) to (e, w, phi) over (c,a),(a,b),(b,c)."""
-    c, a, b, _ = cell
-    step = HomotopyStep("beta_expand", position, cell)
-    new_path = _move_path(section.path, step, connection)
-    phi = connection.beta_value(c, a, b)
-    w = section.letters[position]
-    triple = (identity(connection.group), w, phi)
-    letters = section.letters[:position] + triple + section.letters[position + 1 :]
-    return Section(new_path, letters)
+    return apply_move_section(section, HomotopyStep("beta_expand", position, cell), connection)
 
 
 def beta_merge(
     section: Section, cell: tuple[str, str, str, str], connection: Connection2, position: int = 0
 ) -> Section:
     """Collapse the boundary letters (l1, l2, l3) to l1*l2*l3*phi^-1 over (c,c)."""
-    c, a, b, _ = cell
-    step = HomotopyStep("beta_merge", position, cell)
-    new_path = _move_path(section.path, step, connection)
-    phi = connection.beta_value(c, a, b)
-    l1, l2, l3 = section.letters[position : position + 3]
-    merged = multiply(multiply(multiply(l1, l2), l3), inverse(phi))
-    letters = section.letters[:position] + (merged,) + section.letters[position + 3 :]
-    return Section(new_path, letters)
-
-
-def _move_path(path: EdgePath, step: HomotopyStep, connection: Connection2) -> EdgePath:
-    try:
-        return apply_move_path(path, step, connection.complex)
-    except SchemeError as exc:
-        raise SweepError(str(exc)) from exc
+    return apply_move_section(section, HomotopyStep("beta_merge", position, cell), connection)
 
 
 def apply_move_section(section: Section, step: HomotopyStep, connection: Connection2) -> Section:
-    """Apply one homotopy move to a section.
+    """Apply one homotopy move to a section, rewriting only the letters over its window.
 
-    Triangle moves use the cell values of the connection.  The
-    bookkeeping moves keep the ordered product of the letters: inserted
-    steps carry identity letters, and a dropped or cancelled stretch
-    folds its letters into the following letter (into the preceding one
-    at the end of the path).
+    ``move_window`` decides which steps the move replaces.  Over them, an
+    expansion writes (w, phi) across a triangle and (e, w, phi) across a
+    loop boundary, phi being the cell value; a merge writes the product of
+    the window's letters times phi^-1; an insertion writes identities.  A
+    drop keeps the ordered product of the letters: the window's product is
+    folded into the following letter, into the preceding one at the end of
+    the path, and is the only letter when the path collapses to an
+    identity path.
     """
-    move, i = step.move, step.position
-    if move == "alpha_expand":
-        return alpha_expand(section, step.cell, i, connection)
-    if move == "alpha_merge":
-        return alpha_merge(section, step.cell, i, connection)
-    if move == "beta_expand":
-        return beta_expand(section, step.cell, connection, i)
-    if move == "beta_merge":
-        return beta_merge(section, step.cell, connection, i)
-
-    new_path = _move_path(section.path, step, connection)
-    e = identity(section.letters[0].group if section.letters else connection.group)
+    try:
+        consumed, produced = move_window(section.path, step, connection.complex)
+    except SchemeError as exc:
+        raise SweepError(str(exc)) from exc
     letters = section.letters
-    if move == "x1_insert":
-        new_letters = letters[:i] + (e, e) + letters[i:]
-    elif move == "deg_insert":
-        new_letters = letters[:i] + (e,) + letters[i:]
-    elif move == "x1_cancel":
-        folded = multiply(letters[i], letters[i + 1])
-        rest = letters[:i] + letters[i + 2 :]
-        new_letters = _fold_in(rest, i, folded, e)
-    elif move == "deg_drop":
-        folded = letters[i]
-        rest = letters[:i] + letters[i + 1 :]
-        new_letters = _fold_in(rest, i, folded, e)
+    lo = step.position
+    hi = lo + len(consumed)
+    if not produced:
+        # widen the window by the letter its product folds into
+        if hi < len(letters):
+            hi += 1
+        elif lo:
+            lo -= 1
+        new = (reduce(multiply, letters[lo:hi]),)
+    elif not consumed:
+        new = (identity(letters[0].group),) * len(produced)
     else:
-        raise SweepError(f"unknown move {move!r}")
-    return Section(new_path, new_letters)
-
-
-def _fold_in(
-    rest: tuple[GroupElement, ...], at: int, folded: GroupElement, e: GroupElement
-) -> tuple[GroupElement, ...]:
-    if not rest:
-        return (folded,)
-    if at < len(rest):
-        return rest[:at] + (multiply(folded, rest[at]),) + rest[at + 1 :]
-    return rest[:-1] + (multiply(rest[-1], folded),)
+        cell = step.cell
+        phi = connection.alpha_value(*cell) if len(cell) == 3 else connection.beta_value(*cell[:3])
+        if len(produced) == 1:
+            new = (multiply(reduce(multiply, letters[lo:hi]), inverse(phi)),)
+        elif len(cell) == 3:
+            new = (letters[lo], phi)
+        else:
+            new = (identity(phi.group), letters[lo], phi)
+    path = splice_window(section.path, step.position, consumed, produced)
+    return Section(path, letters[:lo] + new + letters[hi:])
 
 
 def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> SweepTrace:

@@ -265,3 +265,12 @@ def test_sweep_word_of_product_elements(tmp_path: Path):
     start = ts.Section(scheme.start_path, (ts.parse_element('["1","0"]', G), ts.parse_element('["0","1"]', G)))
     expected = [ts.format_element(l) for l in ts.run_scheme(start, scheme, connection).final.letters]
     assert json.loads(proc.stdout)[-1]["letters"] == expected
+
+
+@pytest.mark.parametrize("descriptor", ['{"cyclic": 1000000000000}', '{"symmetric": 20}'])
+def test_center_of_a_huge_group_fails_fast(descriptor):
+    proc = run_cli("center", descriptor)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "enumeration limit" in proc.stderr
+    assert "Traceback" not in proc.stderr

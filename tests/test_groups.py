@@ -322,3 +322,50 @@ def test_descriptor_rejects_garbage():
         ts.descriptor_from_json({"free": ["x"], "cyclic": 3})
     with pytest.raises(GroupError):
         ts.descriptor_from_json({"swirl": 3})
+
+
+@pytest.mark.parametrize(
+    "group, payload",
+    [
+        (ts.dihedral_group(4), (1, 2, 3)),
+        (ts.cyclic_group(12), "x"),
+        (ts.free_group(["x"]), [("x",)]),
+        (ts.symmetric_group(3), 5),
+    ],
+    ids=["dihedral-triple", "cyclic-text", "free-short-syllable", "symmetric-int"],
+)
+def test_malformed_payload_is_a_group_error(group, payload):
+    with pytest.raises(GroupError, match="bad"):
+        ts.element(group, payload)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [ts.cyclic_group(10**12), ts.symmetric_group(20), ts.product_group(S4, ts.dihedral_group(21))],
+    ids=["Z_10^12", "S20", "S4xD21"],
+)
+def test_whole_group_operations_stop_at_the_enumeration_limit(group):
+    limit = ts.groups.ENUMERATION_LIMIT
+    order = ts.group_order(group)
+    assert order > limit
+    message = f"order {order} is above the enumeration limit of {limit}"
+    K = ts.SimplicialComplex.build("ab", edges=[("a", "b")])
+    e = ts.identity(group)
+    f = ts.Connection1.constant(group, K, e)
+    section = ts.Section(ts.EdgePath((("a", "b"),)), (e,))
+    whole_group_calls = [
+        lambda: ts.enumerate_elements(group),
+        lambda: ts.center(group),
+        lambda: ts.center_obstruction_check(group),
+        lambda: ts.find_isomorphism(f, f),
+        lambda: ts.table_representation(group, {}),
+        lambda: ts.sections_gauge_equivalent(section, section, movable={"a"}),
+    ]
+    for call in whole_group_calls:
+        with pytest.raises(GroupError, match=message):
+            call()
+
+
+def test_enumeration_limit_is_inclusive():
+    group = ts.cyclic_group(ts.groups.ENUMERATION_LIMIT)
+    assert len(ts.enumerate_elements(group)) == ts.groups.ENUMERATION_LIMIT

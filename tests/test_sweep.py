@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import warnings
 
@@ -11,8 +12,9 @@ from conftest import (
     product_of_letters,
     random_connection2,
     random_element,
+    random_section,
 )
-from trisweep.errors import SweepError
+from trisweep.errors import SchemeError, SweepError
 
 Z12 = ts.cyclic_group(12)
 S3 = ts.symmetric_group(3)
@@ -490,3 +492,136 @@ def test_compare_swapped_disjoint_moves_equal(tetra, symbolic_connection):
     start = ts.Section(path, letters)
     result = ts.compare_schemes(first, swapped, start, symbolic_connection)
     assert result.verdict == "equal"
+
+
+# -- move semantics over all eight kinds ----------------------------------------------
+
+INVERSE_MOVE = {
+    "alpha_expand": "alpha_merge",
+    "beta_expand": "beta_merge",
+    "x1_insert": "x1_cancel",
+    "deg_insert": "deg_drop",
+}
+BOOKKEEPING_MOVES = ("x1_insert", "x1_cancel", "deg_insert", "deg_drop")
+ALL_MOVES = (
+    "alpha_expand",
+    "alpha_merge",
+    "beta_expand",
+    "beta_merge",
+    "x1_insert",
+    "x1_cancel",
+    "deg_insert",
+    "deg_drop",
+)
+
+
+def every_applicable_move(complex, path: ts.EdgePath) -> list[ts.HomotopyStep]:
+    """Every move of every kind that the path move accepts, found by trying them all."""
+    triples = list(itertools.permutations(complex.sorted_vertices, 3))
+    cells = {
+        "alpha_expand": triples,
+        "alpha_merge": triples,
+        "beta_expand": [(c, a, b, c) for c, a, b in triples],
+        "beta_merge": [(c, a, b, c) for c, a, b in triples],
+        "x1_insert": list(itertools.permutations(complex.sorted_vertices, 2)),
+    }
+    out = []
+    for move in ALL_MOVES:
+        for position in range(len(path.steps) + 1):
+            for cell in cells.get(move, [None]):
+                step = ts.HomotopyStep(move, position, cell)
+                try:
+                    ts.apply_move_path(path, step, complex)
+                except SchemeError:
+                    continue
+                out.append(step)
+    return out
+
+
+@pytest.mark.parametrize("group_name", ["S3", "Z12", "free"])
+def test_section_moves_match_path_moves_and_invert(tetra, symbolic_connection, group_name):
+    group = {"S3": S3, "Z12": Z12, "free": symbolic_connection.group}[group_name]
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(30):
+        conn = random_connection2(tetra, group, rng)
+        s = random_section(tetra, group, rng, rng.randrange(1, 6), stay_prob=0.3)
+        for step in every_applicable_move(tetra, s.path):
+            out = ts.apply_move_section(s, step, conn)
+            assert out.path == ts.apply_move_path(s.path, step, tetra)
+            seen.add(step.move)
+            if step.move in INVERSE_MOVE:
+                cell = step.cell if step.move.endswith("expand") else None
+                back = ts.HomotopyStep(INVERSE_MOVE[step.move], step.position, cell)
+                assert ts.apply_move_section(out, back, conn) == s
+            if step.move in BOOKKEEPING_MOVES:
+                assert product_of_letters(out.letters) == product_of_letters(s.letters)
+    assert seen == set(ALL_MOVES)
+
+
+def test_drop_folds_into_following_letter(symbolic_connection):
+    s = ts.Section(
+        ts.EdgePath((("a", "b"), ("b", "b"), ("b", "c"))),
+        tuple(parse(t, symbolic_connection) for t in ("x", "y", "phi_acb")),
+    )
+    out = ts.apply_move_section(s, ts.HomotopyStep("deg_drop", 1), symbolic_connection)
+    assert out.path == ts.EdgePath((("a", "b"), ("b", "c")))
+    assert words(out) == ["x", "y*phi_acb"]
+
+
+def test_drop_at_path_end_folds_into_preceding_letter(symbolic_connection):
+    s = ts.Section(
+        ts.EdgePath((("a", "b"), ("b", "b"))),
+        (parse("x", symbolic_connection), parse("y", symbolic_connection)),
+    )
+    out = ts.apply_move_section(s, ts.HomotopyStep("deg_drop", 1), symbolic_connection)
+    assert out.path == ts.EdgePath((("a", "b"),))
+    assert words(out) == ["x*y"]
+
+
+def test_cancel_of_whole_path_leaves_product_as_only_letter(symbolic_connection):
+    s = ts.Section(
+        ts.EdgePath((("a", "b"), ("b", "a"))),
+        (parse("x", symbolic_connection), parse("y", symbolic_connection)),
+    )
+    out = ts.apply_move_section(s, ts.HomotopyStep("x1_cancel", 0), symbolic_connection)
+    assert out.path == ts.EdgePath.identity("a")
+    assert words(out) == ["x*y"]
+
+
+# -- invalid moves fail alike on paths and sections --------------------------------------
+
+BAD_MOVES = {
+    "out-of-range": (
+        "acb",
+        [("alpha_merge", 0, ("a", "c", "b")), ("alpha_merge", 0, ("a", "c", "b"))],
+        "out of range",
+    ),
+    "path-mismatch": ("acb", [("deg_insert", 0, None), ("alpha_expand", 0, ("a", "d", "c"))], "path mismatch"),
+    "unsupported-triangle": (
+        "acb",
+        [("alpha_merge", 0, ("a", "c", "b")), ("alpha_expand", 0, ("a", "e", "b"))],
+        "not supported",
+    ),
+    "unsupported-edge": (
+        "acb",
+        [("alpha_merge", 0, ("a", "c", "b")), ("x1_insert", 1, ("b", "e"))],
+        "not supported",
+    ),
+    "not-opposite": ("acb", [("deg_insert", 0, None), ("x1_cancel", 1, None)], "not an opposite pair"),
+    "not-degenerate": ("acb", [("deg_insert", 0, None), ("deg_drop", 1, None)], "not degenerate"),
+    "only-step": ("aba", [("x1_cancel", 0, None), ("deg_drop", 0, None)], "only step"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MOVES))
+def test_invalid_move_fails_alike_on_path_and_section(tetra, symbolic_connection, case):
+    chain, moves, category = BAD_MOVES[case]
+    path = ts.EdgePath.from_vertices(*chain)
+    scheme = ts.SweepScheme(path, tuple(ts.HomotopyStep(m, i, c) for m, i, c in moves))
+    start = ts.Section(path, tuple(parse("x", symbolic_connection) for _ in path.steps))
+    with pytest.raises(SchemeError, match=category) as on_path:
+        ts.validate_scheme(scheme, tetra)
+    with pytest.raises(SweepError, match=category) as on_section:
+        ts.run_scheme(start, scheme, symbolic_connection)
+    assert on_path.value.step_index == on_section.value.step_index == len(moves) - 1
