@@ -39,13 +39,40 @@ Matrix = tuple[tuple[Any, ...], ...]
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """Tagged description of one group backend."""
+    """Tagged description of one group backend.
+
+    Equality and hashing are structural.  Every element carries its
+    descriptor and every multiplication compares two of them, so the hash
+    is computed once per instance and equality tests identity first: both
+    cost O(1) on the hot path, not O(generators).
+    """
 
     kind: str
     generators: tuple[str, ...] = ()
     modulus: int = 0
     degree: int = 0
     factors: tuple["GroupDescriptor", ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self._key()))
+
+    def _key(self) -> tuple:
+        return (self.kind, self.generators, self.modulus, self.degree, self.factors)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, GroupDescriptor):
+            return NotImplemented
+        return self._hash == other._hash and self._key() == other._key()
+
+    def __reduce__(self):
+        # rebuild through __init__: a stored hash of strings is only valid
+        # in the process that computed it
+        return (GroupDescriptor, self._key())
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -170,7 +197,9 @@ def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
 #   normalise(g, raw) -> payload      validates a payload given in code
 #   identity(g), multiply(g, a, b), inverse(g, a) -> payload
 #   parse(g, text) -> payload         format(g, a) -> text
-#   order(g) -> int, or None when the group is infinite
+#   order(g, cap) -> int, or None when the group is infinite; with a cap
+#     that is not None, an order above the cap may come back as any number
+#     above the cap, so that a huge order is never computed in full
 #   elements(g) -> every payload of a finite group, in a fixed order
 
 _Backend = namedtuple(
@@ -223,7 +252,7 @@ _BACKENDS["free"] = _Backend(
     inverse=lambda g, a: tuple((gen, -k) for gen, k in reversed(a)),
     parse=lambda g, text: _free_normalise(g, _parse_word(text)),
     format=_free_format,
-    order=lambda g: None if g.generators else 1,
+    order=lambda g, cap: None if g.generators else 1,
     elements=lambda g: [()],
 )
 
@@ -250,7 +279,7 @@ _BACKENDS["cyclic"] = _Backend(
     inverse=lambda g, a: (-a) % g.modulus,
     parse=_cyclic_parse,
     format=lambda g, a: str(a),
-    order=lambda g: g.modulus,
+    order=lambda g, cap: g.modulus,
     elements=lambda g: range(g.modulus),
 )
 
@@ -282,6 +311,18 @@ def _symmetric_parse(g: GroupDescriptor, text: str) -> tuple[int, ...]:
     return _symmetric_normalise(g, _parse_cycles(body, g.degree))
 
 
+def _symmetric_order(g: GroupDescriptor, cap: Optional[int]) -> int:
+    if cap is None:
+        return math.factorial(g.degree)
+    # the factorial of a huge degree takes seconds: stop once past the cap
+    order = 1
+    for k in range(2, g.degree + 1):
+        order *= k
+        if order > cap:
+            break
+    return order
+
+
 def _symmetric_format(g: GroupDescriptor, a: tuple[int, ...]) -> str:
     cycles = []
     seen: set[int] = set()
@@ -311,7 +352,7 @@ _BACKENDS["symmetric"] = _Backend(
     inverse=_symmetric_inverse,
     parse=_symmetric_parse,
     format=_symmetric_format,
-    order=lambda g: math.factorial(g.degree),
+    order=_symmetric_order,
     elements=lambda g: itertools.permutations(range(1, g.degree + 1)),
 )
 
@@ -358,7 +399,7 @@ _BACKENDS["dihedral"] = _Backend(
     inverse=lambda g, a: ((-a[0]) % g.modulus if a[1] == 0 else a[0], a[1]),
     parse=_dihedral_parse,
     format=_dihedral_format,
-    order=lambda g: 2 * g.modulus,
+    order=lambda g, cap: 2 * g.modulus,
     elements=lambda g: [(r, f) for f in (0, 1) for r in range(g.modulus)],
 )
 
@@ -395,8 +436,9 @@ def _product_parse(g: GroupDescriptor, text: str) -> tuple[GroupElement, ...]:
     return tuple(parts)
 
 
-def _product_order(g: GroupDescriptor) -> Optional[int]:
-    orders = [group_order(f) for f in g.factors]
+def _product_order(g: GroupDescriptor, cap: Optional[int]) -> Optional[int]:
+    # every factor counts: one infinite factor makes the product infinite
+    orders = [_BACKENDS[f.kind].order(f, cap) for f in g.factors]
     return None if None in orders else math.prod(orders)
 
 
@@ -470,13 +512,20 @@ def format_element(a: GroupElement) -> str:
 # Largest group order that whole-group operations enumerate.
 ENUMERATION_LIMIT = 1000
 
+# Error messages state an order of up to 10^600 in full.  A larger one is
+# neither computed in full nor printed: 600 digits stay below the smallest
+# int-to-str limit the interpreter can be set to (640 digits).
+_STATED_ORDER_DIGITS = 600
+
 
 def group_order(group: GroupDescriptor) -> Optional[int]:
-    return _BACKENDS[group.kind].order(group)
+    """The exact order, or None for an infinite group."""
+    return _BACKENDS[group.kind].order(group, None)
 
 
 def is_finite(group: GroupDescriptor) -> bool:
-    return group_order(group) is not None
+    # with a cap of 0, no finite order is computed in full
+    return _BACKENDS[group.kind].order(group, 0) is not None
 
 
 def enumerate_elements(group: GroupDescriptor) -> list[GroupElement]:
@@ -485,11 +534,13 @@ def enumerate_elements(group: GroupDescriptor) -> list[GroupElement]:
     Every operation over the whole group goes through here, so groups of
     order above ``ENUMERATION_LIMIT`` fail fast instead of filling memory.
     """
-    order = group_order(group)
+    cap = 10**_STATED_ORDER_DIGITS
+    order = _BACKENDS[group.kind].order(group, cap)
     if order is None:
         raise GroupError(f"infinite backend: cannot enumerate {json.dumps(descriptor_to_json(group))}")
     if order > ENUMERATION_LIMIT:
-        raise GroupError(f"group of order {order} is above the enumeration limit of {ENUMERATION_LIMIT}")
+        stated = order if order <= cap else f"over 10^{_STATED_ORDER_DIGITS}"
+        raise GroupError(f"group of order {stated} is above the enumeration limit of {ENUMERATION_LIMIT}")
     return [GroupElement(group, p) for p in _BACKENDS[group.kind].elements(group)]
 
 

@@ -58,6 +58,13 @@ class EdgePath:
                 raise PathError(f"steps ({x},{y}) and ({x2},{_y2}) are not composable")
 
     @classmethod
+    def _trusted(cls, steps: tuple[Step, ...]) -> "EdgePath":
+        """Build from steps already known to be nonempty and composable, unchecked."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        return path
+
+    @classmethod
     def from_vertices(cls, *chain: str) -> "EdgePath":
         """Build a path from a chain of vertices; a single vertex gives the identity."""
         if not chain:
@@ -254,9 +261,15 @@ def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step
 
 
 def splice_window(path: EdgePath, position: int, consumed: tuple[Step, ...], produced: tuple[Step, ...]) -> EdgePath:
-    """Replace the consumed steps at ``position``; no steps left gives the identity at the source."""
+    """Replace the consumed steps at ``position``; no steps left gives the identity at the source.
+
+    The window must be the one ``move_window`` returned for this path and
+    position.  Its two sides then run between the same two vertices, and
+    the produced side starts where the path stands at ``position``, so the
+    spliced steps are composable and are not checked again.
+    """
     steps = path.steps[:position] + produced + path.steps[position + len(consumed) :]
-    return EdgePath(steps) if steps else EdgePath.identity(path.source)
+    return EdgePath._trusted(steps) if steps else EdgePath.identity(path.source)
 
 
 def apply_move_path(path: EdgePath, step: HomotopyStep, complex) -> EdgePath:

@@ -24,7 +24,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .bundle import Connection1, GaugeTransform
 from .complexes import SimplicialComplex
@@ -33,6 +33,7 @@ from .groups import (
     GroupDescriptor,
     GroupElement,
     descriptor_from_json,
+    descriptor_to_json,
     enumerate_elements,
     format_element,
     identity,
@@ -47,6 +48,7 @@ from .paths import (
     HomotopyStep,
     SweepScheme,
     apply_move_path,
+    cell_name,
     move_window,
     splice_window,
 )
@@ -149,6 +151,14 @@ class Section:
         if len(groups) > 1:
             raise SweepError("section letters must share one backend")
 
+    @classmethod
+    def _trusted(cls, path: EdgePath, letters: tuple[GroupElement, ...]) -> "Section":
+        """Build from a move result already known to be valid, unchecked."""
+        section = object.__new__(cls)
+        object.__setattr__(section, "path", path)
+        object.__setattr__(section, "letters", letters)
+        return section
+
 
 @dataclass(frozen=True)
 class SweepTrace:
@@ -200,7 +210,7 @@ def alpha_expand(
         return out
     w, phi = out.letters[position : position + 2]
     pair = (identity(connection.group), multiply(w, phi))
-    return Section(out.path, out.letters[:position] + pair + out.letters[position + 2 :])
+    return Section._trusted(out.path, out.letters[:position] + pair + out.letters[position + 2 :])
 
 
 def alpha_merge(
@@ -235,7 +245,15 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
     folded into the following letter, into the preceding one at the end of
     the path, and is the only letter when the path collapses to an
     identity path.
+
+    The section's backend is checked against the connection's once; the
+    result is built unchecked, since the window keeps the path composable
+    and every letter written lives in that one backend.
     """
+    group = section.letters[0].group
+    if group != connection.group:
+        section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (group, connection.group))
+        raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
     try:
         consumed, produced = move_window(section.path, step, connection.complex)
     except SchemeError as exc:
@@ -251,18 +269,20 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
             lo -= 1
         new = (reduce(multiply, letters[lo:hi]),)
     elif not consumed:
-        new = (identity(letters[0].group),) * len(produced)
+        new = (identity(group),) * len(produced)
     else:
         cell = step.cell
         phi = connection.alpha_value(*cell) if len(cell) == 3 else connection.beta_value(*cell[:3])
+        if phi.group != group:
+            raise SweepError(f"backend mismatch at cell {cell_name(cell)}")
         if len(produced) == 1:
             new = (multiply(reduce(multiply, letters[lo:hi]), inverse(phi)),)
         elif len(cell) == 3:
             new = (letters[lo], phi)
         else:
-            new = (identity(phi.group), letters[lo], phi)
+            new = (identity(group), letters[lo], phi)
     path = splice_window(section.path, step.position, consumed, produced)
-    return Section(path, letters[:lo] + new + letters[hi:])
+    return Section._trusted(path, letters[:lo] + new + letters[hi:])
 
 
 def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> SweepTrace:
@@ -537,15 +557,31 @@ def load_connection(
     return Connection2.build(base, alpha, beta)
 
 
-def section_to_json(section: Section) -> dict:
+def _section_json(section: Section, fmt: Callable[[GroupElement], str]) -> dict:
     return {
         "path": [[x, y] for x, y in section.path.steps],
-        "letters": [format_element(l) for l in section.letters],
+        "letters": [fmt(l) for l in section.letters],
     }
 
 
+def section_to_json(section: Section) -> dict:
+    return _section_json(section, format_element)
+
+
 def trace_to_json(trace: SweepTrace) -> list[dict]:
-    return [section_to_json(s) for s in trace.sections]
+    # Consecutive sections share every letter outside one move's window as
+    # the same object, so each letter object is formatted once.  The memo is
+    # keyed by id, cheaper than hashing the element; the trace keeps every
+    # letter alive meanwhile, so no id is reused.
+    texts: dict[int, str] = {}
+
+    def fmt(letter: GroupElement) -> str:
+        text = texts.get(id(letter))
+        if text is None:
+            text = texts[id(letter)] = format_element(letter)
+        return text
+
+    return [_section_json(s, fmt) for s in trace.sections]
 
 
 def defect_report_to_json(report: DefectReport) -> dict:

@@ -29,6 +29,28 @@ def scheme2() -> ts.SweepScheme:
     return ts.load_scheme(ts.data_path("scheme2.json").read_text())
 
 
+def band_complex(columns: int) -> ts.SimplicialComplex:
+    """Cylinder band: bottom ring b0.., top ring t0.., two triangles per column."""
+    triangles = []
+    for c in range(columns):
+        d = (c + 1) % columns
+        triangles += [(f"b{c}", f"b{d}", f"t{d}"), (f"b{c}", f"t{c}", f"t{d}")]
+    return ts.SimplicialComplex.build({v for t in triangles for v in t}, triangles)
+
+
+def torus_complex(n: int) -> ts.SimplicialComplex:
+    """Triangulated torus T(n): an n x n grid with one diagonal per square (n >= 3)."""
+
+    def v(i: int, j: int) -> str:
+        return f"v{i % n}_{j % n}"
+
+    triangles = []
+    for i in range(n):
+        for j in range(n):
+            triangles += [(v(i, j), v(i + 1, j), v(i + 1, j + 1)), (v(i, j), v(i, j + 1), v(i + 1, j + 1))]
+    return ts.SimplicialComplex.build({v for t in triangles for v in t}, triangles)
+
+
 def all_alpha_markings(complex: ts.SimplicialComplex) -> list[tuple[str, str, str]]:
     """Every oriented (source, apex, target) marking of every face."""
     out = []

@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -274,3 +275,19 @@ def test_center_of_a_huge_group_fails_fast(descriptor):
     assert proc.stderr.startswith("error:")
     assert "enumeration limit" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ['{"symmetric": 1700}', '{"symmetric": 1000000}', '{"product": [{"cyclic": 2}, {"symmetric": 2000}]}'],
+    ids=["S1700", "S10^6", "Z2xS2000"],
+)
+def test_center_of_a_group_with_a_huge_order_fails_fast(descriptor):
+    began = time.monotonic()
+    proc = run_cli("center", descriptor)
+    elapsed = time.monotonic() - began
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "enumeration limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 2.0

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +54,49 @@ def test_permutation_action_order_pinned():
 def test_backend_mismatch_rejected():
     with pytest.raises(GroupError, match="backend mismatch"):
         ts.multiply(ts.identity(S3), ts.identity(Z12))
+
+
+def many_generators() -> list[str]:
+    return ["x", "y"] + [f"phi_{k}" for k in range(480)]
+
+
+def nested_product() -> ts.GroupDescriptor:
+    inner = ts.product_group(ts.cyclic_group(3), ts.free_group(many_generators()))
+    return ts.product_group(ts.symmetric_group(3), inner, ts.dihedral_group(4))
+
+
+@pytest.mark.parametrize("build", [lambda: ts.free_group(many_generators()), nested_product], ids=["free482", "nested"])
+def test_descriptors_built_apart_compare_and_hash_alike(build):
+    g, h = build(), build()
+    assert g is not h
+    assert g == h and not g != h
+    assert hash(g) == hash(h)
+    assert ts.descriptor_from_json(ts.descriptor_to_json(g)) == h
+    rng = random.Random(5)
+    a, b = random_element(g, rng), random_element(h, rng)
+    assert ts.multiply(a, b) == ts.multiply(ts.element(h, a.payload), b)
+    assert ts.multiply(a, b).group == g
+
+
+def test_descriptors_that_differ_compare_unequal():
+    assert ts.cyclic_group(4) != ts.dihedral_group(4)
+    assert ts.free_group(["x", "y"]) != ts.free_group(["y", "x"])
+    assert nested_product() != ts.product_group(ts.symmetric_group(3), ts.cyclic_group(3), ts.dihedral_group(4))
+    assert ts.cyclic_group(4) != ("cyclic", 4)
+
+
+def test_descriptor_pickled_in_another_process_equals_and_hashes_alike():
+    # a hash of strings differs between processes; unpickling must not keep it
+    code = (
+        "import pickle, sys, trisweep as ts;"
+        "sys.stdout.buffer.write(pickle.dumps(ts.product_group(ts.free_group(['x', 'y']), ts.cyclic_group(3))))"
+    )
+    env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=os.pathsep.join(sys.path))
+    blob = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, env=env).stdout
+    g = pickle.loads(blob)
+    h = ts.product_group(ts.free_group(["x", "y"]), ts.cyclic_group(3))
+    assert g == h and hash(g) == hash(h)
+    assert {h: 1}[g] == 1
 
 
 def test_group_axioms_random_triples():
@@ -364,6 +411,22 @@ def test_whole_group_operations_stop_at_the_enumeration_limit(group):
     for call in whole_group_calls:
         with pytest.raises(GroupError, match=message):
             call()
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        ts.symmetric_group(1700),
+        ts.symmetric_group(10**6),
+        ts.product_group(ts.cyclic_group(2), ts.symmetric_group(2000)),
+        ts.cyclic_group(10**700),
+    ],
+    ids=["S1700", "S10^6", "Z2xS2000", "Z_10^700"],
+)
+def test_huge_orders_are_refused_without_being_stated_in_full(group):
+    assert ts.is_finite(group)
+    with pytest.raises(GroupError, match=r"order over 10\^600 is above the enumeration limit of 1000"):
+        ts.enumerate_elements(group)
 
 
 def test_enumeration_limit_is_inclusive():
