@@ -59,6 +59,7 @@ from .groups import (
     enumerate_elements,
     format_element,
     free_group,
+    generating_set,
     group_order,
     identity,
     inverse,

@@ -143,9 +143,15 @@ def gauge_transform(connection: Connection1, gauge: GaugeTransform) -> Connectio
 def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]:
     """Search for a gauge carrying f to g, or None.
 
-    The value at a root vertex is enumerated exhaustively and propagated
-    along a spanning tree; a full edge check accepts or rejects each
-    candidate.  Needs a finite backend and a connected complex.
+    Fixing the root value c fixes the whole gauge: with F_v and G_v the
+    transports of f and g along the spanning-tree path from the root to v,
+    it is n_v = F_v^-1 * c * G_v.  That gauge carries f to g iff on every
+    edge (a, b) the loop values x = F_a f_ab F_b^-1 and y = G_a g_ab G_b^-1
+    satisfy x * c == c * y, so the transports and loop values are computed
+    once and each candidate c costs at most two multiplications per loop
+    edge.  Candidates are tried in enumeration order; the gauge is built
+    for the first one accepted.  Needs a finite backend and a connected
+    complex.
     """
     if f.group != g.group or f.complex != g.complex:
         raise BundleError("connections must share a backend and a complex")
@@ -156,29 +162,28 @@ def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]
         raise BundleError("isomorphism search needs a connected complex")
     if not K.vertices:
         return GaugeTransform.identity_gauge(f.group)
+    candidates = enumerate_elements(f.group)
     root = K.sorted_vertices[0]
-    tree: list[tuple[str, str]] = []
-    seen = {root}
+    e = identity(f.group)
+    F = {root: e}
+    G = {root: e}
     queue = [root]
     while queue:
         v = queue.pop(0)
         for w in K.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                tree.append((v, w))
+            if w not in F:
+                F[w] = multiply(F[v], f.value(v, w))
+                G[w] = multiply(G[v], g.value(v, w))
                 queue.append(w)
-
-    for candidate in enumerate_elements(f.group):
-        n: dict[str, GroupElement] = {root: candidate}
-        for a, b in tree:
-            # solve f_ab * n_b = n_a * g_ab for n_b
-            n[b] = multiply(multiply(inverse(f.value(a, b)), n[a]), g.value(a, b))
-        ok = all(
-            multiply(f.value(a, b), n[b]) == multiply(n[a], g.value(a, b))
-            for a, b in K.sorted_edges
-        )
-        if ok:
-            return GaugeTransform.build(f.group, n)
+    loops = []
+    for a, b in K.sorted_edges:
+        x = multiply(multiply(F[a], f.value(a, b)), inverse(F[b]))
+        y = multiply(multiply(G[a], g.value(a, b)), inverse(G[b]))
+        if x != e or y != e:  # x = y = e holds for every c, as on every tree edge
+            loops.append((x, y))
+    for c in candidates:
+        if all(multiply(x, c) == multiply(c, y) for x, y in loops):
+            return GaugeTransform.build(f.group, {v: multiply(multiply(inverse(F[v]), c), G[v]) for v in F})
     return None
 
 

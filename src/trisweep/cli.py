@@ -79,7 +79,7 @@ def _load_connection_for_word(args, complex):
     if word_texts:
         try:
             declared = descriptor_from_json(json.loads(text).get("group"))
-        except (json.JSONDecodeError, AttributeError):
+        except (ValueError, AttributeError):  # load_connection below reports it
             declared = None
         if declared is not None and declared.kind == "free":
             fresh = sorted(
@@ -213,6 +213,8 @@ def cmd_center(args) -> int:
         descriptor = descriptor_from_json(json.loads(args.group))
     except json.JSONDecodeError as exc:
         raise TrisweepError(f"bad group descriptor: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the int-to-str limit
+        raise TrisweepError(f"bad group descriptor: {exc}") from exc
     elements = center_obstruction_check(descriptor)
     if args.format == "json":
         return _emit_json({"center": [format_element(z) for z in elements]})

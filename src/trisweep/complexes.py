@@ -134,6 +134,8 @@ def load_complex(text: str) -> SimplicialComplex:
             line=exc.lineno,
             column=exc.colno,
         ) from exc
+    except ValueError as exc:  # an integer past the int-to-str limit
+        raise ComplexError(f"parse error: {exc}") from exc
     if not isinstance(obj, dict):
         raise ComplexError("complex file must hold a JSON object")
     unknown = set(obj) - _COMPLEX_KEYS

@@ -201,9 +201,11 @@ def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
 #     that is not None, an order above the cap may come back as any number
 #     above the cap, so that a huge order is never computed in full
 #   elements(g) -> every payload of a finite group, in a fixed order
+#   generators(g) -> the payloads of a generating set
 
 _Backend = namedtuple(
-    "_Backend", "from_json to_json normalise identity multiply inverse parse format order elements"
+    "_Backend",
+    "from_json to_json normalise identity multiply inverse parse format order elements generators",
 )
 
 
@@ -254,6 +256,7 @@ _BACKENDS["free"] = _Backend(
     format=_free_format,
     order=lambda g, cap: None if g.generators else 1,
     elements=lambda g: [()],
+    generators=lambda g: [((gen, 1),) for gen in g.generators],
 )
 
 
@@ -281,6 +284,7 @@ _BACKENDS["cyclic"] = _Backend(
     format=lambda g, a: str(a),
     order=lambda g, cap: g.modulus,
     elements=lambda g: range(g.modulus),
+    generators=lambda g: [1 % g.modulus],
 )
 
 
@@ -303,7 +307,7 @@ def _symmetric_parse(g: GroupDescriptor, text: str) -> tuple[int, ...]:
     if body.startswith("["):
         try:
             arr = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a decode error, or an integer past the int-to-str limit
             raise GroupError(f"syntax error in one-line permutation {text!r}") from exc
         if not isinstance(arr, list) or not all(isinstance(v, int) for v in arr) or len(arr) != g.degree:
             raise GroupError(f"one-line form must list {g.degree} integers")
@@ -321,6 +325,14 @@ def _symmetric_order(g: GroupDescriptor, cap: Optional[int]) -> int:
         if order > cap:
             break
     return order
+
+
+def _symmetric_generators(g: GroupDescriptor) -> list[tuple[int, ...]]:
+    # the transposition (1 2) and the cycle (1 ... n); S_1 needs none
+    n = g.degree
+    if n == 1:
+        return []
+    return [(2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)]
 
 
 def _symmetric_format(g: GroupDescriptor, a: tuple[int, ...]) -> str:
@@ -354,6 +366,7 @@ _BACKENDS["symmetric"] = _Backend(
     format=_symmetric_format,
     order=_symmetric_order,
     elements=lambda g: itertools.permutations(range(1, g.degree + 1)),
+    generators=_symmetric_generators,
 )
 
 
@@ -401,6 +414,7 @@ _BACKENDS["dihedral"] = _Backend(
     format=_dihedral_format,
     order=lambda g, cap: 2 * g.modulus,
     elements=lambda g: [(r, f) for f in (0, 1) for r in range(g.modulus)],
+    generators=lambda g: [(1 % g.modulus, 0), (0, 1)],
 )
 
 
@@ -426,7 +440,7 @@ def _product_normalise(g: GroupDescriptor, payload: Any) -> tuple[GroupElement, 
 def _product_parse(g: GroupDescriptor, text: str) -> tuple[GroupElement, ...]:
     try:
         arr = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a decode error, or an integer past the int-to-str limit
         raise GroupError(f"syntax error in product element {text!r}") from exc
     if not isinstance(arr, list) or len(arr) != len(g.factors):
         raise GroupError(f"product element must be an array of {len(g.factors)} entries")
@@ -442,6 +456,16 @@ def _product_order(g: GroupDescriptor, cap: Optional[int]) -> Optional[int]:
     return None if None in orders else math.prod(orders)
 
 
+def _product_generators(g: GroupDescriptor) -> list[tuple[GroupElement, ...]]:
+    # each factor's generators, with the identity in every other slot
+    ones = [identity(f) for f in g.factors]
+    return [
+        tuple(ones[:i]) + (GroupElement(f, p),) + tuple(ones[i + 1 :])
+        for i, f in enumerate(g.factors)
+        for p in _BACKENDS[f.kind].generators(f)
+    ]
+
+
 _BACKENDS["product"] = _Backend(
     from_json=_product_from_json,
     to_json=lambda g: [descriptor_to_json(f) for f in g.factors],
@@ -453,6 +477,7 @@ _BACKENDS["product"] = _Backend(
     format=lambda g, a: json.dumps([format_element(x) for x in a]),
     order=_product_order,
     elements=lambda g: itertools.product(*(enumerate_elements(f) for f in g.factors)),
+    generators=_product_generators,
 )
 
 
@@ -500,7 +525,10 @@ def parse_element(text: str, group: GroupDescriptor) -> GroupElement:
     """Parse element text for the given backend; the result is in normal form."""
     if not isinstance(text, str):
         raise GroupError(f"element {text!r} must be given as a string")
-    return GroupElement(group, _BACKENDS[group.kind].parse(group, text))
+    try:
+        return GroupElement(group, _BACKENDS[group.kind].parse(group, text))
+    except ValueError as exc:  # an exponent or point past the int-to-str limit
+        raise GroupError(f"bad {group.kind} element: {exc}") from exc
 
 
 def format_element(a: GroupElement) -> str:
@@ -542,6 +570,11 @@ def enumerate_elements(group: GroupDescriptor) -> list[GroupElement]:
         stated = order if order <= cap else f"over 10^{_STATED_ORDER_DIGITS}"
         raise GroupError(f"group of order {stated} is above the enumeration limit of {ENUMERATION_LIMIT}")
     return [GroupElement(group, p) for p in _BACKENDS[group.kind].elements(group)]
+
+
+def generating_set(group: GroupDescriptor) -> list[GroupElement]:
+    """A set of elements that generates the group: empty for a trivial one."""
+    return [GroupElement(group, p) for p in _BACKENDS[group.kind].generators(group)]
 
 
 def center(group: GroupDescriptor) -> list[GroupElement]:

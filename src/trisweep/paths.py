@@ -396,6 +396,8 @@ def load_scheme(text: str) -> SweepScheme:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemeError(f"scheme parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the int-to-str limit
+        raise SchemeError(f"scheme parse error: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemeError("scheme file must hold a JSON object")
     unknown = set(obj) - {"start", "steps"}

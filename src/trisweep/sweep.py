@@ -36,6 +36,7 @@ from .groups import (
     descriptor_to_json,
     enumerate_elements,
     format_element,
+    generating_set,
     identity,
     inverse,
     is_finite,
@@ -442,16 +443,16 @@ def curvature_square(
 def center_obstruction_check(group: GroupDescriptor) -> list[GroupElement]:
     """Admissible cell values under a trivial connective structure.
 
-    Brute force over all pairs: the elements whose commutator with every
-    element is the identity.  Coincides with the center of the group.
+    These are the elements whose commutator with every element is the
+    identity: the center of the group, in enumeration order.  An element
+    commutes with everything once it commutes with each generator, so each
+    candidate is tested against ``generating_set(group)`` only, in
+    O(|G|·k) multiplications for k generators; ``groups.center`` keeps the
+    exhaustive pairwise check.
     """
-    elems = enumerate_elements(group)
-    e = identity(group)
-    out = []
-    for phi in elems:
-        if all(multiply(multiply(multiply(phi, u), inverse(phi)), inverse(u)) == e for u in elems):
-            out.append(phi)
-    return out
+    elems = enumerate_elements(group)  # first: it refuses infinite and huge groups
+    gens = generating_set(group)
+    return [phi for phi in elems if all(multiply(phi, u) == multiply(u, phi) for u in gens)]
 
 
 # -- connection file format ---------------------------------------------------
@@ -490,6 +491,8 @@ def load_connection(
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BundleError(f"connection parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past the int-to-str limit
+        raise BundleError(f"connection parse error: {exc}") from exc
     if not isinstance(obj, dict):
         raise BundleError("connection file must hold a JSON object")
     unknown = set(obj) - _CONNECTION_KEYS

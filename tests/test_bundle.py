@@ -6,7 +6,7 @@ import random
 import pytest
 
 import trisweep as ts
-from conftest import random_connection1, random_gauge, random_walk
+from conftest import random_connection1, random_element, random_gauge, random_walk, torus_complex
 from trisweep.errors import BundleError
 
 Z12 = ts.cyclic_group(12)
@@ -179,6 +179,60 @@ def test_find_isomorphism_rejects_disconnected():
     f = ts.Connection1.constant(Z2, K, ts.identity(Z2))
     with pytest.raises(BundleError, match="connected"):
         ts.find_isomorphism(f, f)
+
+
+def _tree_propagation_search(f: ts.Connection1, g: ts.Connection1):
+    """Oracle: the isomorphism search by propagation along a spanning tree.
+
+    For each root value in enumeration order, solve f_ab * n_b = n_a * g_ab
+    for n_b along a breadth-first tree, then check every edge.
+    """
+    K = f.complex
+    root = K.sorted_vertices[0]
+    tree = []
+    seen = {root}
+    queue = [root]
+    while queue:
+        v = queue.pop(0)
+        for w in K.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                tree.append((v, w))
+                queue.append(w)
+    for candidate in ts.enumerate_elements(f.group):
+        n = {root: candidate}
+        for a, b in tree:
+            n[b] = ts.multiply(ts.multiply(ts.inverse(f.value(a, b)), n[a]), g.value(a, b))
+        if all(ts.multiply(f.value(a, b), n[b]) == ts.multiply(n[a], g.value(a, b)) for a, b in K.sorted_edges):
+            return n
+    return None
+
+
+@pytest.mark.parametrize(
+    "group",
+    [S3, ts.symmetric_group(4), ts.dihedral_group(4), ts.product_group(ts.cyclic_group(3), S3)],
+    ids=["S3", "S4", "D4", "Z3xS3"],
+)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_find_isomorphism_matches_tree_propagation(group, n):
+    K = torus_complex(n)
+    rng = random.Random(f"{ts.descriptor_to_json(group)}-{n}")
+    for _ in range(3):
+        f = random_connection1(K, group, rng)
+        related = ts.gauge_transform(f, random_gauge(K, group, rng))
+        values = dict(related.edge_values)
+        values[rng.choice(K.sorted_edges)] = random_element(group, rng)
+        one_edge_off = ts.Connection1.build(group, K, values)
+        unrelated = random_connection1(K, group, rng)
+        for g in (related, one_edge_off, unrelated):
+            expected = _tree_propagation_search(f, g)
+            found = ts.find_isomorphism(f, g)
+            if expected is None:
+                assert found is None
+            else:
+                assert found is not None
+                assert dict(found.values) == expected
+        assert ts.find_isomorphism(f, related) is not None
 
 
 # -- Wilson traces and linear transport --------------------------------------------

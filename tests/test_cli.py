@@ -291,3 +291,64 @@ def test_center_of_a_group_with_a_huge_order_fails_fast(descriptor):
     assert "enumeration limit" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert elapsed < 2.0
+
+
+# past the interpreter's default int-to-str limit of 4300 digits
+HUGE = "1" + "0" * 5000
+TETRA_EDGES = ("a>b", "a>c", "a>d", "b>c", "b>d", "c>d")
+
+
+def _connection_text(group: str, huge_value: str, other_value: str) -> str:
+    """A tetrahedron connection file written as raw JSON text (json.dumps cannot write HUGE)."""
+    values = [huge_value] + [other_value] * (len(TETRA_EDGES) - 1)
+    edges = ", ".join(f'"{k}": {v}' for k, v in zip(TETRA_EDGES, values))
+    return f'{{"group": {group}, "edges": {{{edges}}}}}'
+
+
+HUGE_INTEGER_INPUTS = {
+    "center": lambda d: ["center", f'{{"cyclic": {HUGE}}}'],
+    "connection group": lambda d: [
+        "holonomy", "--complex", "tetrahedron.json", "--path", "a,b,a",
+        "--connection", d(_connection_text(f'{{"cyclic": {HUGE}}}', '"0"', '"0"')),
+    ],
+    "connection group, sweep word": lambda d: [
+        "sweep", "--complex", "tetrahedron.json", "--scheme", "scheme1.json", "--word", "x,y",
+        "--connection", d(_connection_text(f'{{"cyclic": {HUGE}}}', '"0"', '"0"')),
+    ],
+    "one-line permutation": lambda d: [
+        "holonomy", "--complex", "tetrahedron.json", "--path", "a,b,a",
+        "--connection", d(_connection_text('{"symmetric": 3}', f'"[{HUGE}, 1, 2]"', '"e"')),
+    ],
+    "product element": lambda d: [
+        "holonomy", "--complex", "tetrahedron.json", "--path", "a,b,a",
+        "--connection", d(_connection_text('{"product": [{"cyclic": 2}, {"cyclic": 3}]}', f'"[{HUGE}, 0]"', '"[0, 0]"')),
+    ],
+    "free exponent": lambda d: [
+        "holonomy", "--complex", "tetrahedron.json", "--path", "a,b,a",
+        "--connection", d(_connection_text('{"free": ["x"]}', f'"x^{HUGE}"', '"e"')),
+    ],
+    "cycle point": lambda d: [
+        "holonomy", "--complex", "tetrahedron.json", "--path", "a,b,a",
+        "--connection", d(_connection_text('{"symmetric": 3}', f'"(1 {HUGE})"', '"e"')),
+    ],
+    "complex file": lambda d: [
+        "validate", "--complex", d(f'{{"vertices": ["a", "b", "c"], "triangles": [["a", "b", "c"]], "n": {HUGE}}}'),
+    ],
+    "scheme file": lambda d: [
+        "sweep", "--complex", "tetrahedron.json", "--connection", "tetrahedron_symbolic.json",
+        "--scheme", d(f'{{"start": [["a", "b"]], "steps": [], "n": {HUGE}}}'),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_INTEGER_INPUTS))
+def test_integer_past_the_int_to_str_limit_is_an_error(tmp_path: Path, case):
+    def write(text: str) -> str:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        return str(path)
+
+    proc = run_cli(*HUGE_INTEGER_INPUTS[case](write))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr

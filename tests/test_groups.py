@@ -245,6 +245,52 @@ def test_center_infinite_backend_rejected():
         ts.enumerate_elements(FREE_XY)
 
 
+# every finite kind, trivial and small degenerate cases included
+GENERATED_GROUPS = {
+    "S1": ts.symmetric_group(1),
+    "S2": ts.symmetric_group(2),
+    "S3": S3,
+    "S5": ts.symmetric_group(5),
+    "Z1": ts.cyclic_group(1),
+    "Z60": ts.cyclic_group(60),
+    "D1": ts.dihedral_group(1),
+    "D2": ts.dihedral_group(2),
+    "D40": ts.dihedral_group(40),
+    "free()": ts.free_group([]),
+    "Z1xS3": ts.product_group(ts.cyclic_group(1), S3),
+    "S1xD2xfree()": ts.product_group(ts.symmetric_group(1), ts.dihedral_group(2), ts.free_group([])),
+    "Z2x(S3xZ4)xD3": ts.product_group(
+        ts.cyclic_group(2), ts.product_group(S3, ts.cyclic_group(4)), ts.dihedral_group(3)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GENERATED_GROUPS)
+def test_generating_set_generates_the_whole_group(name):
+    group = GENERATED_GROUPS[name]
+    gens = ts.generating_set(group)
+    assert all(u.group == group for u in gens)
+    closure = {ts.identity(group)}
+    frontier = list(closure)
+    while frontier:
+        frontier = [ts.multiply(z, u) for z in frontier for u in gens]
+        frontier = [z for z in dict.fromkeys(frontier) if z not in closure]
+        closure.update(frontier)
+    assert closure == set(ts.enumerate_elements(group))
+
+
+@pytest.mark.parametrize("name", GENERATED_GROUPS)
+def test_center_by_generators_matches_the_exhaustive_center(name):
+    group = GENERATED_GROUPS[name]
+    assert ts.center_obstruction_check(group) == ts.center(group)
+
+
+def test_generating_set_of_a_free_group_is_its_generators():
+    assert [ts.format_element(u) for u in ts.generating_set(FREE_XY)] == ["x", "y"]
+    with pytest.raises(GroupError, match="infinite backend"):
+        ts.center_obstruction_check(FREE_XY)
+
+
 def test_group_order():
     assert ts.group_order(S4) == 24
     assert ts.group_order(D4) == 8
