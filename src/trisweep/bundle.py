@@ -64,12 +64,21 @@ class Connection1:
     """A total assignment of group elements to the edges of a complex.
 
     Values are stored once per unordered edge, keyed by the sorted vertex
-    pair; querying the opposite orientation returns the inverse.
+    pair; querying the opposite orientation returns the inverse.  The map
+    is kept as :meth:`build` checked it, unsorted; the sorted
+    ``edge_values`` pairs are derived on first read.  The constructor,
+    which checks nothing, takes a map or (key, value) pairs.
     """
 
     group: GroupDescriptor
     complex: SimplicialComplex
-    edge_values: tuple[tuple[tuple[str, str], GroupElement], ...]
+    _map: Mapping[tuple[str, str], GroupElement]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_map", dict(self._map))
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.complex, frozenset(self._map.items())))
 
     @classmethod
     def build(
@@ -94,15 +103,15 @@ class Connection1:
         missing = [e for e in complex.sorted_edges if e not in store]
         if missing:
             raise BundleError(f"connection is partial: missing edges {missing}")
-        return cls(group, complex, tuple(sorted(store.items())))
+        return cls(group, complex, store)
 
     @classmethod
     def constant(cls, group: GroupDescriptor, complex: SimplicialComplex, value: GroupElement) -> "Connection1":
         return cls.build(group, complex, {e: value for e in complex.sorted_edges})
 
     @cached_property
-    def _map(self) -> dict[tuple[str, str], GroupElement]:
-        return dict(self.edge_values)
+    def edge_values(self) -> tuple[tuple[tuple[str, str], GroupElement], ...]:
+        return tuple(sorted(self._map.items()))
 
     def value(self, a: str, b: str) -> GroupElement:
         if a == b:

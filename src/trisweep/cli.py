@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import data_path
 from .complexes import load_complex, validate_complex
-from .errors import TrisweepError
+from .errors import TrisweepError, input_limit_text
 from .groups import (
     descriptor_from_json,
     format_element,
@@ -34,6 +34,7 @@ from .sweep import (
     center_obstruction_check,
     compare_schemes,
     curvature_square,
+    decode_connection,
     defect_report_to_json,
     load_connection,
     run_scheme,
@@ -73,13 +74,13 @@ _WORD_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 def _load_connection_for_word(args, complex):
     """Load the connection, extending a free backend with fresh word generators."""
-    text = _read_text(args.connection)
+    obj = decode_connection(_read_text(args.connection))
     group = None
     word_texts = _split_word(args.word) if getattr(args, "word", None) else []
     if word_texts:
         try:
-            declared = descriptor_from_json(json.loads(text).get("group"))
-        except (ValueError, AttributeError):  # load_connection below reports it
+            declared = descriptor_from_json(obj.get("group"))
+        except AttributeError:  # not an object: load_connection below reports it
             declared = None
         if declared is not None and declared.kind == "free":
             fresh = sorted(
@@ -92,7 +93,7 @@ def _load_connection_for_word(args, complex):
             )
             if fresh:
                 group = free_group(declared.generators + tuple(fresh))
-    connection = load_connection(text, complex, group=group)
+    connection = load_connection(obj, complex, group=group)
     return connection, word_texts
 
 
@@ -213,8 +214,8 @@ def cmd_center(args) -> int:
         descriptor = descriptor_from_json(json.loads(args.group))
     except json.JSONDecodeError as exc:
         raise TrisweepError(f"bad group descriptor: {exc.msg}") from exc
-    except ValueError as exc:  # an integer past the int-to-str limit
-        raise TrisweepError(f"bad group descriptor: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the int-to-str limit, or deep nesting
+        raise TrisweepError(f"bad group descriptor: {input_limit_text(exc)}") from exc
     elements = center_obstruction_check(descriptor)
     if args.format == "json":
         return _emit_json({"center": [format_element(z) for z in elements]})

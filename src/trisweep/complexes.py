@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .errors import ComplexError
+from .errors import ComplexError, input_limit_text
 from .paths import EdgePath, reduce_x1
 
 VertexId = str
@@ -32,6 +32,11 @@ class SimplicialComplex:
 
     Instances are immutable and safe to share between workers.  Build them
     with :meth:`build` or :func:`load_complex`, which add the derived edges.
+
+    Incidence queries read an index built on first use in one pass over the
+    sorted triangles: each vertex and each edge maps to the faces that
+    contain it, in sorted-triangle order, so ``faces_containing`` and
+    ``faces_containing_edge`` are dict lookups, not scans.
     """
 
     vertices: frozenset[str]
@@ -65,11 +70,12 @@ class SimplicialComplex:
         return self._neighbor_map.get(v, ())
 
     def faces_containing(self, v: str) -> tuple[frozenset[str], ...]:
-        return tuple(t for t in self.sorted_triangles_sets if v in t)
+        return self._vertex_faces.get(v, ())
 
     def faces_containing_edge(self, a: str, b: str) -> tuple[frozenset[str], ...]:
-        e = frozenset((a, b))
-        return tuple(t for t in self.sorted_triangles_sets if e <= t)
+        if a == b:
+            return self.faces_containing(a)
+        return self._edge_faces.get(frozenset((a, b)), ())
 
     @cached_property
     def _neighbor_map(self) -> dict[str, tuple[str, ...]]:
@@ -79,6 +85,14 @@ class SimplicialComplex:
             adj.setdefault(a, set()).add(b)
             adj.setdefault(b, set()).add(a)
         return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+
+    @cached_property
+    def _vertex_faces(self) -> dict[str, tuple[frozenset[str], ...]]:
+        return _faces_by_part(self.sorted_triangles_sets, lambda face: face)
+
+    @cached_property
+    def _edge_faces(self) -> dict[frozenset[str], tuple[frozenset[str], ...]]:
+        return _faces_by_part(self.sorted_triangles_sets, lambda face: [face - {v} for v in face])
 
     @cached_property
     def sorted_vertices(self) -> tuple[str, ...]:
@@ -109,6 +123,15 @@ class SimplicialComplex:
         return seen == self.vertices
 
 
+def _faces_by_part(faces, parts) -> dict:
+    """Map each vertex or edge that ``parts(face)`` yields to its faces, in the given order."""
+    buckets: dict = {}
+    for face in faces:
+        for part in parts(face):
+            buckets.setdefault(part, []).append(face)
+    return {part: tuple(bucket) for part, bucket in buckets.items()}
+
+
 def _edge_subsets(tri: frozenset[str]) -> list[tuple[str, str]]:
     a, b, c = sorted(tri)
     return [(a, b), (a, c), (b, c)]
@@ -134,8 +157,8 @@ def load_complex(text: str) -> SimplicialComplex:
             line=exc.lineno,
             column=exc.colno,
         ) from exc
-    except ValueError as exc:  # an integer past the int-to-str limit
-        raise ComplexError(f"parse error: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the int-to-str limit, or deep nesting
+        raise ComplexError(f"parse error: {input_limit_text(exc)}") from exc
     if not isinstance(obj, dict):
         raise ComplexError("complex file must hold a JSON object")
     unknown = set(obj) - _COMPLEX_KEYS
@@ -228,9 +251,8 @@ def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False
             if v not in complex.vertices:
                 out.append(Diagnostic("closure", "{%s}" % ",".join(e), f"edge {{{','.join(e)}}} references undeclared vertex {v}"))
     if require_pure_dim2 or complex.pure_dim2:
-        in_some_face = {v for t in complex.triangles for v in t}
         for v in complex.sorted_vertices:
-            if v not in in_some_face:
+            if not complex.faces_containing(v):
                 out.append(Diagnostic("pure_dim2", v, f"vertex {v} not in any 2-simplex"))
         for e in complex.sorted_edges:
             if not complex.faces_containing_edge(*e):

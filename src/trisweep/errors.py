@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 
 class TrisweepError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -49,3 +51,15 @@ class SweepError(TrisweepError):
     def __init__(self, message: str, step_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
+
+
+def input_limit_text(exc: Exception) -> str:
+    """Say which interpreter limit refused an input, as a CLI user can act on it.
+
+    ``exc`` is the RecursionError of a JSON text nested too deeply, or the
+    ValueError of an integer past the int-to-str limit, whose own text
+    advises a call to ``sys.set_int_max_str_digits()`` instead.
+    """
+    if isinstance(exc, RecursionError):
+        return "arrays or objects nested too deeply"
+    return f"an integer longer than {sys.get_int_max_str_digits()} digits"

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .errors import GroupError
+from .errors import GroupError, input_limit_text
 
 Matrix = tuple[tuple[Any, ...], ...]
 
@@ -84,7 +84,7 @@ def free_group(generators: Iterable[str]) -> GroupDescriptor:
         raise GroupError("generator names must be distinct")
     for g in gens:
         if not _NAME_RE.fullmatch(g) or g == "e":
-            raise GroupError(f"bad generator name {g!r}")
+            raise GroupError(f"bad generator name {_quote(g)}")
     return GroupDescriptor("free", generators=gens)
 
 
@@ -147,6 +147,12 @@ def _reduce_free(syllables: Iterable[tuple[str, int]]) -> tuple[tuple[str, int],
     return tuple(stack)
 
 
+def _quote(text: Any) -> str:
+    """``repr(text)`` cut to 60 characters, so that an error line stays readable."""
+    shown = repr(text)
+    return shown if len(shown) <= 60 else shown[:60] + "…"
+
+
 _SYLLABLE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(-?\d+))?\s*")
 
 
@@ -158,7 +164,7 @@ def _parse_word(text: str) -> list[tuple[str, int]]:
     for chunk in stripped.split("*"):
         m = _SYLLABLE_RE.fullmatch(chunk)
         if not m:
-            raise GroupError(f"syntax error in element {text!r} near {chunk!r}")
+            raise GroupError(f"syntax error in element {_quote(text)} near {_quote(chunk)}")
         out.append((m.group(1), int(m.group(2)) if m.group(2) else 1))
     return out
 
@@ -174,12 +180,12 @@ def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     while pos < len(body):
         m = cycle_re.match(body, pos)
         if not m:
-            raise GroupError(f"syntax error in permutation {text!r}")
+            raise GroupError(f"syntax error in permutation {_quote(text)}")
         points = [int(tok) for tok in re.split(r"[\s,]+", m.group(1).strip()) if tok]
         if any(p < 1 or p > degree for p in points):
-            raise GroupError(f"point out of range 1..{degree} in {text!r}")
+            raise GroupError(f"point out of range 1..{degree} in {_quote(text)}")
         if len(set(points)) != len(points) or seen & set(points):
-            raise GroupError(f"repeated point in cycle notation {text!r}")
+            raise GroupError(f"repeated point in cycle notation {_quote(text)}")
         seen.update(points)
         for p, q in zip(points, points[1:] + points[:1]):
             images[p - 1] = q
@@ -213,7 +219,7 @@ class _Backends(dict):
     """The kind -> backend table; a kind missing from it is a GroupError."""
 
     def __missing__(self, kind: str):
-        raise GroupError(f"unknown backend {kind!r}")
+        raise GroupError(f"unknown backend {_quote(kind)}")
 
 
 _BACKENDS = _Backends()
@@ -235,7 +241,7 @@ def _free_normalise(g: GroupDescriptor, payload: Any) -> tuple[tuple[str, int], 
     raw = tuple((str(gen), int(k)) for gen, k in payload)
     for gen, _k in raw:
         if gen not in g.generators:
-            raise GroupError(f"unknown generator {gen!r}")
+            raise GroupError(f"unknown generator {_quote(gen)}")
     return _reduce_free(raw)
 
 
@@ -267,9 +273,9 @@ def _cyclic_parse(g: GroupDescriptor, text: str) -> int:
     try:
         value = int(body)
     except ValueError as exc:
-        raise GroupError(f"syntax error in residue {text!r}") from exc
+        raise GroupError(f"syntax error in residue {_quote(text)}") from exc
     if not 0 <= value < g.modulus:
-        raise GroupError(f"residue {value} out of range [0, {g.modulus})")
+        raise GroupError(f"residue {_quote(value)} out of range [0, {g.modulus})")
     return value
 
 
@@ -291,7 +297,7 @@ _BACKENDS["cyclic"] = _Backend(
 def _symmetric_normalise(g: GroupDescriptor, payload: Any) -> tuple[int, ...]:
     images = tuple(int(v) for v in payload)
     if sorted(images) != list(range(1, g.degree + 1)):
-        raise GroupError(f"{images!r} is not a permutation of 1..{g.degree}")
+        raise GroupError(f"{_quote(images)} is not a permutation of 1..{g.degree}")
     return images
 
 
@@ -307,8 +313,8 @@ def _symmetric_parse(g: GroupDescriptor, text: str) -> tuple[int, ...]:
     if body.startswith("["):
         try:
             arr = json.loads(body)
-        except ValueError as exc:  # a decode error, or an integer past the int-to-str limit
-            raise GroupError(f"syntax error in one-line permutation {text!r}") from exc
+        except (ValueError, RecursionError) as exc:  # a decode error, a huge integer, deep nesting
+            raise GroupError(f"syntax error in one-line permutation {_quote(text)}") from exc
         if not isinstance(arr, list) or not all(isinstance(v, int) for v in arr) or len(arr) != g.degree:
             raise GroupError(f"one-line form must list {g.degree} integers")
         return _symmetric_normalise(g, arr)
@@ -389,7 +395,7 @@ def _dihedral_parse(g: GroupDescriptor, text: str) -> tuple[int, int]:
         elif gen == "s":
             step = (0, k % 2)
         else:
-            raise GroupError(f"unknown generator {gen!r}: dihedral elements use r and s")
+            raise GroupError(f"unknown generator {_quote(gen)}: dihedral elements use r and s")
         out = _dihedral_multiply(g, out, step)
     return out
 
@@ -440,8 +446,8 @@ def _product_normalise(g: GroupDescriptor, payload: Any) -> tuple[GroupElement, 
 def _product_parse(g: GroupDescriptor, text: str) -> tuple[GroupElement, ...]:
     try:
         arr = json.loads(text)
-    except ValueError as exc:  # a decode error, or an integer past the int-to-str limit
-        raise GroupError(f"syntax error in product element {text!r}") from exc
+    except (ValueError, RecursionError) as exc:  # a decode error, a huge integer, deep nesting
+        raise GroupError(f"syntax error in product element {_quote(text)}") from exc
     if not isinstance(arr, list) or len(arr) != len(g.factors):
         raise GroupError(f"product element must be an array of {len(g.factors)} entries")
     parts = []
@@ -524,11 +530,11 @@ def conjugate(a: GroupElement, by: GroupElement) -> GroupElement:
 def parse_element(text: str, group: GroupDescriptor) -> GroupElement:
     """Parse element text for the given backend; the result is in normal form."""
     if not isinstance(text, str):
-        raise GroupError(f"element {text!r} must be given as a string")
+        raise GroupError(f"element {_quote(text)} must be given as a string")
     try:
         return GroupElement(group, _BACKENDS[group.kind].parse(group, text))
     except ValueError as exc:  # an exponent or point past the int-to-str limit
-        raise GroupError(f"bad {group.kind} element: {exc}") from exc
+        raise GroupError(f"bad {group.kind} element: {input_limit_text(exc)}") from exc
 
 
 def format_element(a: GroupElement) -> str:

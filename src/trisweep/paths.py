@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import PathError, SchemeError
+from .errors import PathError, SchemeError, input_limit_text
 
 Step = tuple[str, str]
 
@@ -396,8 +396,8 @@ def load_scheme(text: str) -> SweepScheme:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemeError(f"scheme parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer past the int-to-str limit
-        raise SchemeError(f"scheme parse error: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the int-to-str limit, or deep nesting
+        raise SchemeError(f"scheme parse error: {input_limit_text(exc)}") from exc
     if not isinstance(obj, dict):
         raise SchemeError("scheme file must hold a JSON object")
     unknown = set(obj) - {"start", "steps"}

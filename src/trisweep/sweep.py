@@ -28,7 +28,7 @@ from typing import Callable, Mapping, Optional
 
 from .bundle import Connection1, GaugeTransform
 from .complexes import SimplicialComplex
-from .errors import BundleError, GroupError, SchemeError, SweepError
+from .errors import BundleError, GroupError, SchemeError, SweepError, input_limit_text
 from .groups import (
     GroupDescriptor,
     GroupElement,
@@ -64,11 +64,24 @@ class Connection2:
     of one face are independent entries unless a relation table
     identified them at load time.  Loop-cell (beta) values are derived
     from the matching alpha entry unless supplied explicitly.
+
+    Both cell maps are kept as :meth:`build` checked them, in insertion
+    order, and connections with the same values compare equal whatever
+    that order; the sorted ``alpha_values`` and ``beta_values`` pairs are
+    derived on first read.  The constructor, which checks nothing, takes
+    maps or (key, value) pairs.
     """
 
     base: Connection1
-    alpha_values: tuple[tuple[tuple[str, str, str], GroupElement], ...]
-    beta_values: tuple[tuple[tuple[str, str, str], GroupElement], ...] = ()
+    _alpha: Mapping[tuple[str, str, str], GroupElement]
+    _beta: Mapping[tuple[str, str, str], GroupElement] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_alpha", dict(self._alpha))
+        object.__setattr__(self, "_beta", dict(self._beta))
+
+    def __hash__(self) -> int:
+        return hash((self.base, frozenset(self._alpha.items()), frozenset(self._beta.items())))
 
     @classmethod
     def build(
@@ -83,26 +96,28 @@ class Connection2:
                 raise SweepError(f"cell {a}.{c}.{b} is not supported by a triangle of the complex")
             if g.group != base.group:
                 raise SweepError(f"backend mismatch at cell {a}.{c}.{b}")
-        beta = dict(beta or {})
+        beta = beta or {}
         for (c, a, b), g in beta.items():
             if len({c, a, b}) != 3 or not K.has_face(c, a, b):
                 raise SweepError(f"cell {c}.{a}.{b}.{c} is not supported by a triangle of the complex")
             if g.group != base.group:
                 raise SweepError(f"backend mismatch at cell {c}.{a}.{b}.{c}")
-        return cls(base, tuple(sorted(alpha.items())), tuple(sorted(beta.items())))
+        return cls(base, alpha, beta)
 
     @classmethod
     def flat(cls, group: GroupDescriptor, complex: SimplicialComplex) -> "Connection2":
-        """All edges and all triangle cells carry the identity."""
+        """All edges and all triangle cells carry the identity.
+
+        The cells are built unchecked: each key is a marking (source, apex,
+        target) of one of the complex's own triangles.
+        """
         e = identity(group)
-        base = Connection1.constant(group, complex, e)
-        alpha = {}
-        for tri in complex.sorted_triangles:
-            for apex in tri:
-                u, w = sorted(set(tri) - {apex})
-                alpha[(u, apex, w)] = e
-                alpha[(w, apex, u)] = e
-        return cls.build(base, alpha)
+        markings = (
+            cell
+            for a, b, c in complex.sorted_triangles
+            for cell in ((b, a, c), (c, a, b), (a, b, c), (c, b, a), (a, c, b), (b, c, a))
+        )
+        return cls(Connection1.constant(group, complex, e), dict.fromkeys(markings, e))
 
     @property
     def group(self) -> GroupDescriptor:
@@ -113,12 +128,12 @@ class Connection2:
         return self.base.complex
 
     @cached_property
-    def _alpha(self) -> dict[tuple[str, str, str], GroupElement]:
-        return dict(self.alpha_values)
+    def alpha_values(self) -> tuple[tuple[tuple[str, str, str], GroupElement], ...]:
+        return tuple(sorted(self._alpha.items()))
 
     @cached_property
-    def _beta(self) -> dict[tuple[str, str, str], GroupElement]:
-        return dict(self.beta_values)
+    def beta_values(self) -> tuple[tuple[tuple[str, str, str], GroupElement], ...]:
+        return tuple(sorted(self._beta.items()))
 
     def alpha_value(self, a: str, c: str, b: str) -> GroupElement:
         got = self._alpha.get((a, c, b))
@@ -478,21 +493,28 @@ def _parse_cell_key(key: str) -> tuple[str, ...]:
     raise BundleError(f'bad cell key {key!r}: expected "a.c.b" or "c.a.b.c"')
 
 
+def decode_connection(text: str):
+    """The JSON value of a connection file's text; a BundleError says why there is none."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BundleError(f"connection parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the int-to-str limit, or deep nesting
+        raise BundleError(f"connection parse error: {input_limit_text(exc)}") from exc
+
+
 def load_connection(
-    text: str, complex: SimplicialComplex, group: GroupDescriptor | None = None
+    text: str | dict, complex: SimplicialComplex, group: GroupDescriptor | None = None
 ) -> Connection1 | Connection2:
     """Parse the JSON connection format against a complex.
 
+    ``text`` is the file's text, or its value from ``decode_connection``.
     Returns a plain edge connection when the file has no "cells" block.
     ``group`` overrides the declared descriptor, e.g. to extend a free
-    group with extra generators before parsing.
+    group with extra generators before parsing.  Each distinct element
+    text is parsed once per call.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"connection parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer past the int-to-str limit
-        raise BundleError(f"connection parse error: {exc}") from exc
+    obj = decode_connection(text) if isinstance(text, str) else text
     if not isinstance(obj, dict):
         raise BundleError("connection file must hold a JSON object")
     unknown = set(obj) - _CONNECTION_KEYS
@@ -505,9 +527,14 @@ def load_connection(
         group = declared
     if not isinstance(obj["edges"], dict):
         raise BundleError('"edges" must be an object of "a>b" keys')
-    edge_values = {
-        _parse_edge_key(k): parse_element(v, group) for k, v in obj["edges"].items()
-    }
+    parsed: dict[str, GroupElement] = {}
+
+    def parse(value) -> GroupElement:
+        if not (isinstance(value, str) and value in parsed):
+            parsed[value] = parse_element(value, group)  # which refuses a non-string
+        return parsed[value]
+
+    edge_values = {_parse_edge_key(k): parse(v) for k, v in obj["edges"].items()}
     base = Connection1.build(group, complex, edge_values)
     if "cells" not in obj and "cell_relations" not in obj:
         return base
@@ -519,7 +546,7 @@ def load_connection(
     beta: dict[tuple[str, str, str], GroupElement] = {}
     for key, val in cells.items():
         parts = _parse_cell_key(key)
-        g = parse_element(val, group)
+        g = parse(val)
         if len(parts) == 3:
             alpha[parts] = g
         else:

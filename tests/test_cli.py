@@ -352,3 +352,56 @@ def test_integer_past_the_int_to_str_limit_is_an_error(tmp_path: Path, case):
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_integer_past_the_limit_is_reported_in_a_short_line_without_interpreter_advice(tmp_path: Path):
+    def write(text: str) -> str:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        return str(path)
+
+    for case in sorted(HUGE_INTEGER_INPUTS):
+        proc = run_cli(*HUGE_INTEGER_INPUTS[case](write))
+        assert proc.returncode == 1, case
+        assert all(len(line) <= 200 for line in proc.stderr.splitlines()), case
+        assert "sys." not in proc.stderr, case
+
+
+DEEP = "[" * 100_000
+DEEP_NESTING_INPUTS = {
+    "complex file": lambda d: ["validate", "--complex", d(DEEP)],
+    "connection file": lambda d: [
+        "holonomy", "--complex", "tetrahedron.json", "--path", "a,b,a", "--connection", d(DEEP),
+    ],
+    "connection file, sweep word": lambda d: [
+        "sweep", "--complex", "tetrahedron.json", "--scheme", "scheme1.json", "--word", "x,y",
+        "--connection", d(DEEP),
+    ],
+    "scheme file": lambda d: [
+        "sweep", "--complex", "tetrahedron.json", "--connection", "tetrahedron_symbolic.json",
+        "--scheme", d(DEEP),
+    ],
+    "group argument": lambda d: ["center", "[" * 3000],
+    "one-line permutation": lambda d: [
+        "holonomy", "--complex", "tetrahedron.json", "--path", "a,b,a",
+        "--connection", d(_connection_text('{"symmetric": 3}', json.dumps(DEEP), '"e"')),
+    ],
+    "product element": lambda d: [
+        "holonomy", "--complex", "tetrahedron.json", "--path", "a,b,a",
+        "--connection", d(_connection_text('{"product": [{"cyclic": 2}, {"cyclic": 3}]}', json.dumps(DEEP), '"[0, 0]"')),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_NESTING_INPUTS))
+def test_deeply_nested_json_is_an_error(tmp_path: Path, case):
+    def write(text: str) -> str:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        return str(path)
+
+    proc = run_cli(*DEEP_NESTING_INPUTS[case](write))
+    assert proc.returncode == 1, proc.stderr[-500:]
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+    assert all(len(line) <= 200 for line in proc.stderr.splitlines())

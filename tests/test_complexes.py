@@ -191,3 +191,74 @@ def test_not_elementary_for_equal_long_paths(tetra):
 def test_dump_complex_round_trips(tetra):
     again = ts.load_complex(ts.dump_complex(tetra))
     assert again == tetra
+
+
+# -- the incidence index against the triangle scans it replaced ----------------------
+
+def scan_faces_containing(K: ts.SimplicialComplex, v: str) -> tuple[frozenset[str], ...]:
+    return tuple(t for t in K.sorted_triangles_sets if v in t)
+
+
+def scan_faces_containing_edge(K: ts.SimplicialComplex, a: str, b: str) -> tuple[frozenset[str], ...]:
+    e = frozenset((a, b))
+    return tuple(t for t in K.sorted_triangles_sets if e <= t)
+
+
+def scan_validate_complex(K: ts.SimplicialComplex, require_pure_dim2: bool = False) -> list:
+    """validate_complex as it was before the index: every query a scan."""
+    out = []
+    for t in K.sorted_triangles:
+        for v in t:
+            if v not in K.vertices:
+                out.append(("closure", "{%s}" % ",".join(t), f"triangle {{{','.join(t)}}} references undeclared vertex {v}"))
+        a, b, c = t
+        for pair in ((a, b), (a, c), (b, c)):
+            if frozenset(pair) not in K.edges:
+                out.append(("closure", "{%s}" % ",".join(pair), f"edge {{{','.join(pair)}}} of triangle {{{','.join(t)}}} is missing"))
+    for e in K.sorted_edges:
+        for v in e:
+            if v not in K.vertices:
+                out.append(("closure", "{%s}" % ",".join(e), f"edge {{{','.join(e)}}} references undeclared vertex {v}"))
+    if require_pure_dim2 or K.pure_dim2:
+        in_some_face = {v for t in K.triangles for v in t}
+        for v in K.sorted_vertices:
+            if v not in in_some_face:
+                out.append(("pure_dim2", v, f"vertex {v} not in any 2-simplex"))
+        for e in K.sorted_edges:
+            if not scan_faces_containing_edge(K, *e):
+                out.append(("pure_dim2", "{%s}" % ",".join(e), f"edge {{{','.join(e)}}} not in any 2-simplex"))
+    return out
+
+
+def index_test_complexes() -> list[ts.SimplicialComplex]:
+    from conftest import torus_complex
+
+    rng = random.Random(2024)
+    out = [ts.load_complex(ts.data_path("tetrahedron.json").read_text()), ts.SimplicialComplex.build([])]
+    for n in (3, 4, 5, 6):
+        torus = torus_complex(n)
+        kept = [t for t in torus.sorted_triangles if rng.random() > 0.3]
+        extra_vertices = [f"iso{k}" for k in range(rng.randrange(1, 4))]
+        vertices = sorted(torus.vertices) + extra_vertices
+        # declared edges that lie in no face: among kept vertices and to isolated ones
+        edges = [tuple(rng.sample(vertices, 2)) for _ in range(rng.randrange(1, 6))]
+        out.append(ts.SimplicialComplex.build(vertices, kept, edges))
+        # the same faces with some of their vertices left undeclared
+        dropped = set(rng.sample(sorted(torus.vertices), 2))
+        out.append(ts.SimplicialComplex.build(set(vertices) - dropped, kept, edges, pure_dim2=True))
+        # the raw constructor derives nothing: some sides of the faces are missing
+        some_edges = rng.sample(sorted(torus.edges, key=sorted), len(torus.edges) // 2)
+        out.append(ts.SimplicialComplex(torus.vertices, frozenset(map(frozenset, kept)), frozenset(some_edges)))
+    return out
+
+
+@pytest.mark.parametrize("K", index_test_complexes(), ids=lambda K: f"{len(K.vertices)}v{len(K.triangles)}t")
+def test_incidence_index_matches_the_triangle_scans(K):
+    names = sorted(K.vertices | {v for t in K.triangles for v in t}) + ["absent"]
+    for v in names:
+        assert K.faces_containing(v) == scan_faces_containing(K, v)
+    for a, b in itertools.product(names, repeat=2):
+        assert K.faces_containing_edge(a, b) == scan_faces_containing_edge(K, a, b)
+    for pure in (False, True):
+        got = [(d.rule, d.simplex, d.message) for d in ts.validate_complex(K, require_pure_dim2=pure)]
+        assert got == scan_validate_complex(K, require_pure_dim2=pure)

@@ -478,3 +478,26 @@ def test_huge_orders_are_refused_without_being_stated_in_full(group):
 def test_enumeration_limit_is_inclusive():
     group = ts.cyclic_group(ts.groups.ENUMERATION_LIMIT)
     assert len(ts.enumerate_elements(group)) == ts.groups.ENUMERATION_LIMIT
+
+
+LONG = "1" + "0" * 4000  # below the int-to-str limit, far above a readable line
+
+
+@pytest.mark.parametrize(
+    "text, group",
+    [
+        (LONG, Z12),
+        (f"x{'y' * 4000}", ts.free_group(["x"])),
+        (f"r*t{'y' * 4000}", ts.dihedral_group(5)),
+        (f"(1 2)({LONG})", S3),
+        ("[" + ", ".join(["1"] * 900) + "]", ts.symmetric_group(900)),
+        (f'["{LONG}", "0"]', ts.product_group(Z12, Z12)),
+        ("[" * 5000, ts.product_group(Z12, Z12)),
+        (["0"] * 5000, Z12),
+    ],
+    ids=["residue", "free-generator", "dihedral-generator", "cycle-point", "one-line", "product", "nested", "non-string"],
+)
+def test_errors_quote_a_bounded_prefix_of_the_element(text, group):
+    with pytest.raises(GroupError) as info:
+        ts.parse_element(text, group)
+    assert len(str(info.value)) <= 200

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import warnings
 
@@ -13,8 +14,9 @@ from conftest import (
     random_connection2,
     random_element,
     random_section,
+    torus_complex,
 )
-from trisweep.errors import SchemeError, SweepError
+from trisweep.errors import GroupError, SchemeError, SweepError
 
 Z12 = ts.cyclic_group(12)
 S3 = ts.symmetric_group(3)
@@ -144,6 +146,76 @@ def test_independent_beta_value_is_flagged_and_used(tetra):
     s = ts.Section(ts.EdgePath.identity("c"), (ts.identity(conn.group),))
     out = ts.beta_expand(s, ("c", "a", "b", "c"), conn)
     assert words(out) == ["e", "e", "q"]
+
+
+# -- loading and building connections ---------------------------------------------------
+
+D5 = ts.dihedral_group(5)
+# D_5 element texts, several of them spelling one element
+D5_TEXTS = ["e", "r", "r^6", "s", "r*s", "s*r^4", "r^2*s", "s*r^-2", "r^-1", "r^4"]
+
+
+def test_repeated_element_texts_load_as_each_text_parsed_alone():
+    K = torus_complex(4)
+    rng = random.Random(11)
+    edges = {f"{a}>{b}": rng.choice(D5_TEXTS) for a, b in K.sorted_edges}
+    cells = {".".join(m): rng.choice(D5_TEXTS) for m in all_alpha_markings(K)}
+    conn = ts.load_connection(json.dumps({"group": {"dihedral": 5}, "edges": edges, "cells": cells}), K)
+    for key, text in edges.items():
+        assert conn.base.value(*key.split(">")) == ts.parse_element(text, D5)
+    for key, text in cells.items():
+        assert conn.alpha_value(*key.split(".")) == ts.parse_element(text, D5)
+
+
+@pytest.mark.parametrize("bad", ["t^2", 3, ["r"]], ids=["bad-text", "number", "array"])
+@pytest.mark.parametrize("block", ["edges", "cells"])
+def test_a_repeated_bad_value_fails_as_parse_element_does(tetra, block, bad):
+    payload = {
+        "group": {"dihedral": 5},
+        "edges": {f"{a}>{b}": "r" for a, b in tetra.sorted_edges},
+        "cells": {"a.b.c": "r", "a.c.b": "s", "b.a.c": "r"},
+    }
+    for key in list(payload[block])[1:]:
+        payload[block][key] = bad
+    with pytest.raises(GroupError) as expected:
+        ts.parse_element(bad, D5)
+    with pytest.raises(GroupError) as got:
+        ts.load_connection(json.dumps(payload), tetra)
+    assert str(got.value) == str(expected.value)
+
+
+def test_no_parsed_value_outlives_its_load(tetra):
+    text = json.dumps({"group": {"free": ["x"]}, "edges": {f"{a}>{b}": "x" for a, b in tetra.sorted_edges}})
+    wider = ts.free_group(["x", "y"])
+    assert ts.load_connection(text, tetra).value("a", "b").group == ts.free_group(["x"])
+    assert ts.load_connection(text, tetra, group=wider).value("a", "b").group == wider
+
+
+def test_connections_built_from_one_map_in_two_insertion_orders_are_equal():
+    K = torus_complex(3)
+    rng = random.Random(5)
+    edges = [(e, random_element(S3, rng)) for e in K.sorted_edges]
+    cells = [(m, random_element(S3, rng)) for m in all_alpha_markings(K)]
+    loops = [((c, a, b), random_element(S3, rng)) for a, b, c in K.sorted_triangles]
+
+    def shuffled(items):
+        items = list(items)
+        rng.shuffle(items)
+        return dict(items)
+
+    f = ts.Connection1.build(S3, K, dict(edges))
+    g = ts.Connection1.build(S3, K, shuffled(edges))
+    assert f == g and hash(f) == hash(g)
+    assert f.edge_values == g.edge_values == tuple(edges)
+    one = ts.Connection2.build(f, dict(cells), dict(loops))
+    two = ts.Connection2.build(g, shuffled(cells), shuffled(loops))
+    assert one == two and hash(one) == hash(two)
+    assert one.alpha_values == two.alpha_values == tuple(sorted(cells))
+    assert one.beta_values == two.beta_values == tuple(sorted(loops))
+    assert ts.Connection2(f, tuple(sorted(cells)), tuple(loops)) == one
+    changed = dict(cells)
+    changed[cells[0][0]] = ts.multiply(cells[0][1], ts.element(S3, (2, 1, 3)))
+    assert ts.Connection2.build(f, changed, dict(loops)) != one
 
 
 def test_missing_cell_value_raises(tetra):
