@@ -7,8 +7,6 @@ triangles.  The package ships the complex/connection/scheme file formats,
 a CLI, and a bundled tetrahedron example.
 """
 
-from importlib import resources
-
 from .errors import (
     BundleError,
     ComplexError,
@@ -111,4 +109,6 @@ __version__ = "0.1.0"
 
 def data_path(name: str):
     """Handle on a bundled example file, e.g. ``data_path("tetrahedron.json")``."""
+    from importlib import resources  # here, so that importing the package does not load it
+
     return resources.files(__name__).joinpath("examples", name)

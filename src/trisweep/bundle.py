@@ -9,10 +9,10 @@ vertexwise and conjugate loop holonomies at the basepoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
+from ._record import Record
 from .complexes import SimplicialComplex
 from .errors import BundleError
 from .groups import (
@@ -30,8 +30,7 @@ from .groups import (
 from .paths import EdgePath
 
 
-@dataclass(frozen=True)
-class GaugeTransform:
+class GaugeTransform(Record):
     """A choice of group element per vertex; unlisted vertices act as identity."""
 
     group: GroupDescriptor
@@ -59,8 +58,7 @@ class GaugeTransform:
         return tuple(v for v, _g in self.values)
 
 
-@dataclass(frozen=True)
-class Connection1:
+class Connection1(Record):
     """A total assignment of group elements to the edges of a complex.
 
     Values are stored once per unordered edge, keyed by the sorted vertex

@@ -10,10 +10,10 @@ edge or a vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+from ._record import Record
 from .errors import ComplexError, input_limit_text
 from .paths import EdgePath, reduce_x1
 
@@ -26,8 +26,7 @@ def _token_ok(name: str) -> bool:
     return isinstance(name, str) and bool(name) and not any(ch.isspace() for ch in name)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Vertices, triangles and edges of a (declared) pure-dimension-2 complex.
 
     Instances are immutable and safe to share between workers.  Build them
@@ -218,8 +217,7 @@ def dump_complex(complex: SimplicialComplex) -> str:
 
 # -- validation ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Record):
     rule: str
     simplex: str
     message: str
@@ -262,8 +260,7 @@ def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False
 
 # -- oriented cells ------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrientedTriangle:
+class OrientedTriangle(Record):
     """An oriented cell: marked source/target vertices plus its two boundary paths.
 
     ``direction`` is set on loop cells: +1 when the boundary follows the

@@ -28,17 +28,16 @@ import json
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
+from ._record import Record
 from .errors import GroupError, input_limit_text
 
 Matrix = tuple[tuple[Any, ...], ...]
 
 
-@dataclass(frozen=True)
-class GroupDescriptor:
+class GroupDescriptor(Record):
     """Tagged description of one group backend.
 
     Equality and hashing are structural.  Every element carries its
@@ -54,10 +53,7 @@ class GroupDescriptor:
     factors: tuple["GroupDescriptor", ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self._key()))
-
-    def _key(self) -> tuple:
-        return (self.kind, self.generators, self.modulus, self.degree, self.factors)
+        object.__setattr__(self, "_hash", hash(self._field_values(self)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -67,12 +63,12 @@ class GroupDescriptor:
             return True
         if not isinstance(other, GroupDescriptor):
             return NotImplemented
-        return self._hash == other._hash and self._key() == other._key()
+        return self._hash == other._hash and self._field_values(self) == other._field_values(other)
 
     def __reduce__(self):
         # rebuild through __init__: a stored hash of strings is only valid
         # in the process that computed it
-        return (GroupDescriptor, self._key())
+        return (GroupDescriptor, self._field_values(self))
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -112,12 +108,32 @@ def product_group(*factors: GroupDescriptor) -> GroupDescriptor:
     return GroupDescriptor("product", factors=tuple(factors))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """An element in normal form; equality and hashing are structural."""
+class GroupElement(Record):
+    """An element in normal form; equality and hashing are structural.
 
+    Every ``multiply`` builds one, so its constructor, equality and hash
+    are written out for its two fields.
+    """
+
+    __slots__ = ("group", "payload")
     group: GroupDescriptor
     payload: Any
+
+    def __init__(self, group: GroupDescriptor, payload: Any) -> None:
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "payload", payload)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.group, self.payload) == (other.group, other.payload)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.payload))
+
+    def __reduce__(self):
+        # slots and a refusing __setattr__ leave pickle no default way in
+        return (self.__class__, (self.group, self.payload))
 
     def inverse(self) -> "GroupElement":
         return inverse(self)
@@ -493,7 +509,22 @@ def descriptor_to_json(group: GroupDescriptor) -> dict:
     return {group.kind: _BACKENDS[group.kind].to_json(group)}
 
 
+# Deepest nesting of product descriptors that descriptor_from_json accepts.
+PRODUCT_NESTING_LIMIT = 4
+
+
 def descriptor_from_json(obj: Any) -> GroupDescriptor:
+    """The descriptor of a JSON value such as ``{"product": [{"cyclic": 2}, {"free": ["x"]}]}``.
+
+    Products nest at most ``PRODUCT_NESTING_LIMIT`` (4) levels deep: a
+    deeper one is refused before any descriptor is built, since each level
+    doubles the length of an element's text.
+    """
+    level = [obj]
+    for _depth in range(PRODUCT_NESTING_LIMIT + 1):
+        level = [f for d in level if isinstance(d, dict) and isinstance(d.get("product"), list) for f in d["product"]]
+    if level:
+        raise GroupError(f"product descriptors nest more than {PRODUCT_NESTING_LIMIT} levels deep")
     if not isinstance(obj, dict) or len(obj) != 1:
         raise GroupError("group descriptor must be a single-key object")
     (kind, arg), = obj.items()
@@ -606,8 +637,7 @@ def mat_trace(a: Matrix):
     return sum(a[i][i] for i in range(len(a)))
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(Record):
     """A finite-dimensional linear action of one backend.
 
     ``exact`` is False only for the cyclic character, whose rotation
@@ -619,7 +649,10 @@ class Representation:
     power: int = 0
     table: tuple[tuple[str, Matrix], ...] = ()
     exact: bool = True
-    _lookup: Mapping[str, Matrix] = field(default_factory=dict, repr=False, compare=False)
+
+    @cached_property
+    def _lookup(self) -> dict[str, Matrix]:
+        return dict(self.table)
 
     @property
     def dimension(self) -> int:
@@ -644,6 +677,8 @@ def cyclic_character(group: GroupDescriptor, power: int = 1) -> Representation:
 
 def table_representation(group: GroupDescriptor, table: Mapping[str, Sequence[Sequence[Any]]]) -> Representation:
     """Explicit matrix table over a finite backend, validated on all pairs."""
+    from fractions import Fraction  # here, so that importing the package does not load it
+
     elems = enumerate_elements(group)
     frozen: dict[str, Matrix] = {}
     for key, mat in table.items():
@@ -665,8 +700,7 @@ def table_representation(group: GroupDescriptor, table: Mapping[str, Sequence[Se
                 raise GroupError(
                     f"table is not a homomorphism at {format_element(x)}, {format_element(y)}"
                 )
-    items = tuple(sorted(frozen.items()))
-    return Representation("table", group, table=items, _lookup=frozen)
+    return Representation("table", group, table=tuple(sorted(frozen.items())))
 
 
 def represent(rho: Representation, a: GroupElement) -> Matrix:
@@ -683,9 +717,8 @@ def represent(rho: Representation, a: GroupElement) -> Matrix:
         c, s = math.cos(theta), math.sin(theta)
         return ((c, -s), (s, c))
     if rho.kind == "table":
-        lookup = rho._lookup or dict(rho.table)
         key = format_element(a)
-        if key not in lookup:
+        if key not in rho._lookup:
             raise GroupError(f"element {key} missing from representation table")
-        return lookup[key]
+        return rho._lookup[key]
     raise GroupError(f"unknown representation kind {rho.kind!r}")

@@ -17,9 +17,9 @@ steps.  ``validate_scheme`` replays such a sequence against a complex and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from ._record import Record
 from .errors import PathError, SchemeError, input_limit_text
 
 Step = tuple[str, str]
@@ -44,8 +44,7 @@ _CELL_SIZE = {"alpha_expand": 3, "alpha_merge": 3, "beta_expand": 4, "beta_merge
 _MISMATCH = {"x1_cancel": "an opposite pair", "deg_drop": "degenerate"}
 
 
-@dataclass(frozen=True)
-class EdgePath:
+class EdgePath(Record):
     """A nonempty composable sequence of ordered vertex pairs."""
 
     steps: tuple[Step, ...]
@@ -177,8 +176,7 @@ def drop_degenerate(p: EdgePath, idx: int) -> EdgePath:
     return _degenerate_move(p, "deg_drop", idx)
 
 
-@dataclass(frozen=True)
-class HomotopyStep:
+class HomotopyStep(Record):
     """One elementary move, applied at a step index of the current path.
 
     ``cell`` is a vertex tuple whose length encodes its meaning: three
@@ -192,7 +190,12 @@ class HomotopyStep:
     position: int
     cell: Optional[tuple[str, ...]] = None
 
-    def __post_init__(self) -> None:
+    # written out: load_scheme builds one per scheme step, search_homotopy
+    # one per candidate move
+    def __init__(self, move: str, position: int, cell: Optional[tuple[str, ...]] = None) -> None:
+        object.__setattr__(self, "move", move)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "cell", cell)
         if self.move not in MOVES:
             raise SchemeError(f"unknown move {self.move!r}")
         if self.position < 0:
@@ -207,8 +210,7 @@ class HomotopyStep:
             raise SchemeError(f"loop cell {'.'.join(self.cell)} must start and end at the same vertex")
 
 
-@dataclass(frozen=True)
-class SweepScheme:
+class SweepScheme(Record):
     """A start path together with a sequence of homotopy moves."""
 
     start_path: EdgePath

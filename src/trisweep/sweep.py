@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Mapping, Optional
 
+from ._record import Record
 from .bundle import Connection1, GaugeTransform
 from .complexes import SimplicialComplex
 from .errors import BundleError, GroupError, SchemeError, SweepError, input_limit_text
@@ -55,8 +55,7 @@ from .paths import (
 )
 
 
-@dataclass(frozen=True)
-class Connection2:
+class Connection2(Record):
     """Edge values plus one group element per named oriented triangle.
 
     Alpha keys are (source, apex, target) triples; the starred cell is
@@ -151,8 +150,7 @@ class Connection2:
         return got
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Record):
     """A word of group elements over an edge-path, one letter per step."""
 
     path: EdgePath
@@ -176,8 +174,7 @@ class Section:
         return section
 
 
-@dataclass(frozen=True)
-class SweepTrace:
+class SweepTrace(Record):
     """Every intermediate section produced while running a scheme."""
 
     scheme: SweepScheme
@@ -188,8 +185,7 @@ class SweepTrace:
         return self.sections[-1]
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(Record):
     """Letterwise quotient of a final section against the initial one."""
 
     path: EdgePath
@@ -402,8 +398,7 @@ def two_holonomy(initial: Section, final: Section) -> DefectReport:
     return DefectReport(initial.path, defects, gauge)
 
 
-@dataclass(frozen=True)
-class SchemeComparison:
+class SchemeComparison(Record):
     verdict: str  # "equal" | "gauge_equivalent" | "different"
     quotient: tuple[GroupElement, ...]
     gauge: Optional[GaugeTransform] = None

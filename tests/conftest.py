@@ -8,6 +8,16 @@ import pytest
 
 import trisweep as ts
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # derandomized and without an example database: every run draws the same
+    # examples, so the suite stays deterministic and writes no files
+    settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=60)
+    settings.load_profile("tier1")
+
 
 @pytest.fixture(scope="session")
 def tetra() -> ts.SimplicialComplex:

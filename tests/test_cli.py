@@ -405,3 +405,40 @@ def test_deeply_nested_json_is_an_error(tmp_path: Path, case):
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
     assert all(len(line) <= 200 for line in proc.stderr.splitlines())
+
+
+def _nested_product(levels: int) -> str:
+    return '{"product": [' * levels + '{"cyclic": 2}' + "]}" * levels
+
+
+@pytest.mark.parametrize("levels", [100, 300, 490])
+def test_deeply_nested_product_descriptor_is_an_error(levels):
+    began = time.monotonic()
+    proc = run_cli("center", _nested_product(levels))
+    assert time.monotonic() - began < 10.0
+    assert proc.returncode == 1, proc.stderr[-500:]
+    assert proc.stderr.startswith("error:") and "nest more than" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr.rstrip("\n")) <= 200
+    assert "Traceback" not in proc.stderr
+
+
+def test_importing_the_cli_leaves_out_modules_it_does_not_use():
+    # compared with the modules loaded before the import, since site may
+    # preload some of them
+    code = (
+        "import sys; before = set(sys.modules); import trisweep.cli;"
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    added = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split())
+    assert "trisweep.cli" in added
+    assert not added & {"dataclasses", "fractions", "decimal", "inspect", "importlib.resources"}
+
+
+def test_modules_imported_on_use_still_work():
+    from fractions import Fraction
+
+    assert "vertices" in json.loads(ts.data_path("tetrahedron.json").read_text())
+    rho = ts.table_representation(ts.cyclic_group(2), {"0": [[1, 0], [0, 1]], "1": [[0, 2], ["1/2", 0]]})
+    matrix = ts.represent(rho, ts.element(ts.cyclic_group(2), 1))
+    assert matrix == ((0, 2), (Fraction(1, 2), 0))
+    assert all(type(v) is Fraction for row in matrix for v in row)

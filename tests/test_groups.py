@@ -501,3 +501,20 @@ def test_errors_quote_a_bounded_prefix_of_the_element(text, group):
     with pytest.raises(GroupError) as info:
         ts.parse_element(text, group)
     assert len(str(info.value)) <= 200
+
+
+def test_product_descriptors_nest_up_to_the_limit():
+    def nested(levels: int) -> dict:
+        obj = {"cyclic": 2}
+        for _ in range(levels):
+            obj = {"product": [{"cyclic": 3}, obj]}
+        return obj
+
+    limit = ts.groups.PRODUCT_NESTING_LIMIT
+    deepest = ts.descriptor_from_json(nested(limit))
+    assert ts.descriptor_to_json(deepest) == nested(limit)
+    assert ts.group_order(deepest) == 2 * 3**limit
+    with pytest.raises(GroupError, match=f"nest more than {limit} levels deep"):
+        ts.descriptor_from_json(nested(limit + 1))
+    with pytest.raises(GroupError, match="nest more than"):
+        ts.descriptor_from_json({"product": [{"cyclic": 2}, nested(limit)]})
