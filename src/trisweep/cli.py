@@ -17,7 +17,6 @@ import re
 import sys
 from pathlib import Path
 
-from . import data_path
 from .complexes import load_complex, validate_complex
 from .errors import TrisweepError, input_limit_text
 from .groups import (
@@ -48,9 +47,10 @@ def _read_text(path: str) -> str:
     if p.exists():
         return p.read_text(encoding="utf-8")
     if "/" not in path and "\\" not in path:
-        handle = data_path(path)
-        if handle.is_file():
-            return handle.read_text(encoding="utf-8")
+        # the bundled examples, read without importlib.resources, which data_path loads
+        bundled = Path(__file__).parent / "examples" / path
+        if bundled.is_file():
+            return bundled.read_text(encoding="utf-8")
     raise FileNotFoundError(f"no such file: {path}")
 
 

@@ -225,13 +225,15 @@ def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step
     """The steps a move consumes at ``step.position`` and the steps replacing them.
 
     This is the one place that checks a move against the path and the
-    complex; a move that does not apply raises ``SchemeError``.
+    complex; a move that does not apply raises ``SchemeError``.  A
+    cancellation of the whole path produces the identity step at its
+    source.  ``path.steps`` may also be the list a sweep rewrites in place.
     """
     steps, i, move, cell = path.steps, step.position, step.move, step.cell
-    found = steps[i : i + MOVES[move]]
+    found = tuple(steps[i : i + MOVES[move]])
     if i > len(steps) or len(found) < MOVES[move]:
         raise SchemeError(f"position {i} out of range for {move} on a path of {len(steps)} steps")
-    v = steps[i][0] if i < len(steps) else path.target
+    v = steps[i][0] if i < len(steps) else steps[-1][1]
     # a move and its inverse swap the same two windows: the short side and
     # the long side of a triangle, loop cell, backtracking pair or degenerate step
     if move.startswith("alpha"):
@@ -251,6 +253,8 @@ def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step
         raise SchemeError(f"path mismatch at position {i}: {_steps_text(found) or 'vertex ' + v}, not {want}")
     if move == "deg_drop" and len(steps) == 1:
         raise SchemeError("cannot drop the only step of an identity path")
+    if len(consumed) == len(steps) and not produced:
+        produced = ((v, v),)
     if cell is not None:
         if len(cell) == 2:
             supported = complex.has_edge(*cell)
@@ -263,15 +267,14 @@ def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step
 
 
 def splice_window(path: EdgePath, position: int, consumed: tuple[Step, ...], produced: tuple[Step, ...]) -> EdgePath:
-    """Replace the consumed steps at ``position``; no steps left gives the identity at the source.
+    """Replace the consumed steps at ``position`` by the produced ones.
 
     The window must be the one ``move_window`` returned for this path and
     position.  Its two sides then run between the same two vertices, and
     the produced side starts where the path stands at ``position``, so the
     spliced steps are composable and are not checked again.
     """
-    steps = path.steps[:position] + produced + path.steps[position + len(consumed) :]
-    return EdgePath._trusted(steps) if steps else EdgePath.identity(path.source)
+    return EdgePath._trusted(path.steps[:position] + produced + path.steps[position + len(consumed) :])
 
 
 def apply_move_path(path: EdgePath, step: HomotopyStep, complex) -> EdgePath:
@@ -334,11 +337,18 @@ def _candidate_moves(path: EdgePath, complex) -> Iterator[HomotopyStep]:
             yield HomotopyStep("x1_insert", k, (v, w))
 
 
+# The distinct paths search_homotopy may reach before it gives up.  From a
+# backtrack on the torus T(16), depth 3 reaches about 10,600 paths and
+# depth 4 took 8 s (2-vCPU host): about 30x per level.
+SEARCH_NODE_LIMIT = 20_000
+
+
 def search_homotopy(p: EdgePath, q: EdgePath, complex, depth_bound: int) -> Optional[SweepScheme]:
     """Breadth-first search for a scheme from p to q with at most depth_bound moves.
 
     Returns None when no scheme exists within the bound; this is
-    inconclusive for homotopy in general.
+    inconclusive for homotopy in general.  Raises ``SchemeError`` once
+    more than ``SEARCH_NODE_LIMIT`` distinct paths were reached without it.
     """
     if p.source != q.source or p.target != q.target:
         raise PathError("endpoints of the two paths must agree")
@@ -357,7 +367,7 @@ def search_homotopy(p: EdgePath, q: EdgePath, complex, depth_bound: int) -> Opti
             cur = prev
         return SweepScheme(p, tuple(reversed(moves)))
 
-    for _depth in range(depth_bound):
+    for depth in range(1, depth_bound + 1):
         nxt: list[EdgePath] = []
         for cur in frontier:
             for step in _candidate_moves(cur, complex):
@@ -368,6 +378,8 @@ def search_homotopy(p: EdgePath, q: EdgePath, complex, depth_bound: int) -> Opti
                 parents[new] = (cur, step)
                 if new == q:
                     return rebuild(new)
+                if len(seen) > SEARCH_NODE_LIMIT:
+                    raise SchemeError(f"homotopy search gave up past {SEARCH_NODE_LIMIT} paths, at depth {depth} of {depth_bound}")
                 nxt.append(new)
         frontier = nxt
         if not frontier:
@@ -427,7 +439,7 @@ def load_scheme(text: str) -> SweepScheme:
             raise SchemeError(f"step {k}: unknown keys {sorted(unknown)}")
         move = raw.get("move")
         position = raw.get("position")
-        if not isinstance(move, str) or not isinstance(position, int):
+        if not isinstance(move, str) or not isinstance(position, int) or isinstance(position, bool):
             raise SchemeError(f'step {k}: needs string "move" and integer "position"')
         cell = None
         if "cell" in raw and raw["cell"] is not None:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from functools import cached_property, reduce
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from ._record import Record
 from .bundle import Connection1, GaugeTransform
@@ -173,16 +173,88 @@ class Section(Record):
         object.__setattr__(section, "letters", letters)
         return section
 
+    def _spliced(self, i: int, consumed: tuple, produced: tuple, lo: int, hi: int, new: tuple) -> "Section":
+        """A new section: the move window ``consumed`` at step i becomes ``produced``, letters lo:hi ``new``."""
+        path = splice_window(self.path, i, consumed, produced)
+        return Section._trusted(path, self.letters[:lo] + new + self.letters[hi:])
+
+
+class _Sweep:
+    """The section a running scheme rewrites in place, with one delta per move.
+
+    ``apply_move_section`` reads it like a section, its steps and letters
+    being lists, and ``_spliced`` splices the lists and records the delta
+    instead of building a section.
+    """
+
+    def __init__(self, start: Section) -> None:
+        self.steps, self.letters = list(start.path.steps), list(start.letters)
+        self.deltas = [(0, 0, start.path.steps, 0, 0, start.letters)]
+
+    @property
+    def path(self) -> "_Sweep":  # section.path.steps reads the step list
+        return self
+
+    def _spliced(self, i: int, consumed: tuple, produced: tuple, lo: int, hi: int, new: tuple) -> "_Sweep":
+        j = i + len(consumed)
+        self.steps[i:j] = produced
+        self.letters[lo:hi] = new
+        self.deltas.append((i, j, produced, lo, hi, new))
+        return self
+
+
+def _replay(deltas: list[tuple], step=None, letter=None):
+    """After each delta of a trace, the step list and letter list of its section.
+
+    The same two lists are yielded each time, so copy them to keep a
+    section; each step or letter a delta writes goes through ``step`` or
+    ``letter`` when given.
+    """
+    steps: list = []
+    letters: list = []
+    for i, j, new_steps, lo, hi, new_letters in deltas:
+        steps[i:j] = new_steps if step is None else map(step, new_steps)
+        letters[lo:hi] = new_letters if letter is None else map(letter, new_letters)
+        yield steps, letters
+
 
 class SweepTrace(Record):
-    """Every intermediate section produced while running a scheme."""
+    """Every section a scheme passes through, from the start section to ``final``.
+
+    One delta ``(i, j, steps, lo, hi, letters)`` per section turns the one
+    before (none, for the first) into it: steps i:j become ``steps`` and
+    letters lo:hi become ``letters``.  ``sections`` is built from the deltas
+    on first read.  The constructor records each section as a delta over
+    the whole of the one before, so a trace compares, hashes, prints and
+    pickles as its scheme and sections however it was made.
+    """
 
     scheme: SweepScheme
     sections: tuple[Section, ...]
 
-    @property
+    def __post_init__(self) -> None:
+        sizes = [0] + [len(s.letters) for s in self.sections]  # a section has one letter per step
+        object.__setattr__(self, "_deltas", [(0, n, s.path.steps, 0, n, s.letters) for n, s in zip(sizes, self.sections)])
+
+    @classmethod
+    def _recorded(cls, scheme: SweepScheme, deltas: list[tuple], final: Section) -> "SweepTrace":
+        trace = object.__new__(cls)
+        # one update, not Record's one set per field: a trace's fields are read only a few times
+        vars(trace).update(scheme=scheme, _deltas=deltas, final=final)
+        return trace
+
+    # read only where the constructor did not store the field: on a recorded trace
+    @cached_property
+    def sections(self) -> tuple[Section, ...]:
+        return tuple(Section._trusted(EdgePath._trusted(tuple(s)), tuple(l)) for s, l in _replay(self._deltas))
+
+    # read only where _recorded did not store it: on a trace built from its sections
+    @cached_property
     def final(self) -> Section:
         return self.sections[-1]
+
+    def __reduce__(self):
+        return type(self), (self.scheme, self.sections)
 
 
 class DefectReport(Record):
@@ -260,9 +332,11 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
 
     The section's backend is checked against the connection's once; the
     result is built unchecked, since the window keeps the path composable
-    and every letter written lives in that one backend.
+    and every letter written lives in that one backend.  ``run_scheme``
+    passes its ``_Sweep`` here, which splices the result into itself.
     """
-    group = section.letters[0].group
+    letters = section.letters
+    group = letters[0].group
     if group != connection.group:
         section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (group, connection.group))
         raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
@@ -270,10 +344,9 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
         consumed, produced = move_window(section.path, step, connection.complex)
     except SchemeError as exc:
         raise SweepError(str(exc)) from exc
-    letters = section.letters
     lo = step.position
     hi = lo + len(consumed)
-    if not produced:
+    if step.move in ("x1_cancel", "deg_drop"):
         # widen the window by the letter its product folds into
         if hi < len(letters):
             hi += 1
@@ -293,23 +366,25 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
             new = (letters[lo], phi)
         else:
             new = (identity(group), letters[lo], phi)
-    path = splice_window(section.path, step.position, consumed, produced)
-    return Section._trusted(path, letters[:lo] + new + letters[hi:])
+    return section._spliced(step.position, consumed, produced, lo, hi, new)
 
 
 def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> SweepTrace:
-    """Apply every move of the scheme in order and record each section."""
+    """Apply every move of the scheme in order to one step list and one letter list.
+
+    A move so costs its window and a list splice, not a copy of the
+    section.  The trace records one delta per move and the final section.
+    """
     if start.path != scheme.start_path:
         raise SweepError("section path does not match the scheme start path")
-    sections = [start]
-    current = start
+    sweep = _Sweep(start)
     for idx, step in enumerate(scheme.steps):
         try:
-            current = apply_move_section(current, step, connection)
+            apply_move_section(sweep, step, connection)
         except SweepError as exc:
             raise SweepError(f"step {idx}: {exc}", step_index=idx) from exc
-        sections.append(current)
-    return SweepTrace(scheme, tuple(sections))
+    final = Section._trusted(EdgePath._trusted(tuple(sweep.steps)), tuple(sweep.letters))
+    return SweepTrace._recorded(scheme, sweep.deltas, final)
 
 
 # -- gauge action on sections ----------------------------------------------
@@ -582,22 +657,23 @@ def load_connection(
     return Connection2.build(base, alpha, beta)
 
 
-def _section_json(section: Section, fmt: Callable[[GroupElement], str]) -> dict:
+def section_to_json(section: Section) -> dict:
     return {
         "path": [[x, y] for x, y in section.path.steps],
-        "letters": [fmt(l) for l in section.letters],
+        "letters": [format_element(l) for l in section.letters],
     }
 
 
-def section_to_json(section: Section) -> dict:
-    return _section_json(section, format_element)
-
-
 def trace_to_json(trace: SweepTrace) -> list[dict]:
-    # Consecutive sections share every letter outside one move's window as
-    # the same object, so each letter object is formatted once.  The memo is
-    # keyed by id, cheaper than hashing the element; the trace keeps every
-    # letter alive meanwhile, so no id is reused.
+    """Every section of the trace, each as ``section_to_json`` writes it.
+
+    The deltas are replayed into one list of [x, y] steps and one of letter
+    texts, and each section gets shallow copies of both: the sections share
+    their [x, y] lists, so treat the result as read-only.
+    """
+    # A letter recurs as the same object (kept across a window, or a cell
+    # value), so each is formatted once.  The memo is keyed by id, cheaper
+    # than hashing; the trace keeps every letter alive, so no id is reused.
     texts: dict[int, str] = {}
 
     def fmt(letter: GroupElement) -> str:
@@ -606,7 +682,7 @@ def trace_to_json(trace: SweepTrace) -> list[dict]:
             text = texts[id(letter)] = format_element(letter)
         return text
 
-    return [_section_json(s, fmt) for s in trace.sections]
+    return [{"path": steps[:], "letters": words[:]} for steps, words in _replay(trace._deltas, list, fmt)]
 
 
 def defect_report_to_json(report: DefectReport) -> dict:

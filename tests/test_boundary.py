@@ -4,17 +4,22 @@ unchecked results to the public constructors' rules."""
 
 from __future__ import annotations
 
+import gc
+import json
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
 import trisweep as ts
-from conftest import band_complex, random_connection2, random_element, random_walk, torus_complex
+from conftest import band_complex, product_of_letters, random_connection2, random_element, random_walk, torus_complex
 from trisweep.errors import PathError, SweepError
-from trisweep.paths import _candidate_moves
+from trisweep.paths import MOVES, _candidate_moves
 
 FREE = ts.free_group(["x", "y", "z"])
 S3 = ts.symmetric_group(3)
+S4 = ts.symmetric_group(4)
 D4 = ts.dihedral_group(4)
 Z3xS3 = ts.product_group(ts.cyclic_group(3), S3)
 Z5 = ts.cyclic_group(5)
@@ -134,3 +139,129 @@ def test_trace_to_json_formats_every_section_like_section_to_json():
     twin = ts.Section(start_path, tuple(ts.element(FREE, l.payload) for l in start.letters))
     doubled = ts.SweepTrace(scheme, (start, twin) + trace.sections)
     assert ts.sweep.trace_to_json(doubled) == [ts.sweep.section_to_json(s) for s in doubled.sections]
+
+
+# -- recorded traces ------------------------------------------------------------
+
+def scheme_of_every_kind(K: ts.SimplicialComplex, rng: random.Random, moves: int) -> ts.SweepScheme:
+    """A random valid scheme that starts by cancelling a backtrack down to an
+    identity path and ends by dropping a degenerate step at the end of the
+    path, whose letter folds into the preceding one."""
+    a = rng.choice(K.sorted_vertices)
+    b = rng.choice(K.neighbors(a))
+    start = ts.EdgePath(((a, b), (b, a)))
+    cancel = ts.HomotopyStep("x1_cancel", 0)
+    middle = random_scheme(K, ts.apply_move_path(start, cancel, K), rng, moves)
+    end = len(ts.validate_scheme(middle, K)[-1])
+    last = (ts.HomotopyStep("deg_insert", end), ts.HomotopyStep("deg_drop", end))
+    return ts.SweepScheme(start, (cancel,) + middle.steps + last)
+
+
+def folded(letters: tuple, position: int, width: int) -> tuple:
+    """The letters after a drop of ``width`` steps at ``position``: their
+    product folds into the following letter, else into the preceding one."""
+    lo, hi = position, position + width
+    if hi < len(letters):
+        hi += 1
+    elif lo:
+        lo -= 1
+    return letters[:lo] + (product_of_letters(letters[lo:hi]),) + letters[hi:]
+
+
+@pytest.mark.parametrize(
+    "surface, group", [("band", FREE), ("band", S3), ("torus", D4)], ids=["band-free", "band-S3", "torus-D4"]
+)
+def test_a_recorded_trace_is_the_sections_of_step_by_step_moves(surface, group):
+    K = band_complex(6) if surface == "band" else torus_complex(4)
+    kinds = set()
+    for seed in range(6):
+        rng = random.Random(f"recorded-{surface}-{group.kind}-{seed}")
+        conn = random_connection2(K, group, rng)
+        scheme = scheme_of_every_kind(K, rng, 30)
+        kinds.update(step.move for step in scheme.steps)
+        start = ts.Section(scheme.start_path, tuple(random_element(group, rng, 3) for _ in scheme.start_path.steps))
+        expected = [start]
+        for step in scheme.steps:
+            expected.append(ts.apply_move_section(expected[-1], step, conn))
+            if step.move in ("x1_cancel", "deg_drop"):
+                assert expected[-1].letters == folded(expected[-2].letters, step.position, MOVES[step.move])
+        assert expected[1].path.is_identity()
+
+        trace = ts.run_scheme(start, scheme, conn)
+        # final and the JSON come from the moves, without building the sections
+        assert trace.final == expected[-1]
+        as_json = ts.sweep.trace_to_json(trace)
+        assert "sections" not in vars(trace)
+        by_section = [ts.sweep.section_to_json(s) for s in expected]
+        assert as_json == by_section
+        assert json.dumps(as_json, sort_keys=True) == json.dumps(by_section, sort_keys=True)
+
+        built = ts.SweepTrace(scheme, tuple(expected))
+        assert trace == built and hash(trace) == hash(built) and repr(trace) == repr(built)
+        assert trace.sections == tuple(expected)
+        assert pickle.loads(pickle.dumps(trace)) == built
+        assert pickle.dumps(trace) == pickle.dumps(ts.SweepTrace(scheme, trace.sections))
+        assert ts.sweep.trace_to_json(built) == by_section
+    assert kinds == set(MOVES)
+
+
+def test_a_recorded_trace_equals_one_built_from_its_sections_before_either_is_read(scheme1, symbolic_connection):
+    x, y = (ts.parse_element(t, symbolic_connection.group) for t in ("x", "y"))
+    start = ts.Section(scheme1.start_path, (x, y))
+    first, second = (ts.run_scheme(start, scheme1, symbolic_connection) for _ in range(2))
+    assert first == second and hash(first) == hash(second)
+    assert ts.SweepTrace(sections=second.sections, scheme=scheme1) == first
+    empty = ts.run_scheme(start, ts.SweepScheme(scheme1.start_path, ()), symbolic_connection)
+    assert empty.final == start and empty.sections == (start,)
+    assert ts.sweep.trace_to_json(empty) == [ts.sweep.section_to_json(start)]
+
+
+def test_trace_json_shares_step_lists_between_sections():
+    # the result is read-only: a step no move touches is the same list in every section
+    K = band_complex(6)
+    rng = random.Random(3)
+    conn = random_connection2(K, S3, rng)
+    start = ts.Section(ts.EdgePath.from_vertices("b0", "b1", "b2"), (ts.identity(S3),) * 2)
+    scheme = ts.SweepScheme(start.path, (ts.HomotopyStep("alpha_expand", 1, ("b1", "t2", "b2")),))
+    before, after = ts.sweep.trace_to_json(ts.run_scheme(start, scheme, conn))
+    assert before["path"][0] is after["path"][0]
+    assert before["path"] == [["b0", "b1"], ["b1", "b2"]]
+    assert after["path"] == [["b0", "b1"], ["b1", "t2"], ["t2", "b2"]]
+
+
+def s4_band_sweep(columns: int) -> tuple[ts.Section, ts.SweepScheme, ts.Connection2]:
+    """Sweep the bottom ring of an S_4 band over the top ring, column by
+    column, and back: 4 moves per column."""
+    K = band_complex(columns)
+    rng = random.Random(columns)
+    conn = random_connection2(K, S4, rng)
+    ring = ts.EdgePath(tuple((f"b{c}", f"b{(c + 1) % columns}") for c in range(columns)))
+    forward = []
+    for c in range(columns):
+        d = (c + 1) % columns
+        forward += [
+            ts.HomotopyStep("alpha_expand", 3 * c, (f"b{c}", f"t{d}", f"b{d}")),
+            ts.HomotopyStep("alpha_expand", 3 * c, (f"b{c}", f"t{c}", f"t{d}")),
+        ]
+    back = [ts.HomotopyStep("alpha_merge", step.position, step.cell) for step in reversed(forward)]
+    start = ts.Section(ring, tuple(random_element(S4, rng) for _ in ring.steps))
+    return start, ts.SweepScheme(ring, tuple(forward + back)), conn
+
+
+def final_only_peak(columns: int) -> int:
+    """Peak traced memory of a run that reads only the final section."""
+    start, scheme, conn = s4_band_sweep(columns)
+    assert ts.run_scheme(start, scheme, conn).final == start  # also fills the complex's indexes
+    gc.collect()  # a full collection also empties the interpreter's free lists
+    tracemalloc.start()
+    try:
+        ts.run_scheme(start, scheme, conn).final
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_final_only_run_takes_memory_linear_in_its_moves():
+    # 640 and 2,560 moves; retaining every section made this about 15x
+    small, large = final_only_peak(160), final_only_peak(640)
+    assert large < 8 * small

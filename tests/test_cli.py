@@ -434,6 +434,41 @@ def test_importing_the_cli_leaves_out_modules_it_does_not_use():
     assert not added & {"dataclasses", "fractions", "decimal", "inspect", "importlib.resources"}
 
 
+def test_reading_a_bundled_example_leaves_out_importlib_resources(tmp_path: Path):
+    # without site, which may preload importlib.resources, and from a directory
+    # without a local tetrahedron.json, so that the bundled one is read
+    code = (
+        "import os, sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules);"
+        "from trisweep.cli import main; os.chdir(sys.argv[2]);"
+        "code = main(['validate', '--complex', 'tetrahedron.json']);"
+        "print(code, ' '.join(sorted(set(sys.modules) - before)))"
+    )
+    package_root = str(Path(ts.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, package_root, str(tmp_path)], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.startswith("ok\n0 ")
+    assert "importlib.resources" not in proc.stdout.split()
+
+
+def test_a_boolean_scheme_position_is_an_error(tmp_path: Path):
+    obj = json.loads(ts.data_path("scheme1.json").read_text())
+    obj["steps"][2]["position"] = True
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps(obj))
+    proc = run_cli(
+        "sweep",
+        "--complex", "tetrahedron.json",
+        "--connection", "tetrahedron_symbolic.json",
+        "--scheme", str(scheme),
+        "--word", "x,y",
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: step 2:") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_modules_imported_on_use_still_work():
     from fractions import Fraction
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import random
+import time
 
 import pytest
 
 import trisweep as ts
-from conftest import random_walk
+from conftest import random_walk, torus_complex
 from trisweep.errors import PathError, SchemeError
+from trisweep.paths import _candidate_moves
 
 
 def P(*chain: str) -> ts.EdgePath:
@@ -259,6 +262,54 @@ def test_search_not_found_within_bound():
     assert ts.search_homotopy(P("a", "b"), P("a", "c", "b"), K, 2) is None
 
 
+def test_search_gives_up_past_its_node_limit():
+    # a backtrack and a 3-step loop through a non-edge: no scheme reaches it,
+    # and depth 4 would try about 830,000 moves without the limit
+    K = torus_complex(16)
+    p = P("v0_0", "v1_0", "v0_0")
+    q = P("v0_0", "v8_8", "v8_9", "v0_0")
+    assert ts.search_homotopy(p, q, K, 3) is None  # about 10,600 paths: within the limit
+    began = time.monotonic()
+    with pytest.raises(SchemeError, match=f"gave up past {ts.paths.SEARCH_NODE_LIMIT} paths, at depth 4 of 4"):
+        ts.search_homotopy(p, q, K, 4)
+    assert time.monotonic() - began < 2.0
+
+
+def test_search_returns_the_target_that_takes_it_past_its_node_limit(tetra, monkeypatch):
+    p = P("a", "b")
+    reached = [p]  # the distinct paths of a depth-1 search, in the order it reaches them
+    for step in _candidate_moves(p, tetra):
+        new = ts.apply_move_path(p, step, tetra)
+        if new not in reached:
+            reached.append(new)
+    q = reached[-1]
+    assert len(reached) >= 3
+    monkeypatch.setattr(ts.paths, "SEARCH_NODE_LIMIT", len(reached) - 1)
+    found = ts.search_homotopy(p, q, tetra, 1)
+    assert found is not None and ts.validate_scheme(found, tetra)[-1] == q
+    monkeypatch.setattr(ts.paths, "SEARCH_NODE_LIMIT", len(reached) - 2)
+    with pytest.raises(SchemeError, match="gave up past"):
+        ts.search_homotopy(p, q, tetra, 1)
+
+
+def test_short_searches_on_a_torus_are_unaffected_by_the_limit():
+    # like the searches of the surface-ingest benchmark: depth 3, from a
+    # 2-step walk to the path two edge expansions away
+    K = torus_complex(16)
+    rng = random.Random(5)
+    for _ in range(5):
+        p = random_walk(K, rng, 2)
+        q = p
+        for _ in range(2):
+            i = rng.randrange(len(q))
+            a, b = q.steps[i]
+            (apex,) = rng.choice(K.faces_containing_edge(a, b)) - {a, b}
+            q = ts.apply_move_path(q, ts.HomotopyStep("alpha_expand", i, (a, apex, b)), K)
+        found = ts.search_homotopy(p, q, K, 3)
+        assert found is not None and len(found.steps) <= 2
+        assert ts.validate_scheme(found, K)[-1] == q
+
+
 def test_search_results_validate(tetra):
     rng = random.Random(17)
     for _ in range(20):
@@ -288,6 +339,13 @@ def test_scheme_dotless_cell_shorthand():
 def test_scheme_rejects_unknown_move():
     with pytest.raises(SchemeError, match="unknown move"):
         ts.load_scheme('{"start": [["a","b"]], "steps": [{"move":"zig","position":0}]}')
+
+
+def test_scheme_rejects_a_boolean_position(scheme1):
+    obj = json.loads(ts.dump_scheme(scheme1))
+    obj["steps"][2]["position"] = True
+    with pytest.raises(SchemeError, match='step 2: needs string "move" and integer "position"'):
+        ts.load_scheme(json.dumps(obj))
 
 
 def test_scheme_rejects_unknown_keys():

@@ -1,6 +1,9 @@
-"""Property tests: group axioms, element text round trips and record equality."""
+"""Property tests: group axioms, element text round trips, record equality
+and moves undone by their inverses."""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -8,6 +11,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 import trisweep as ts  # noqa: E402
+from conftest import random_connection2, random_section, random_walk, torus_complex  # noqa: E402
+from trisweep.paths import _candidate_moves  # noqa: E402
 
 FREE = ts.free_group(["x", "y"])
 Z12 = ts.cyclic_group(12)
@@ -73,3 +78,45 @@ def test_path_equality_is_field_equality(p, q):
     assert (p == q) == (p.steps == q.steps)
     if p == q:
         assert hash(p) == hash(q)
+
+
+TORUS = torus_complex(4)
+INVERSE_MOVE = {
+    "alpha_expand": "alpha_merge",
+    "beta_expand": "beta_merge",
+    "x1_insert": "x1_cancel",
+    "deg_insert": "deg_drop",
+}
+INVERSE_MOVE.update({undo: move for move, undo in INVERSE_MOVE.items()})
+
+
+def inverse_step(path: ts.EdgePath, step: ts.HomotopyStep) -> ts.HomotopyStep:
+    """The move that undoes ``step`` on ``path``."""
+    move = INVERSE_MOVE[step.move]
+    if move == "x1_insert":
+        return ts.HomotopyStep(move, step.position, path.steps[step.position])
+    return ts.HomotopyStep(move, step.position, None if move in ("x1_cancel", "deg_insert", "deg_drop") else step.cell)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_move_then_its_inverse_is_the_identity_on_paths(seed):
+    rng = random.Random(seed)
+    path = random_walk(TORUS, rng, rng.randrange(1, 6), stay_prob=0.2)
+    for step in _candidate_moves(path, TORUS):
+        if step.move == "x1_cancel" and len(path) == 2:
+            continue  # a cancellation down to the identity path leaves a degenerate step behind
+        moved = ts.apply_move_path(path, step, TORUS)
+        assert ts.apply_move_path(moved, inverse_step(path, step), TORUS) == path
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_an_expansion_or_insertion_then_its_inverse_is_the_identity_on_sections(seed):
+    # merges, cancellations and drops multiply letters together, which their
+    # inverses cannot split again; expansions and insertions are undone exactly
+    rng = random.Random(seed)
+    conn = random_connection2(TORUS, S4, rng)
+    section = random_section(TORUS, S4, rng, rng.randrange(1, 6), stay_prob=0.2)
+    for step in _candidate_moves(section.path, TORUS):
+        if step.move.endswith(("expand", "insert")):
+            moved = ts.apply_move_section(section, step, conn)
+            assert ts.apply_move_section(moved, inverse_step(section.path, step), conn) == section

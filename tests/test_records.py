@@ -219,6 +219,7 @@ def pickled_values() -> dict:
         "path": scheme.start_path,
         "section": ts.Section(scheme.start_path, (x, y)),
         "scheme": scheme,
+        "trace": ts.run_scheme(ts.Section(scheme.start_path, (x, y)), scheme, connection),
         "connection": connection,
         "complex": tetra,
         "representation": ts.table_representation(ts.cyclic_group(2), {"0": [[1]], "1": [[-1]]}),
