@@ -4,18 +4,21 @@ A complex stores vertices, unordered triangles and unordered edges; the
 edges always include every side of every triangle.  Oriented cells come in
 six kinds: the two triangle orientations over a marked edge, the two loop
 orientations at a marked basepoint, and the identity cells at an oriented
-edge or a vertex.
+edge or a vertex.  They are built from the cell sides that
+``paths.move_window`` checks (``paths.cell_sides``), and ``classify_cell``
+recognises a triangle or loop cell by checking its expand move through
+``move_window``.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from ._record import Record
-from .errors import ComplexError, input_limit_text
-from .paths import EdgePath, reduce_x1
+from .errors import ComplexError, SchemeError, input_limit_text
+from .paths import EdgePath, HomotopyStep, cell_name, cell_sides, move_window, reduce_x1
 
 VertexId = str
 
@@ -108,6 +111,11 @@ class SimplicialComplex(Record):
     @cached_property
     def sorted_triangles_sets(self) -> tuple[frozenset[str], ...]:
         return tuple(frozenset(t) for t in self.sorted_triangles)
+
+    def markings(self) -> Iterator[tuple[str, str, str]]:
+        """The six markings (source, apex, target) of each face, faces in sorted order."""
+        for a, b, c in self.sorted_triangles:
+            yield from ((b, a, c), (c, a, b), (a, b, c), (c, b, a), (a, c, b), (b, c, a))
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -275,67 +283,36 @@ class OrientedTriangle(Record):
     apex: Optional[str] = None
     direction: Optional[int] = None
 
+    @classmethod
+    def _of(cls, cell: tuple[str, ...], star: bool = False) -> "OrientedTriangle":
+        """The cell on the chain ``a.c.b``, ``c.a.b.c``, ``a.b`` or ``a.a``; ``star`` runs it from the long side to the short.
+
+        Both sides of an identity cell are its one step.
+        """
+        short, long = cell_sides(cell) if len(cell) > 2 else ((cell,), (cell,))
+        # a loop in the sorted face's cyclic order ascends on two of its three steps, the reverse loop on one
+        direction = 2 * sum(x < y for x, y in long) - 3 if len(cell) == 4 else None
+        paths = (EdgePath(long), EdgePath(short)) if star else (EdgePath(short), EdgePath(long))
+        apex = cell[1] if len(cell) == 3 else None
+        return cls(_cell_kind(cell, star), cell[0], cell[-1], *paths, apex, direction)
+
     @property
     def marked_vertices(self) -> tuple[str, str]:
         return (self.source, self.target)
 
     @property
     def name(self) -> str:
-        if self.kind == "alpha":
-            return f"{self.source}.{self.apex}.{self.target}"
-        if self.kind == "alpha_star":
-            return f"{self.source}.{self.apex}.{self.target}*"
-        if self.kind in ("beta", "beta_star"):
-            a, b = self.target_path.steps[0][1], self.target_path.steps[1][1]
-            if self.kind == "beta_star":
-                a, b = self.source_path.steps[0][1], self.source_path.steps[1][1]
-                return f"{self.source}.{a}.{b}.{self.source}*"
-            return f"{self.source}.{a}.{b}.{self.source}"
-        if self.kind == "identity_edge":
-            return f"id.{self.source}.{self.target}"
-        return f"id.{self.source}"
-
-    @classmethod
-    def alpha(cls, a: str, c: str, b: str) -> "OrientedTriangle":
-        return cls("alpha", a, b, EdgePath(((a, b),)), EdgePath(((a, c), (c, b))), apex=c)
-
-    @classmethod
-    def alpha_star(cls, a: str, c: str, b: str) -> "OrientedTriangle":
-        return cls("alpha_star", a, b, EdgePath(((a, c), (c, b))), EdgePath(((a, b),)), apex=c)
-
-    @classmethod
-    def beta(cls, c: str, a: str, b: str) -> "OrientedTriangle":
-        return cls(
-            "beta", c, c,
-            EdgePath.identity(c),
-            EdgePath(((c, a), (a, b), (b, c))),
-            direction=_loop_direction(c, a, b),
-        )
-
-    @classmethod
-    def beta_star(cls, c: str, a: str, b: str) -> "OrientedTriangle":
-        return cls(
-            "beta_star", c, c,
-            EdgePath(((c, a), (a, b), (b, c))),
-            EdgePath.identity(c),
-            direction=_loop_direction(c, a, b),
-        )
-
-    @classmethod
-    def identity_edge(cls, a: str, b: str) -> "OrientedTriangle":
-        p = EdgePath(((a, b),))
-        return cls("identity_edge", a, b, p, p)
-
-    @classmethod
-    def identity_vertex(cls, a: str) -> "OrientedTriangle":
-        p = EdgePath.identity(a)
-        return cls("identity_vertex", a, a, p, p)
+        star = self.kind.endswith("_star")
+        chain = (self.source_path if star else self.target_path).vertices
+        if self.kind.startswith("identity"):
+            return "id." + cell_name(chain[: 1 + (self.kind == "identity_edge")])
+        return cell_name(chain) + "*" * star
 
 
-def _loop_direction(c: str, a: str, b: str) -> int:
-    p, q, r = sorted((c, a, b))
-    succ = {p: q, q: r, r: p}
-    return 1 if succ[c] == a else -1
+def _cell_kind(cell: tuple[str, ...], star: bool) -> str:
+    if len(cell) == 2:
+        return "identity_vertex" if cell[0] == cell[1] else "identity_edge"
+    return ("alpha", "beta")[len(cell) - 3] + "_star" * star
 
 
 def oriented_triangles(complex: SimplicialComplex, kind_filter: Optional[str] = None) -> list[OrientedTriangle]:
@@ -348,94 +325,45 @@ def oriented_triangles(complex: SimplicialComplex, kind_filter: Optional[str] = 
     """
     if kind_filter is not None and kind_filter not in KINDS:
         raise ComplexError(f"unknown cell kind {kind_filter!r}")
-    out: list[OrientedTriangle] = []
-
-    def want(kind: str) -> bool:
-        return kind_filter is None or kind_filter == kind
-
-    if want("alpha") or want("alpha_star"):
-        for tri in complex.sorted_triangles:
-            for apex in tri:
-                u, w = sorted(set(tri) - {apex})
-                for a, b in ((u, w), (w, u)):
-                    if want("alpha"):
-                        out.append(OrientedTriangle.alpha(a, apex, b))
-                    if want("alpha_star"):
-                        out.append(OrientedTriangle.alpha_star(a, apex, b))
-    if want("beta") or want("beta_star"):
-        for tri in complex.sorted_triangles:
-            p, q, r = tri
-            succ = {p: q, q: r, r: p}
-            for c in tri:
-                a = succ[c]
-                b = succ[a]
-                if want("beta"):
-                    out.append(OrientedTriangle.beta(c, a, b))
-                if want("beta_star"):
-                    out.append(OrientedTriangle.beta_star(c, a, b))
-    if want("identity_edge"):
-        for u, w in complex.sorted_edges:
-            out.append(OrientedTriangle.identity_edge(u, w))
-            out.append(OrientedTriangle.identity_edge(w, u))
-    if want("identity_vertex"):
-        for v in complex.sorted_vertices:
-            out.append(OrientedTriangle.identity_vertex(v))
-    return out
+    loops = ((c, a, b, c) for p, q, r in complex.sorted_triangles for c, a, b in ((p, q, r), (q, r, p), (r, p, q)))
+    edges = (pair for u, w in complex.sorted_edges for pair in ((u, w), (w, u)))
+    vertices = ((v, v) for v in complex.sorted_vertices)
+    families = ((complex.markings(), (False, True)), (loops, (False, True)), (edges, (False,)), (vertices, (False,)))
+    return [
+        OrientedTriangle._of(cell, star)
+        for cells, stars in families
+        for cell in cells
+        for star in stars
+        if kind_filter in (None, _cell_kind(cell, star))
+    ]
 
 
 def classify_cell(source_path: EdgePath, target_path: EdgePath, complex: SimplicialComplex) -> Optional[OrientedTriangle]:
     """Identify the elementary cell realizing the pair, reduced rel endpoints.
 
-    Returns None when no single oriented triangle connects the two paths;
-    composite homotopies are not elementary.
+    The cell is the vertex chain of the longer reduced path.  Equal one-step
+    paths give an identity cell; otherwise the shorter path must be one
+    step that the cell's expand move, as ``move_window`` checks it against
+    the complex, turns into the longer one.  Returns None when no single
+    oriented triangle connects the two paths; composite homotopies are not
+    elementary.
     """
     if source_path.source != target_path.source or source_path.target != target_path.target:
         return None
     rs = reduce_x1(source_path)
     rt = reduce_x1(target_path)
-
-    if rs == rt:
-        (x, y) = rs.steps[0]
-        if len(rs.steps) == 1:
-            if x == y:
-                return OrientedTriangle.identity_vertex(x)
-            if complex.has_edge(x, y):
-                return OrientedTriangle.identity_edge(x, y)
+    star = len(rs) > len(rt)
+    short, long = (rt, rs) if star else (rs, rt)
+    if len(short) != 1:
         return None
-
-    def as_alpha(one: EdgePath, two: EdgePath) -> Optional[tuple[str, str, str]]:
-        if len(one.steps) != 1 or len(two.steps) != 2:
-            return None
-        (a, b) = one.steps[0]
-        (a2, c), (c2, b2) = two.steps
-        if a == b or a2 != a or b2 != b or c != c2:
-            return None
-        if len({a, b, c}) != 3 or not complex.has_face(a, b, c):
-            return None
-        return (a, c, b)
-
-    hit = as_alpha(rs, rt)
-    if hit:
-        return OrientedTriangle.alpha(*hit)
-    hit = as_alpha(rt, rs)
-    if hit:
-        return OrientedTriangle.alpha_star(*hit)
-
-    def as_beta(one: EdgePath, two: EdgePath) -> Optional[tuple[str, str, str]]:
-        if not one.is_identity() or len(two.steps) != 3:
-            return None
-        c = one.source
-        (c1, a), (a2, b), (b2, c2) = two.steps
-        if c1 != c or c2 != c or a != a2 or b != b2:
-            return None
-        if len({c, a, b}) != 3 or not complex.has_face(c, a, b):
-            return None
-        return (c, a, b)
-
-    hit = as_beta(rs, rt)
-    if hit:
-        return OrientedTriangle.beta(*hit)
-    hit = as_beta(rt, rs)
-    if hit:
-        return OrientedTriangle.beta_star(*hit)
-    return None
+    cell = long.vertices
+    if short == long:
+        x, y = cell
+        return OrientedTriangle._of(cell) if x == y or complex.has_edge(x, y) else None
+    if len(cell) not in (3, 4):
+        return None
+    try:
+        move_window(short, HomotopyStep("alpha_expand" if len(cell) == 3 else "beta_expand", 0, cell), complex)
+    except SchemeError:
+        return None
+    return OrientedTriangle._of(cell, star)

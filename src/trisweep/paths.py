@@ -198,6 +198,8 @@ class HomotopyStep(Record):
         object.__setattr__(self, "cell", cell)
         if self.move not in MOVES:
             raise SchemeError(f"unknown move {self.move!r}")
+        if type(position) is not int:  # refuses a bool, and any other int subclass, too
+            raise SchemeError(f"position {position!r} is not an integer")
         if self.position < 0:
             raise SchemeError(f"negative position {self.position}")
         size = _CELL_SIZE.get(self.move)
@@ -221,6 +223,20 @@ def _steps_text(steps: Sequence[Step]) -> str:
     return ",".join(f"({x},{y})" for x, y in steps)
 
 
+def cell_sides(cell: tuple[str, ...]) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
+    """The short and the long side of a triangle cell or a loop cell.
+
+    They are ``(a,b)`` and ``(a,c),(c,b)`` for the triangle ``a.c.b``, and
+    the degenerate step ``(c,c)`` and the boundary ``(c,a),(a,b),(b,c)``
+    for the loop ``c.a.b.c``: the long side runs along the cell's vertices.
+    """
+    if len(cell) == 3:
+        a, c, b = cell
+        return ((a, b),), ((a, c), (c, b))
+    c, a, b, _c = cell
+    return ((c, c),), ((c, a), (a, b), (b, c))
+
+
 def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
     """The steps a move consumes at ``step.position`` and the steps replacing them.
 
@@ -236,12 +252,8 @@ def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step
     v = steps[i][0] if i < len(steps) else steps[-1][1]
     # a move and its inverse swap the same two windows: the short side and
     # the long side of a triangle, loop cell, backtracking pair or degenerate step
-    if move.startswith("alpha"):
-        a, c, b = cell
-        short, long = ((a, b),), ((a, c), (c, b))
-    elif move.startswith("beta"):
-        c, a, b, _c = cell
-        short, long = ((c, c),), ((c, a), (a, b), (b, c))
+    if move.startswith(("alpha", "beta")):
+        short, long = cell_sides(cell)
     elif move.startswith("x1"):
         x, y = cell or found[0]
         short, long = (), ((x, y), (y, x))

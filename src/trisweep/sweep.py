@@ -43,7 +43,8 @@ from .groups import (
     multiply,
     parse_element,
 )
-# apply_move_path is not called here; it stays importable from this module
+# apply_move_path is not called here; it stays importable from this module,
+# where the benchmark's tracer wraps it and its tests look it up
 from .paths import (
     EdgePath,
     HomotopyStep,
@@ -111,12 +112,7 @@ class Connection2(Record):
         target) of one of the complex's own triangles.
         """
         e = identity(group)
-        markings = (
-            cell
-            for a, b, c in complex.sorted_triangles
-            for cell in ((b, a, c), (c, a, b), (a, b, c), (c, b, a), (a, c, b), (b, c, a))
-        )
-        return cls(Connection1.constant(group, complex, e), dict.fromkeys(markings, e))
+        return cls(Connection1.constant(group, complex, e), dict.fromkeys(complex.markings(), e))
 
     @property
     def group(self) -> GroupDescriptor:

@@ -348,6 +348,12 @@ def test_scheme_rejects_a_boolean_position(scheme1):
         ts.load_scheme(json.dumps(obj))
 
 
+@pytest.mark.parametrize("position", [True, False, 0.5, "1", None])
+def test_a_step_built_in_code_refuses_a_position_that_is_not_an_integer(position):
+    with pytest.raises(SchemeError, match=f"position {position!r} is not an integer"):
+        ts.HomotopyStep("deg_insert", position)
+
+
 def test_scheme_rejects_unknown_keys():
     with pytest.raises(SchemeError, match="unknown scheme keys"):
         ts.load_scheme('{"start": [["a","b"]], "steps": [], "zap": 1}')

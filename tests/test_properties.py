@@ -1,5 +1,5 @@
-"""Property tests: group axioms, element text round trips, record equality
-and moves undone by their inverses."""
+"""Property tests: group axioms, element text round trips, record equality,
+moves undone by their inverses and the oriented cells of random complexes."""
 
 from __future__ import annotations
 
@@ -120,3 +120,40 @@ def test_an_expansion_or_insertion_then_its_inverse_is_the_identity_on_sections(
         if step.move.endswith(("expand", "insert")):
             moved = ts.apply_move_section(section, step, conn)
             assert ts.apply_move_section(moved, inverse_step(section.path, step), conn) == section
+
+
+VERTICES = "pqrstu"
+# faces on up to six vertices, plus edges that may lie in no face
+COMPLEXES = st.builds(
+    lambda faces, edges: ts.SimplicialComplex.build(set(VERTICES), faces, edges),
+    st.lists(st.sets(st.sampled_from(VERTICES), min_size=3, max_size=3), max_size=8),
+    st.lists(st.sets(st.sampled_from(VERTICES), min_size=2, max_size=2), max_size=3),
+)
+
+
+@given(COMPLEXES)
+def test_every_enumerated_cell_is_classified_as_itself(K):
+    for cell in ts.oriented_triangles(K):
+        assert ts.classify_cell(cell.source_path, cell.target_path, K) == cell
+
+
+@given(COMPLEXES)
+def test_the_expand_move_on_a_cells_short_side_gives_its_long_side(K):
+    for cell in ts.oriented_triangles(K):
+        if cell.kind.startswith("identity"):
+            continue
+        star = cell.kind.endswith("_star")
+        short, long = (cell.target_path, cell.source_path) if star else (cell.source_path, cell.target_path)
+        if cell.kind.startswith("alpha"):
+            step = ts.HomotopyStep("alpha_expand", 0, (cell.source, cell.apex, cell.target))
+        else:
+            assert short.is_identity() and len(long) == 3
+            step = ts.HomotopyStep("beta_expand", 0, long.vertices)
+        assert ts.apply_move_path(short, step, K) == long
+
+
+@given(COMPLEXES)
+def test_the_flat_connection_has_a_value_on_exactly_the_alpha_cells(K):
+    flat = ts.Connection2.flat(ts.cyclic_group(2), K)
+    alpha = [(c.source, c.apex, c.target) for c in ts.oriented_triangles(K, "alpha")]
+    assert [key for key, _ in flat.alpha_values] == sorted(alpha)
