@@ -7,7 +7,8 @@ orientations at a marked basepoint, and the identity cells at an oriented
 edge or a vertex.  They are built from the cell sides that
 ``paths.move_window`` checks (``paths.cell_sides``), and ``classify_cell``
 recognises a triangle or loop cell by checking its expand move through
-``move_window``.
+``move_window``.  ``SimplicialComplex.supports`` is the one rule for which
+cells a complex carries.
 """
 
 from __future__ import annotations
@@ -68,6 +69,16 @@ class SimplicialComplex(Record):
     def has_face(self, a: str, b: str, c: str) -> bool:
         return frozenset((a, b, c)) in self.triangles
 
+    def supports(self, cell: tuple[str, ...]) -> bool:
+        """Whether the complex supports a move's cell: the one rule for it.
+
+        A pair ``(x, y)`` needs the edge; a triangle ``a.c.b`` or a loop
+        ``c.a.b.c`` needs ``(a, c, b)`` to be a marking of one of the faces.
+        """
+        if len(cell) == 2:
+            return self.has_edge(*cell)
+        return cell[:3] in self._marking_set
+
     def neighbors(self, v: str) -> tuple[str, ...]:
         return self._neighbor_map.get(v, ())
 
@@ -78,6 +89,10 @@ class SimplicialComplex(Record):
         if a == b:
             return self.faces_containing(a)
         return self._edge_faces.get(frozenset((a, b)), ())
+
+    @cached_property
+    def _marking_set(self) -> frozenset[tuple[str, str, str]]:
+        return frozenset(self._markings)
 
     @cached_property
     def _neighbor_map(self) -> dict[str, tuple[str, ...]]:
@@ -114,8 +129,14 @@ class SimplicialComplex(Record):
 
     def markings(self) -> Iterator[tuple[str, str, str]]:
         """The six markings (source, apex, target) of each face, faces in sorted order."""
-        for a, b, c in self.sorted_triangles:
-            yield from ((b, a, c), (c, a, b), (a, b, c), (c, b, a), (a, c, b), (b, c, a))
+        return iter(self._markings)
+
+    @cached_property
+    def _markings(self) -> tuple[tuple[str, str, str], ...]:
+        # kept, so that the support set and the connections built on this complex share these tuples
+        return tuple(
+            m for a, b, c in self.sorted_triangles for m in ((b, a, c), (c, a, b), (a, b, c), (c, b, a), (a, c, b), (b, c, a))
+        )
 
     def is_connected(self) -> bool:
         if not self.vertices:
@@ -188,7 +209,8 @@ def load_complex(text: str) -> SimplicialComplex:
         raise ComplexError('"triangles" must be a list')
     triangles = []
     for t in raw_triangles:
-        if not isinstance(t, list) or len(t) != 3 or len(set(t)) != 3:
+        # a list or an object among the vertices would make set(t) raise
+        if not isinstance(t, list) or len(t) != 3 or not (type(t[0]) is type(t[1]) is type(t[2]) is str) or len(set(t)) != 3:
             raise ComplexError(f"bad triangle {t!r}: need three distinct vertices")
         for v in t:
             if v not in vertices:
@@ -200,7 +222,7 @@ def load_complex(text: str) -> SimplicialComplex:
         raise ComplexError('"edges" must be a list')
     edges = []
     for e in raw_edges:
-        if not isinstance(e, list) or len(e) != 2 or len(set(e)) != 2:
+        if not isinstance(e, list) or len(e) != 2 or not (type(e[0]) is type(e[1]) is str) or len(set(e)) != 2:
             raise ComplexError(f"bad edge {e!r}: need two distinct vertices")
         for v in e:
             if v not in vertices:

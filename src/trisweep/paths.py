@@ -240,8 +240,10 @@ def cell_sides(cell: tuple[str, ...]) -> tuple[tuple[Step, ...], tuple[Step, ...
 def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
     """The steps a move consumes at ``step.position`` and the steps replacing them.
 
-    This is the one place that checks a move against the path and the
-    complex; a move that does not apply raises ``SchemeError``.  A
+    This is the one place that checks a move against the path, and it asks
+    ``complex.supports`` whether the complex carries the move's cell; a move
+    that does not apply raises ``SchemeError``.  Both windows run between
+    the same two vertices, so a move keeps the path's endpoints.  A
     cancellation of the whole path produces the identity step at its
     source.  ``path.steps`` may also be the list a sweep rewrites in place.
     """
@@ -267,14 +269,9 @@ def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step
         raise SchemeError("cannot drop the only step of an identity path")
     if len(consumed) == len(steps) and not produced:
         produced = ((v, v),)
-    if cell is not None:
-        if len(cell) == 2:
-            supported = complex.has_edge(*cell)
-        else:
-            supported = len(set(cell)) == 3 and complex.has_face(*cell[:3])
-        if not supported:
-            shape = "an edge" if len(cell) == 2 else "a triangle"
-            raise SchemeError(f"cell not supported: {cell_name(cell)} is not {shape} of the complex")
+    if cell is not None and not complex.supports(cell):
+        shape = "an edge" if len(cell) == 2 else "a triangle"
+        raise SchemeError(f"cell not supported: {cell_name(cell)} is not {shape} of the complex")
     return consumed, produced
 
 
@@ -298,19 +295,16 @@ def apply_move_path(path: EdgePath, step: HomotopyStep, complex) -> EdgePath:
 def validate_scheme(scheme: SweepScheme, complex) -> list[EdgePath]:
     """Replay a scheme and return every intermediate path, start included.
 
-    Raises ``SchemeError`` (with the step index) on an invalid move or if
-    an intermediate path drifts away from the shared endpoints.
+    Raises ``SchemeError`` (with the step index) on an invalid move.  Every
+    path keeps the start path's endpoints, since each move does.
     """
     current = scheme.start_path
     out = [current]
-    s0, t0 = current.source, current.target
     for idx, step in enumerate(scheme.steps):
         try:
             current = apply_move_path(current, step, complex)
         except SchemeError as exc:
             raise SchemeError(f"step {idx}: {exc}", step_index=idx) from exc
-        if current.source != s0 or current.target != t0:
-            raise SchemeError(f"step {idx}: endpoint drift to ({current.source},{current.target})", step_index=idx)
         out.append(current)
     return out
 
@@ -332,15 +326,16 @@ def _candidate_moves(path: EdgePath, complex) -> Iterator[HomotopyStep]:
             for face in complex.faces_containing_edge(x, y):
                 (apex,) = face - {x, y}
                 yield HomotopyStep("alpha_expand", i, (x, apex, y))
+    # the steps are composable, so each window below runs along the chain
     for i in range(n - 1):
-        (x, y), (x2, y2) = steps[i], steps[i + 1]
-        if (y2, x2) == (x, y) and x != y:
+        x, y, y2 = chain[i : i + 3]
+        if y2 == x and x != y:
             yield HomotopyStep("x1_cancel", i)
-        if x != y and y == x2 and x != y2 and complex.has_face(x, y, y2):
+        if complex.supports((x, y, y2)):
             yield HomotopyStep("alpha_merge", i, (x, y, y2))
     for i in range(n - 2):
-        (c, a), (a2, b), (b2, c2) = steps[i], steps[i + 1], steps[i + 2]
-        if a == a2 and b == b2 and c == c2 and len({c, a, b}) == 3 and complex.has_face(c, a, b):
+        c, a, b, c2 = chain[i : i + 4]
+        if c == c2 and complex.supports((c, a, b)):
             yield HomotopyStep("beta_merge", i, (c, a, b, c))
     for k in range(n + 1):
         yield HomotopyStep("deg_insert", k)
@@ -366,17 +361,17 @@ def search_homotopy(p: EdgePath, q: EdgePath, complex, depth_bound: int) -> Opti
         raise PathError("endpoints of the two paths must agree")
     if p == q:
         return SweepScheme(p, ())
-    parents: dict[EdgePath, tuple[EdgePath, HomotopyStep]] = {}
-    seen = {p}
+    # every path reached, with the path and move it was first reached by
+    parents: dict[EdgePath, Optional[tuple[EdgePath, HomotopyStep]]] = {p: None}
     frontier = [p]
 
     def rebuild(last: EdgePath) -> SweepScheme:
         moves: list[HomotopyStep] = []
-        cur = last
-        while cur != p:
-            prev, step = parents[cur]
+        link = parents[last]
+        while link is not None:
+            last, step = link
             moves.append(step)
-            cur = prev
+            link = parents[last]
         return SweepScheme(p, tuple(reversed(moves)))
 
     for depth in range(1, depth_bound + 1):
@@ -384,13 +379,12 @@ def search_homotopy(p: EdgePath, q: EdgePath, complex, depth_bound: int) -> Opti
         for cur in frontier:
             for step in _candidate_moves(cur, complex):
                 new = apply_move_path(cur, step, complex)
-                if new in seen:
+                if new in parents:
                     continue
-                seen.add(new)
                 parents[new] = (cur, step)
                 if new == q:
                     return rebuild(new)
-                if len(seen) > SEARCH_NODE_LIMIT:
+                if len(parents) > SEARCH_NODE_LIMIT:
                     raise SchemeError(f"homotopy search gave up past {SEARCH_NODE_LIMIT} paths, at depth {depth} of {depth_bound}")
                 nxt.append(new)
         frontier = nxt

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from functools import cached_property, reduce
+from itertools import chain
 from typing import Mapping, Optional
 
 from ._record import Record
@@ -90,18 +91,16 @@ class Connection2(Record):
         alpha: Mapping[tuple[str, str, str], GroupElement],
         beta: Mapping[tuple[str, str, str], GroupElement] | None = None,
     ) -> "Connection2":
-        K = base.complex
-        for (a, c, b), g in alpha.items():
-            if len({a, c, b}) != 3 or not K.has_face(a, c, b):
-                raise SweepError(f"cell {a}.{c}.{b} is not supported by a triangle of the complex")
+        K, beta = base.complex, beta or {}
+        # alpha keys are unpacked, so a key of another length fails and is never read as an edge cell;
+        # the cells are made one at a time, as a list of them all would be thousands of objects kept alive
+        alpha_cells = (((a, c, b), g) for (a, c, b), g in alpha.items())
+        beta_cells = (((c, a, b, c), g) for (c, a, b), g in beta.items())
+        for cell, g in chain(alpha_cells, beta_cells):
+            if not K.supports(cell):
+                raise SweepError(f"cell {cell_name(cell)} is not supported by a triangle of the complex")
             if g.group != base.group:
-                raise SweepError(f"backend mismatch at cell {a}.{c}.{b}")
-        beta = beta or {}
-        for (c, a, b), g in beta.items():
-            if len({c, a, b}) != 3 or not K.has_face(c, a, b):
-                raise SweepError(f"cell {c}.{a}.{b}.{c} is not supported by a triangle of the complex")
-            if g.group != base.group:
-                raise SweepError(f"backend mismatch at cell {c}.{a}.{b}.{c}")
+                raise SweepError(f"backend mismatch at cell {cell_name(cell)}")
         return cls(base, alpha, beta)
 
     @classmethod

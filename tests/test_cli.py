@@ -477,3 +477,21 @@ def test_modules_imported_on_use_still_work():
     matrix = ts.represent(rho, ts.element(ts.cyclic_group(2), 1))
     assert matrix == ((0, 2), (Fraction(1, 2), 0))
     assert all(type(v) is Fraction for row in matrix for v in row)
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        ('{"vertices": ["a", "b", "c"], "triangles": [[["a"], "b", "c"]]}', "error: bad triangle [['a'], 'b', 'c']"),
+        ('{"vertices": ["a", "b", "c"], "edges": [[{"a": 1}, "b"]]}', "error: bad edge [{'a': 1}, 'b']"),
+    ],
+    ids=["triangle", "edge"],
+)
+def test_a_non_string_vertex_in_a_triangle_or_edge_is_an_error(tmp_path: Path, text, refusal):
+    complex_file = tmp_path / "complex.json"
+    complex_file.write_text(text)
+    proc = run_cli("validate", "--complex", str(complex_file))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(refusal) and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr

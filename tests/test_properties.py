@@ -1,8 +1,10 @@
 """Property tests: group axioms, element text round trips, record equality,
-moves undone by their inverses and the oriented cells of random complexes."""
+moves undone by their inverses, the oriented cells of random complexes and
+the cell-support rule."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -106,6 +108,7 @@ def test_a_move_then_its_inverse_is_the_identity_on_paths(seed):
         if step.move == "x1_cancel" and len(path) == 2:
             continue  # a cancellation down to the identity path leaves a degenerate step behind
         moved = ts.apply_move_path(path, step, TORUS)
+        assert (moved.source, moved.target) == (path.source, path.target)
         assert ts.apply_move_path(moved, inverse_step(path, step), TORUS) == path
 
 
@@ -157,3 +160,61 @@ def test_the_flat_connection_has_a_value_on_exactly_the_alpha_cells(K):
     flat = ts.Connection2.flat(ts.cyclic_group(2), K)
     alpha = [(c.source, c.apex, c.target) for c in ts.oriented_triangles(K, "alpha")]
     assert [key for key, _ in flat.alpha_values] == sorted(alpha)
+
+
+def old_support_rule(K: ts.SimplicialComplex, cell: tuple[str, ...]) -> bool:
+    """The cell check as it was written out at each caller before ``supports``."""
+    if len(cell) == 2:
+        return K.has_edge(*cell)
+    return len(set(cell[:3])) == 3 and K.has_face(*cell[:3])
+
+
+@given(COMPLEXES)
+def test_supports_is_the_old_rule_on_every_pair_triple_and_loop(K):
+    cells = [*itertools.product(VERTICES, repeat=2), *itertools.product(VERTICES, repeat=3)]
+    cells += [(c, a, b, c) for c, a, b in itertools.product(VERTICES, repeat=3)]
+    for cell in cells:
+        assert K.supports(cell) == old_support_rule(K, cell), cell
+
+
+def oracle_candidate_moves(path: ts.EdgePath, K: ts.SimplicialComplex):
+    """The candidate moves of a path, with the conditions written out before ``supports``."""
+    steps, chain, n = path.steps, path.vertices, len(path.steps)
+    for i in range(n):
+        x, y = steps[i]
+        if x == y:
+            if n >= 2:
+                yield ts.HomotopyStep("deg_drop", i)
+            for face in K.faces_containing(x):
+                others = sorted(face - {x})
+                for a, b in ((others[0], others[1]), (others[1], others[0])):
+                    yield ts.HomotopyStep("beta_expand", i, (x, a, b, x))
+        else:
+            for face in K.faces_containing_edge(x, y):
+                (apex,) = face - {x, y}
+                yield ts.HomotopyStep("alpha_expand", i, (x, apex, y))
+    for i in range(n - 1):
+        (x, y), (x2, y2) = steps[i], steps[i + 1]
+        if (y2, x2) == (x, y) and x != y:
+            yield ts.HomotopyStep("x1_cancel", i)
+        if x != y and y == x2 and x != y2 and K.has_face(x, y, y2):
+            yield ts.HomotopyStep("alpha_merge", i, (x, y, y2))
+    for i in range(n - 2):
+        (c, a), (a2, b), (b2, c2) = steps[i], steps[i + 1], steps[i + 2]
+        if a == a2 and b == b2 and c == c2 and len({c, a, b}) == 3 and K.has_face(c, a, b):
+            yield ts.HomotopyStep("beta_merge", i, (c, a, b, c))
+    for k in range(n + 1):
+        yield ts.HomotopyStep("deg_insert", k)
+        for w in K.neighbors(chain[k]):
+            yield ts.HomotopyStep("x1_insert", k, (chain[k], w))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_candidate_moves_match_the_written_out_conditions_in_order(n):
+    K = torus_complex(n)
+    rng = random.Random(n)
+    for _ in range(100):
+        path = random_walk(K, rng, rng.randrange(1, 7), stay_prob=0.2)
+        if rng.random() < 0.5:  # walk part of the way back, so cancellations apply
+            path = path * ts.EdgePath(path.steps[-rng.randrange(1, len(path) + 1) :]).inverse()
+        assert list(_candidate_moves(path, K)) == list(oracle_candidate_moves(path, K))

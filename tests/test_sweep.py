@@ -218,6 +218,35 @@ def test_connections_built_from_one_map_in_two_insertion_orders_are_equal():
     assert ts.Connection2.build(f, changed, dict(loops)) != one
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, message",
+    [
+        ({("a", "e", "b"): "e"}, {}, "cell a.e.b is not supported by a triangle of the complex"),
+        ({("a", "a", "b"): "e"}, {}, "cell a.a.b is not supported by a triangle of the complex"),
+        ({}, {("c", "a", "c"): "e"}, "cell c.a.c.c is not supported by a triangle of the complex"),
+        ({}, {("e", "a", "b"): "e"}, "cell e.a.b.e is not supported by a triangle of the complex"),
+        ({("a", "c", "b"): "z5"}, {}, "backend mismatch at cell a.c.b"),
+        ({}, {("c", "a", "b"): "z5"}, "backend mismatch at cell c.a.b.c"),
+        ({("a", "c", "b"): "z5"}, {("e", "a", "b"): "e"}, "backend mismatch at cell a.c.b"),
+    ],
+    ids=["alpha-no-face", "alpha-repeated", "beta-repeated", "beta-no-face", "alpha-group", "beta-group", "alpha-first"],
+)
+def test_connection2_build_refuses_an_unsupported_cell_or_a_foreign_value(tetra, alpha, beta, message):
+    values = {"e": ts.identity(S3), "z5": ts.identity(ts.cyclic_group(5))}
+    base = ts.Connection1.constant(S3, tetra, ts.identity(S3))
+    with pytest.raises(SweepError) as info:
+        ts.Connection2.build(base, {k: values[v] for k, v in alpha.items()}, {k: values[v] for k, v in beta.items()})
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key", [("a", "b"), ("c", "a", "b", "c")])
+def test_connection2_build_refuses_an_alpha_key_that_is_not_a_triple(tetra, key):
+    # ("a", "b") is an edge of the complex, yet never an alpha cell
+    base = ts.Connection1.constant(S3, tetra, ts.identity(S3))
+    with pytest.raises(ValueError):
+        ts.Connection2.build(base, {key: ts.identity(S3)})
+
+
 def test_missing_cell_value_raises(tetra):
     base = ts.Connection1.constant(S3, tetra, ts.identity(S3))
     conn = ts.Connection2.build(base, {})
