@@ -47,7 +47,9 @@ from .groups import (
     GroupElement,
     Representation,
     center,
+    center_obstruction_check,
     conjugate,
+    conjugators,
     cyclic_character,
     cyclic_group,
     descriptor_from_json,
@@ -93,7 +95,6 @@ from .sweep import (
     apply_move_section,
     beta_expand,
     beta_merge,
-    center_obstruction_check,
     compare_schemes,
     curvature_square,
     interior_vertices,

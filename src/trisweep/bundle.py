@@ -20,6 +20,7 @@ from .groups import (
     GroupElement,
     Matrix,
     Representation,
+    conjugators,
     enumerate_elements,
     identity,
     inverse,
@@ -154,11 +155,12 @@ def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]
     transports of f and g along the spanning-tree path from the root to v,
     it is n_v = F_v^-1 * c * G_v.  That gauge carries f to g iff on every
     edge (a, b) the loop values x = F_a f_ab F_b^-1 and y = G_a g_ab G_b^-1
-    satisfy x * c == c * y, so the transports and loop values are computed
-    once and each candidate c costs at most two multiplications per loop
-    edge.  Candidates are tried in enumeration order; the gauge is built
-    for the first one accepted.  Needs a finite backend and a connected
-    complex.
+    satisfy c^-1 * x * c == y.  So the transports, their inverses and the
+    loop values are computed once per vertex and edge, and c is the first
+    element, in enumeration order, that ``groups.conjugators`` yields for
+    the loop pairs (x, y): at most two payload products per loop edge and
+    candidate.  The gauge is built for that c alone.  Needs a finite
+    backend and a connected complex.
     """
     if f.group != g.group or f.complex != g.complex:
         raise BundleError("connections must share a backend and a complex")
@@ -172,26 +174,26 @@ def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]
     candidates = enumerate_elements(f.group)
     root = K.sorted_vertices[0]
     e = identity(f.group)
-    F = {root: e}
-    G = {root: e}
+    F, G = {root: e}, {root: e}
     queue = [root]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:  # the loop reaches the vertices appended to it, breadth first
         for w in K.neighbors(v):
             if w not in F:
                 F[w] = multiply(F[v], f.value(v, w))
                 G[w] = multiply(G[v], g.value(v, w))
                 queue.append(w)
+    F_inv = {v: inverse(x) for v, x in F.items()}
+    G_inv = {v: inverse(y) for v, y in G.items()}
     loops = []
     for a, b in K.sorted_edges:
-        x = multiply(multiply(F[a], f.value(a, b)), inverse(F[b]))
-        y = multiply(multiply(G[a], g.value(a, b)), inverse(G[b]))
+        x = multiply(multiply(F[a], f.value(a, b)), F_inv[b])
+        y = multiply(multiply(G[a], g.value(a, b)), G_inv[b])
         if x != e or y != e:  # x = y = e holds for every c, as on every tree edge
             loops.append((x, y))
-    for c in candidates:
-        if all(multiply(x, c) == multiply(c, y) for x, y in loops):
-            return GaugeTransform.build(f.group, {v: multiply(multiply(inverse(F[v]), c), G[v]) for v in F})
-    return None
+    c = next(conjugators(loops, candidates), None)
+    if c is None:
+        return None
+    return GaugeTransform.build(f.group, {v: multiply(multiply(F_inv[v], c), G[v]) for v in F})
 
 
 def wilson_loop(connection: Connection1, loop: EdgePath, rho: Representation):

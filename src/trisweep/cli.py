@@ -20,6 +20,7 @@ from pathlib import Path
 from .complexes import load_complex, validate_complex
 from .errors import TrisweepError, input_limit_text
 from .groups import (
+    center_obstruction_check,
     descriptor_from_json,
     format_element,
     free_group,
@@ -30,7 +31,6 @@ from .paths import EdgePath, load_scheme
 from .sweep import (
     Connection2,
     Section,
-    center_obstruction_check,
     compare_schemes,
     curvature_square,
     decode_connection,

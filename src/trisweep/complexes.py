@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from ._record import Record
-from .errors import ComplexError, SchemeError, input_limit_text
+from .errors import ComplexError, SchemeError, input_limit_text, quote
 from .paths import EdgePath, HomotopyStep, cell_name, cell_sides, move_window, reduce_x1
 
 VertexId = str
@@ -56,7 +56,11 @@ class SimplicialComplex(Record):
         pure_dim2: bool = False,
     ) -> "SimplicialComplex":
         vs = frozenset(vertices)
-        tris = frozenset(frozenset(t) for t in triangles)
+        listed = [tuple(t) for t in triangles]
+        for t in listed:
+            if len(set(t)) != 3:
+                raise ComplexError(f"bad triangle {quote(t)}: need three distinct vertices")
+        tris = frozenset(map(frozenset, listed))
         declared = frozenset(frozenset(e) for e in edges)
         derived = frozenset(frozenset(pair) for t in tris for pair in _edge_subsets(t))
         return cls(vs, tris, declared | derived, pure_dim2)
@@ -211,10 +215,10 @@ def load_complex(text: str) -> SimplicialComplex:
     for t in raw_triangles:
         # a list or an object among the vertices would make set(t) raise
         if not isinstance(t, list) or len(t) != 3 or not (type(t[0]) is type(t[1]) is type(t[2]) is str) or len(set(t)) != 3:
-            raise ComplexError(f"bad triangle {t!r}: need three distinct vertices")
+            raise ComplexError(f"bad triangle {quote(t)}: need three distinct vertices")
         for v in t:
             if v not in vertices:
-                raise ComplexError(f"closure violation: triangle {t!r} references undeclared vertex {v!r}")
+                raise ComplexError(f"closure violation: triangle {quote(t)} references undeclared vertex {quote(v)}")
         triangles.append(t)
 
     raw_edges = obj.get("edges", [])
@@ -223,10 +227,10 @@ def load_complex(text: str) -> SimplicialComplex:
     edges = []
     for e in raw_edges:
         if not isinstance(e, list) or len(e) != 2 or not (type(e[0]) is type(e[1]) is str) or len(set(e)) != 2:
-            raise ComplexError(f"bad edge {e!r}: need two distinct vertices")
+            raise ComplexError(f"bad edge {quote(e)}: need two distinct vertices")
         for v in e:
             if v not in vertices:
-                raise ComplexError(f"closure violation: edge {e!r} references undeclared vertex {v!r}")
+                raise ComplexError(f"closure violation: edge {quote(e)} references undeclared vertex {quote(v)}")
         edges.append(e)
 
     pure = obj.get("pure_dim2", False)

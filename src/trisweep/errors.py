@@ -53,6 +53,12 @@ class SweepError(TrisweepError):
         self.step_index = step_index
 
 
+def quote(value: object) -> str:
+    """``repr(value)`` cut to 60 characters, so that an error line stays readable."""
+    shown = repr(value)
+    return shown if len(shown) <= 60 else shown[:60] + "…"
+
+
 def input_limit_text(exc: Exception) -> str:
     """Say which interpreter limit refused an input, as a CLI user can act on it.
 

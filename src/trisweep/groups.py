@@ -29,10 +29,10 @@ import math
 import re
 from collections import namedtuple
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._record import Record
-from .errors import GroupError, input_limit_text
+from .errors import GroupError, input_limit_text, quote as _quote
 
 Matrix = tuple[tuple[Any, ...], ...]
 
@@ -163,10 +163,15 @@ def _reduce_free(syllables: Iterable[tuple[str, int]]) -> tuple[tuple[str, int],
     return tuple(stack)
 
 
-def _quote(text: Any) -> str:
-    """``repr(text)`` cut to 60 characters, so that an error line stays readable."""
-    shown = repr(text)
-    return shown if len(shown) <= 60 else shown[:60] + "…"
+def _free_multiply(g: GroupDescriptor, a: tuple, b: tuple) -> tuple[tuple[str, int], ...]:
+    # a and b are reduced, so letters cancel only where they meet
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1][0] == b[j][0]:
+        k = a[i - 1][1] + b[j][1]
+        if k:
+            return a[: i - 1] + ((b[j][0], k),) + b[j + 1 :]
+        i, j = i - 1, j + 1
+    return a[:i] + b[j:]
 
 
 _SYLLABLE_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(-?\d+))?\s*")
@@ -272,7 +277,7 @@ _BACKENDS["free"] = _Backend(
     to_json=lambda g: list(g.generators),
     normalise=_free_normalise,
     identity=lambda g: (),
-    multiply=lambda g, a, b: _reduce_free(a + b),
+    multiply=_free_multiply,
     inverse=lambda g, a: tuple((gen, -k) for gen, k in reversed(a)),
     parse=lambda g, text: _free_normalise(g, _parse_word(text)),
     format=_free_format,
@@ -382,7 +387,7 @@ _BACKENDS["symmetric"] = _Backend(
     to_json=lambda g: g.degree,
     normalise=_symmetric_normalise,
     identity=lambda g: tuple(range(1, g.degree + 1)),
-    multiply=lambda g, a, b: tuple(a[b[i] - 1] for i in range(g.degree)),
+    multiply=lambda g, a, b: tuple([a[j - 1] for j in b]),
     inverse=_symmetric_inverse,
     parse=_symmetric_parse,
     format=_symmetric_format,
@@ -493,7 +498,7 @@ _BACKENDS["product"] = _Backend(
     to_json=lambda g: [descriptor_to_json(f) for f in g.factors],
     normalise=_product_normalise,
     identity=lambda g: tuple(identity(f) for f in g.factors),
-    multiply=lambda g, a, b: tuple(multiply(x, y) for x, y in zip(a, b)),
+    multiply=lambda g, a, b: tuple([multiply(x, y) for x, y in zip(a, b)]),
     inverse=lambda g, a: tuple(inverse(x) for x in a),
     parse=_product_parse,
     format=lambda g, a: json.dumps([format_element(x) for x in a]),
@@ -545,7 +550,7 @@ def identity(group: GroupDescriptor) -> GroupElement:
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     g = a.group
-    if g != b.group:
+    if g is not b.group and g != b.group:
         raise GroupError("backend mismatch: elements live in different groups")
     return GroupElement(g, _BACKENDS[g.kind].multiply(g, a.payload, b.payload))
 
@@ -612,6 +617,37 @@ def enumerate_elements(group: GroupDescriptor) -> list[GroupElement]:
 def generating_set(group: GroupDescriptor) -> list[GroupElement]:
     """A set of elements that generates the group: empty for a trivial one."""
     return [GroupElement(group, p) for p in _BACKENDS[group.kind].generators(group)]
+
+
+def conjugators(pairs: Sequence[tuple[GroupElement, GroupElement]], candidates: Iterable[GroupElement]) -> Iterator[GroupElement]:
+    """Each candidate c, in candidate order, with c^-1 * x * c == y for every pair (x, y).
+
+    The test is x * c == c * y on the payloads, which are in normal form,
+    through the backend's multiply rule looked up once per candidate: the
+    products build no element and compare no descriptors.
+    """
+    groups = {x.group for pair in pairs for x in pair}
+    payloads = [(x.payload, y.payload) for x, y in pairs]
+    for c in candidates:
+        g, p, mul = c.group, c.payload, _BACKENDS[c.group.kind].multiply
+        if groups and groups != {g}:
+            raise GroupError("backend mismatch: elements live in different groups")
+        if all(mul(g, x, p) == mul(g, p, y) for x, y in payloads):
+            yield c
+
+
+def center_obstruction_check(group: GroupDescriptor) -> list[GroupElement]:
+    """Admissible cell values under a trivial connective structure.
+
+    These are the elements whose commutator with every element is the
+    identity: the center of the group, in enumeration order.  An element
+    commutes with everything once it commutes with each generator, so this
+    is ``conjugators`` of the pairs (u, u) over ``generating_set(group)``:
+    O(|G|·k) payload products for k generators.  ``center`` keeps the
+    exhaustive pairwise check through ``multiply``.
+    """
+    elems = enumerate_elements(group)  # first: it refuses infinite and huge groups
+    return list(conjugators([(u, u) for u in generating_set(group)], elems))
 
 
 def center(group: GroupDescriptor) -> list[GroupElement]:

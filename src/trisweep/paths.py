@@ -20,7 +20,7 @@ import json
 from typing import Iterator, Optional, Sequence
 
 from ._record import Record
-from .errors import PathError, SchemeError, input_limit_text
+from .errors import PathError, SchemeError, input_limit_text, quote
 
 Step = tuple[str, str]
 
@@ -402,7 +402,7 @@ def _cell_from_text(text: str) -> tuple[str, ...]:
         # dotless shorthand: each character is a single-letter vertex name
         parts = tuple(text)
     if any(not tok for tok in parts):
-        raise SchemeError(f"bad cell name {text!r}")
+        raise SchemeError(f"bad cell name {quote(text)}")
     return parts
 
 

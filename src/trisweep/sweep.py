@@ -29,15 +29,17 @@ from typing import Mapping, Optional
 from ._record import Record
 from .bundle import Connection1, GaugeTransform
 from .complexes import SimplicialComplex
-from .errors import BundleError, GroupError, SchemeError, SweepError, input_limit_text
+from .errors import BundleError, GroupError, SchemeError, SweepError, input_limit_text, quote
+# center_obstruction_check lives in groups; it stays importable from this
+# module, where it was defined before and where the benchmark's tracer wraps it
 from .groups import (
     GroupDescriptor,
     GroupElement,
+    center_obstruction_check,
     descriptor_from_json,
     descriptor_to_json,
     enumerate_elements,
     format_element,
-    generating_set,
     identity,
     inverse,
     is_finite,
@@ -420,32 +422,17 @@ def sections_gauge_equivalent(
         candidates = [e]
 
     for first in candidates:
-        assign: dict[str, GroupElement] = {}
-
-        def lookup(v: str) -> GroupElement:
-            return assign.get(v, e)
-
-        ok = True
-        if chain[0] in movable:
-            assign[chain[0]] = first
+        assign: dict[str, GroupElement] = {chain[0]: first} if chain[0] in movable else {}
         for (p, q), sl, tl in zip(s.path.steps, s.letters, t.letters):
-            needed = multiply(multiply(inverse(sl), lookup(p)), tl)
-            if q in movable:
-                if q in assign:
-                    if assign[q] != needed:
-                        ok = False
-                        break
-                else:
-                    assign[q] = needed
-            else:
-                if needed != e:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        gauge = GaugeTransform.build(group, assign)
-        if twist_section(s, gauge) == t:
-            return gauge
+            needed = multiply(multiply(inverse(sl), assign.get(p, e)), tl)
+            if q in movable and q not in assign:
+                assign[q] = needed
+            elif needed != assign.get(q, e):  # an assigned vertex must agree; a pinned one stays e
+                break
+        else:
+            gauge = GaugeTransform.build(group, assign)
+            if twist_section(s, gauge) == t:
+                return gauge
     return None
 
 
@@ -520,21 +507,6 @@ def curvature_square(
     return two_holonomy(start, trace.final)
 
 
-def center_obstruction_check(group: GroupDescriptor) -> list[GroupElement]:
-    """Admissible cell values under a trivial connective structure.
-
-    These are the elements whose commutator with every element is the
-    identity: the center of the group, in enumeration order.  An element
-    commutes with everything once it commutes with each generator, so each
-    candidate is tested against ``generating_set(group)`` only, in
-    O(|G|·k) multiplications for k generators; ``groups.center`` keeps the
-    exhaustive pairwise check.
-    """
-    elems = enumerate_elements(group)  # first: it refuses infinite and huge groups
-    gens = generating_set(group)
-    return [phi for phi in elems if all(multiply(phi, u) == multiply(u, phi) for u in gens)]
-
-
 # -- connection file format ---------------------------------------------------
 
 _CONNECTION_KEYS = {"group", "edges", "cells", "cell_relations"}
@@ -542,10 +514,10 @@ _CONNECTION_KEYS = {"group", "edges", "cells", "cell_relations"}
 
 def _parse_edge_key(key: str) -> tuple[str, str]:
     if key.count(">") != 1:
-        raise BundleError(f'bad edge key {key!r}: expected "a>b"')
+        raise BundleError(f'bad edge key {quote(key)}: expected "a>b"')
     a, b = key.split(">")
     if not a or not b:
-        raise BundleError(f"bad edge key {key!r}")
+        raise BundleError(f"bad edge key {quote(key)}")
     return a, b
 
 
@@ -555,7 +527,7 @@ def _parse_cell_key(key: str) -> tuple[str, ...]:
         return parts
     if len(parts) == 4 and parts[0] == parts[-1] and len(set(parts)) == 3:
         return parts
-    raise BundleError(f'bad cell key {key!r}: expected "a.c.b" or "c.a.b.c"')
+    raise BundleError(f'bad cell key {quote(key)}: expected "a.c.b" or "c.a.b.c"')
 
 
 def decode_connection(text: str):
@@ -622,10 +594,10 @@ def load_connection(
         raise BundleError('"cell_relations" must be a list')
     for rel in relations:
         if not (isinstance(rel, list) and len(rel) == 3 and all(isinstance(x, str) for x in rel)):
-            raise BundleError(f"bad cell relation {rel!r}: expected [name, name, kind]")
+            raise BundleError(f"bad cell relation {quote(rel)}: expected [name, name, kind]")
         left, right, kind = rel
         if kind not in ("equal", "inverse"):
-            raise BundleError(f"unknown cell relation kind {kind!r}")
+            raise BundleError(f"unknown cell relation kind {quote(kind)}")
         lk, rk = _parse_cell_key(left), _parse_cell_key(right)
         if len(lk) != 3 or len(rk) != 3:
             raise BundleError("cell relations apply to triangle cells only")
@@ -633,13 +605,13 @@ def load_connection(
         if have_l and have_r:
             want = alpha[lk] if kind == "equal" else inverse(alpha[lk])
             if alpha[rk] != want:
-                raise BundleError(f"cell relation {rel!r} violated by supplied values")
+                raise BundleError(f"cell relation {quote(rel)} violated by supplied values")
         elif have_l:
             alpha[rk] = alpha[lk] if kind == "equal" else inverse(alpha[lk])
         elif have_r:
             alpha[lk] = alpha[rk] if kind == "equal" else inverse(alpha[rk])
         else:
-            raise BundleError(f"cell relation {rel!r} references values that are not present")
+            raise BundleError(f"cell relation {quote(rel)} references values that are not present")
 
     for (c, a, b), g in beta.items():
         derived = alpha.get((a, b, c))

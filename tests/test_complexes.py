@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 
 import pytest
@@ -25,6 +26,34 @@ def test_load_single_vertex():
 def test_load_derives_triangle_faces():
     K = ts.load_complex('{"vertices": ["a","b","c"], "triangles": [["a","b","c"]]}')
     assert K.edges == frozenset({frozenset("ab"), frozenset("ac"), frozenset("bc")})
+
+
+@pytest.mark.parametrize("triangle", [("a", "a", "b"), ("a", "b", "b"), ("a", "b"), ("a", "b", "c", "d")])
+def test_build_refuses_a_triangle_without_three_distinct_vertices(triangle):
+    with pytest.raises(ComplexError) as info:
+        ts.SimplicialComplex.build({"a", "b", "c", "d"}, [triangle])
+    assert str(info.value) == f"bad triangle {triangle!r}: need three distinct vertices"
+
+
+@pytest.mark.parametrize(
+    "key, entry, refusal",
+    [
+        ("triangles", ["a", "a", "b"], "bad triangle ['a', 'a', 'b']: need three distinct vertices"),
+        ("edges", ["a", "a"], "bad edge ['a', 'a']: need two distinct vertices"),
+        ("triangles", ["a", "b", "z"], "closure violation: triangle ['a', 'b', 'z'] references undeclared vertex 'z'"),
+        ("edges", ["a", "z"], "closure violation: edge ['a', 'z'] references undeclared vertex 'z'"),
+    ],
+)
+def test_load_complex_quotes_a_bounded_prefix_of_a_bad_entry(key, entry, refusal):
+    doc = {"vertices": ["a", "b", "c"], key: [entry]}
+    with pytest.raises(ComplexError) as info:
+        ts.load_complex(json.dumps(doc))
+    assert str(info.value) == refusal  # a short entry is quoted whole
+    long_entry = [f"v{i}" for i in range(3004)] if entry[-1] != "z" else entry[:-1] + ["z" * 15000]
+    doc = {"vertices": ["a", "b", "c"], key: [long_entry]}
+    with pytest.raises(ComplexError) as info:
+        ts.load_complex(json.dumps(doc))
+    assert str(info.value).startswith(refusal.split("[")[0]) and len(str(info.value)) <= 200
 
 
 def test_load_parse_error_has_line_and_column():

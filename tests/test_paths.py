@@ -336,6 +336,18 @@ def test_scheme_dotless_cell_shorthand():
     assert loaded.steps[0].cell == ("a", "c", "b")
 
 
+def test_scheme_cell_name_errors_quote_a_bounded_prefix():
+    def refusal(cell: str) -> str:
+        step = {"move": "alpha_merge", "cell": cell, "position": 0}
+        with pytest.raises(SchemeError) as info:
+            ts.load_scheme(json.dumps({"start": [["a", "c"], ["c", "b"]], "steps": [step]}))
+        return str(info.value)
+
+    assert refusal("a..b") == "bad cell name 'a..b'"  # a short name is quoted whole
+    got = refusal("a." + ".".join(f"v{i}" for i in range(3004)) + ".")
+    assert got.startswith("bad cell name 'a.v0.v1") and len(got) <= 200
+
+
 def test_scheme_rejects_unknown_move():
     with pytest.raises(SchemeError, match="unknown move"):
         ts.load_scheme('{"start": [["a","b"]], "steps": [{"move":"zig","position":0}]}')

@@ -1,6 +1,6 @@
-"""Property tests: group axioms, element text round trips, record equality,
-moves undone by their inverses, the oriented cells of random complexes and
-the cell-support rule."""
+"""Property tests: group axioms, the free-group product, the conjugator
+search, element text round trips, record equality, moves undone by their
+inverses, the oriented cells of random complexes and the cell-support rule."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import trisweep as ts  # noqa: E402
 from conftest import random_connection2, random_section, random_walk, torus_complex  # noqa: E402
+from trisweep.groups import _reduce_free  # noqa: E402
 from trisweep.paths import _candidate_moves  # noqa: E402
 
 FREE = ts.free_group(["x", "y"])
@@ -49,6 +50,41 @@ def test_group_axioms(kind, data):
     assert ts.multiply(ts.multiply(a, b), c) == ts.multiply(a, ts.multiply(b, c))
     assert ts.multiply(e, a) == a == ts.multiply(a, e)
     assert ts.multiply(a, ts.inverse(a)) == e == ts.multiply(ts.inverse(a), a)
+
+
+@given(data=st.data())
+def test_free_multiply_equals_the_reduction_of_the_joined_words(data):
+    a, c = data.draw(elements(FREE)), data.draw(elements(FREE))
+    # b opens with the inverse of a's last k syllables, so that long cancellations come up
+    k = data.draw(st.integers(0, len(a.payload)))
+    b = ts.element(FREE, ts.inverse(a).payload[:k] + c.payload)
+    assert ts.multiply(a, b).payload == _reduce_free(a.payload + b.payload)
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "symmetric", "dihedral", "product"])
+@given(data=st.data())
+def test_conjugators_is_the_brute_force_search(kind, data):
+    group = BACKENDS[kind]
+    candidates = data.draw(st.permutations(ts.enumerate_elements(group)))
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        x = data.draw(elements(group))
+        # a conjugate of x has a solution; any other element may have none
+        y = ts.conjugate(x, data.draw(elements(group))) if data.draw(st.booleans()) else data.draw(elements(group))
+        pairs.append((x, y))
+    want = [c for c in candidates if all(ts.conjugate(x, c) == y for x, y in pairs)]
+    assert list(ts.conjugators(pairs, candidates)) == want
+
+
+@pytest.mark.parametrize("kind", ["cyclic", "symmetric", "dihedral", "product"])
+def test_conjugators_of_no_pairs_or_of_unsolvable_pairs(kind):
+    group = BACKENDS[kind]
+    elems = ts.enumerate_elements(group)
+    e = ts.identity(group)
+    assert list(ts.conjugators([], elems)) == elems
+    assert list(ts.conjugators([(e, elems[1])], elems)) == []
+    with pytest.raises(ts.GroupError, match="backend mismatch"):
+        list(ts.conjugators([(e, e)], [ts.identity(FREE)]))
 
 
 @pytest.mark.parametrize("kind", sorted(BACKENDS))

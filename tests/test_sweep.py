@@ -16,7 +16,7 @@ from conftest import (
     random_section,
     torus_complex,
 )
-from trisweep.errors import GroupError, SchemeError, SweepError
+from trisweep.errors import BundleError, GroupError, SchemeError, SweepError
 
 Z12 = ts.cyclic_group(12)
 S3 = ts.symmetric_group(3)
@@ -189,6 +189,37 @@ def test_no_parsed_value_outlives_its_load(tetra):
     wider = ts.free_group(["x", "y"])
     assert ts.load_connection(text, tetra).value("a", "b").group == ts.free_group(["x"])
     assert ts.load_connection(text, tetra, group=wider).value("a", "b").group == wider
+
+
+LONG_NAMES = [f"v{i}" for i in range(3004)]
+
+
+@pytest.mark.parametrize(
+    "block, short, long, refusal",
+    [
+        ("edges", "a>b>c", ">".join(LONG_NAMES), "bad edge key 'a>b>c': expected \"a>b\""),
+        ("edges", "a>", "v" * 15000 + ">", "bad edge key 'a>'"),
+        ("cells", "a.b", ".".join(LONG_NAMES), "bad cell key 'a.b': expected \"a.c.b\" or \"c.a.b.c\""),
+        ("cell_relations", ["a.c.b"], LONG_NAMES, "bad cell relation ['a.c.b']: expected [name, name, kind]"),
+    ],
+    ids=["edge-key", "empty-edge-key-end", "cell-key", "cell-relation"],
+)
+def test_connection_errors_quote_a_bounded_prefix_of_the_entry(tetra, block, short, long, refusal):
+    def load(entry):
+        payload = {"group": {"cyclic": 12}, "edges": {f"{a}>{b}": "1" for a, b in tetra.sorted_edges}}
+        if block == "edges":
+            payload["edges"][entry] = "1"
+        elif block == "cells":
+            payload["cells"] = {entry: "1"}
+        else:
+            payload["cell_relations"] = [entry]
+        with pytest.raises(BundleError) as info:
+            ts.load_connection(json.dumps(payload), tetra)
+        return str(info.value)
+
+    assert load(short) == refusal  # a short entry is quoted whole
+    got = load(long)
+    assert got.startswith(" ".join(refusal.split()[:3])) and len(got) <= 200
 
 
 def test_connections_built_from_one_map_in_two_insertion_orders_are_equal():
@@ -522,6 +553,12 @@ def test_center_obstruction_matches_center():
 
 def test_center_obstruction_s3_trivial():
     assert [ts.format_element(z) for z in ts.center_obstruction_check(S3)] == ["e"]
+
+
+def test_center_obstruction_check_resolves_from_sweep_and_groups():
+    assert ts.sweep.center_obstruction_check is ts.groups.center_obstruction_check
+    assert ts.center_obstruction_check is ts.groups.center_obstruction_check
+    assert ts.sweep.center_obstruction_check(D4) == ts.center(D4)
 
 
 def test_center_obstruction_abelian_everything():
