@@ -99,14 +99,18 @@ class Connection1(Record):
             if key in store:
                 raise BundleError(f"edge {{{key[0]},{key[1]}}} assigned twice")
             store[key] = val
-        missing = [e for e in complex.sorted_edges if e not in store]
-        if missing:
+        if len(store) != len(complex.edges):  # each stored key is a distinct edge of the complex
+            missing = [e for e in complex.sorted_edges if e not in store]
             raise BundleError(f"connection is partial: missing edges {missing}")
         return cls(group, complex, store)
 
     @classmethod
     def constant(cls, group: GroupDescriptor, complex: SimplicialComplex, value: GroupElement) -> "Connection1":
-        return cls.build(group, complex, {e: value for e in complex.sorted_edges})
+        """The same value on every edge: only its backend is checked, as the complex's own edges need no check."""
+        store = dict.fromkeys(complex.sorted_edges, value)
+        if value.group != group:  # build names the first edge, as for any map
+            return cls.build(group, complex, store)
+        return cls(group, complex, store)
 
     @cached_property
     def edge_values(self) -> tuple[tuple[tuple[str, str], GroupElement], ...]:

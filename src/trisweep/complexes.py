@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from ._record import Record
@@ -61,9 +62,12 @@ class SimplicialComplex(Record):
             if len(set(t)) != 3:
                 raise ComplexError(f"bad triangle {quote(t)}: need three distinct vertices")
         tris = frozenset(map(frozenset, listed))
-        declared = frozenset(frozenset(e) for e in edges)
+        declared = [tuple(e) for e in edges]
+        for e in declared:
+            if len(e) != 2 or e[0] == e[1]:
+                raise ComplexError(f"bad edge {quote(e)}: need two distinct vertices")
         derived = frozenset(frozenset(pair) for t in tris for pair in _edge_subsets(t))
-        return cls(vs, tris, declared | derived, pure_dim2)
+        return cls(vs, tris, frozenset(map(frozenset, declared)) | derived, pure_dim2)
 
     # -- queries ---------------------------------------------------------
 
@@ -121,11 +125,11 @@ class SimplicialComplex(Record):
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(tuple(sorted(e)) for e in sorted(self.edges, key=lambda e: sorted(e)))
+        return tuple(sorted(tuple(sorted(e)) for e in self.edges))
 
     @cached_property
     def sorted_triangles(self) -> tuple[tuple[str, str, str], ...]:
-        return tuple(tuple(sorted(t)) for t in sorted(self.triangles, key=lambda t: sorted(t)))
+        return tuple(sorted(tuple(sorted(t)) for t in self.triangles))
 
     @cached_property
     def sorted_triangles_sets(self) -> tuple[frozenset[str], ...]:
@@ -202,9 +206,9 @@ def load_complex(text: str) -> SimplicialComplex:
     seen: set[str] = set()
     for v in raw_vertices:
         if not _token_ok(v):
-            raise ComplexError(f"bad vertex name {v!r}: must be nonempty without whitespace")
+            raise ComplexError(f"bad vertex name {quote(v)}: must be nonempty without whitespace")
         if v in seen:
-            raise ComplexError(f"duplicate vertex {v!r}")
+            raise ComplexError(f"duplicate vertex {quote(v)}")
         seen.add(v)
     vertices = frozenset(raw_vertices)
 
@@ -261,11 +265,23 @@ class Diagnostic(Record):
 
 
 def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False) -> list[Diagnostic]:
-    """Scan all invariants; an empty list means the complex is valid.
+    """Check all invariants; an empty list means the complex is valid.
 
     Pure-dimension checks run when requested or when the complex declares
-    itself pure of dimension two.
+    itself pure of dimension two.  The invariants are checked in bulk:
+    every side of a triangle is a declared edge and every edge's
+    vertices are declared, one set comparison each over the vertices,
+    the edges and the incidence index; for pure dimension two, every
+    vertex has faces (``faces_containing``) and every edge lies in a
+    triangle.  Only when one fails are the triangles, edges and vertices
+    scanned, in sorted order, for the diagnostics.
     """
+    pure = require_pure_dim2 or complex.pure_dim2
+    V, E, in_faces = complex.vertices, complex.edges, complex._edge_faces.keys()
+    # a triangle's vertices lie on its sides, so declared sides with declared vertices declare them too
+    if in_faces <= E and V.issuperset(chain.from_iterable(E)):
+        if not pure or (all(map(complex.faces_containing, V)) and E <= in_faces):
+            return []
     out: list[Diagnostic] = []
     for t in complex.sorted_triangles:
         for v in t:
@@ -282,7 +298,7 @@ def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False
         for v in e:
             if v not in complex.vertices:
                 out.append(Diagnostic("closure", "{%s}" % ",".join(e), f"edge {{{','.join(e)}}} references undeclared vertex {v}"))
-    if require_pure_dim2 or complex.pure_dim2:
+    if pure:
         for v in complex.sorted_vertices:
             if not complex.faces_containing(v):
                 out.append(Diagnostic("pure_dim2", v, f"vertex {v} not in any 2-simplex"))

@@ -93,9 +93,22 @@ class Connection2(Record):
         alpha: Mapping[tuple[str, str, str], GroupElement],
         beta: Mapping[tuple[str, str, str], GroupElement] | None = None,
     ) -> "Connection2":
+        """Check every cell's support and every value's backend, then keep the maps as given.
+
+        The checks are two set inclusions, of the alpha and beta keys in
+        the complex's markings, and one of the values' backends in the
+        connection's.  Only when one fails are the cells walked, alpha
+        before beta in insertion order, to raise a ``SweepError`` naming
+        the first unsupported cell or mismatched value.
+        """
         K, beta = base.complex, beta or {}
-        # alpha keys are unpacked, so a key of another length fails and is never read as an edge cell;
-        # the cells are made one at a time, as a list of them all would be thousands of objects kept alive
+        marked = K._marking_set
+        if alpha.keys() <= marked and beta.keys() <= marked:
+            if {g.group for g in chain(alpha.values(), beta.values())} <= {base.group}:
+                return cls(base, alpha, beta)
+        # the loop names the first fault: alpha keys are unpacked, so a key of another length fails and is
+        # never read as an edge cell; the cells are made one at a time, as a list of them all would be
+        # thousands of objects kept alive
         alpha_cells = (((a, c, b), g) for (a, c, b), g in alpha.items())
         beta_cells = (((c, a, b, c), g) for (c, a, b), g in beta.items())
         for cell, g in chain(alpha_cells, beta_cells):
@@ -404,7 +417,9 @@ def sections_gauge_equivalent(
     by the value at the first vertex.  Finite backends enumerate that
     value when the first vertex is movable; the free backend starts from
     the identity, which is the canonical choice when the endpoints are
-    pinned.
+    pinned.  The walk checks every step's constraint, a pinned vertex
+    keeping the identity, so the gauge it completes is returned without
+    twisting s again.
     """
     if s.path != t.path:
         raise SweepError("sections live over different paths")
@@ -429,10 +444,8 @@ def sections_gauge_equivalent(
                 assign[q] = needed
             elif needed != assign.get(q, e):  # an assigned vertex must agree; a pinned one stays e
                 break
-        else:
-            gauge = GaugeTransform.build(group, assign)
-            if twist_section(s, gauge) == t:
-                return gauge
+        else:  # every step's constraint n_p^-1 * s_pq * n_q == t_pq held
+            return GaugeTransform.build(group, assign)
     return None
 
 
@@ -549,7 +562,10 @@ def load_connection(
     Returns a plain edge connection when the file has no "cells" block.
     ``group`` overrides the declared descriptor, e.g. to extend a free
     group with extra generators before parsing.  Each distinct element
-    text is parsed once per call.
+    text is parsed once per call.  A cell key is looked up among the
+    names of the complex's markings first, so a triangle cell's key is
+    the complex's own marking tuple; only a key not found there is split
+    by ``_parse_cell_key``, which refuses a malformed one.
     """
     obj = decode_connection(text) if isinstance(text, str) else text
     if not isinstance(obj, dict):
@@ -581,8 +597,11 @@ def load_connection(
         raise BundleError('"cells" must be an object')
     alpha: dict[tuple[str, str, str], GroupElement] = {}
     beta: dict[tuple[str, str, str], GroupElement] = {}
+    # a key that names a marking maps to the complex's own tuple; the name of a marking whose vertex names
+    # hold a dot splits into other parts, so those markings are left out and _parse_cell_key reads the key
+    named = {cell_name(m): m for m in complex.markings() if "." not in "".join(m)}
     for key, val in cells.items():
-        parts = _parse_cell_key(key)
+        parts = named.get(key) or _parse_cell_key(key)
         g = parse(val)
         if len(parts) == 3:
             alpha[parts] = g

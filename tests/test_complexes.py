@@ -35,6 +35,13 @@ def test_build_refuses_a_triangle_without_three_distinct_vertices(triangle):
     assert str(info.value) == f"bad triangle {triangle!r}: need three distinct vertices"
 
 
+@pytest.mark.parametrize("edge", [("a", "a"), ("a",), ("a", "b", "c")])
+def test_build_refuses_an_edge_without_two_distinct_vertices(edge):
+    with pytest.raises(ComplexError) as info:
+        ts.SimplicialComplex.build({"a", "b", "c"}, [("a", "b", "c")], [edge])
+    assert str(info.value) == f"bad edge {edge!r}: need two distinct vertices"
+
+
 @pytest.mark.parametrize(
     "key, entry, refusal",
     [
@@ -42,18 +49,25 @@ def test_build_refuses_a_triangle_without_three_distinct_vertices(triangle):
         ("edges", ["a", "a"], "bad edge ['a', 'a']: need two distinct vertices"),
         ("triangles", ["a", "b", "z"], "closure violation: triangle ['a', 'b', 'z'] references undeclared vertex 'z'"),
         ("edges", ["a", "z"], "closure violation: edge ['a', 'z'] references undeclared vertex 'z'"),
+        # for "vertices" the entry is the whole vertex list
+        ("vertices", ["a", "b c"], "bad vertex name 'b c': must be nonempty without whitespace"),
+        ("vertices", ["a", "b", "a"], "duplicate vertex 'a'"),
     ],
 )
 def test_load_complex_quotes_a_bounded_prefix_of_a_bad_entry(key, entry, refusal):
-    doc = {"vertices": ["a", "b", "c"], key: [entry]}
-    with pytest.raises(ComplexError) as info:
-        ts.load_complex(json.dumps(doc))
-    assert str(info.value) == refusal  # a short entry is quoted whole
-    long_entry = [f"v{i}" for i in range(3004)] if entry[-1] != "z" else entry[:-1] + ["z" * 15000]
-    doc = {"vertices": ["a", "b", "c"], key: [long_entry]}
-    with pytest.raises(ComplexError) as info:
-        ts.load_complex(json.dumps(doc))
-    assert str(info.value).startswith(refusal.split("[")[0]) and len(str(info.value)) <= 200
+    def refusal_of(entry):
+        doc = {key: entry} if key == "vertices" else {"vertices": ["a", "b", "c"], key: [entry]}
+        with pytest.raises(ComplexError) as info:
+            ts.load_complex(json.dumps(doc))
+        return str(info.value)
+
+    assert refusal_of(entry) == refusal  # a short entry is quoted whole
+    if key == "vertices":  # each name 5,000 times over: still the same fault
+        long_entry = [v * 5000 for v in entry]
+    else:
+        long_entry = [f"v{i}" for i in range(3004)] if entry[-1] != "z" else entry[:-1] + ["z" * 15000]
+    refused = refusal_of(long_entry)
+    assert refused.startswith(refusal.split("[")[0].split("'")[0]) and len(refused) <= 200
 
 
 def test_load_parse_error_has_line_and_column():

@@ -1,6 +1,7 @@
 """Property tests: group axioms, the free-group product, the conjugator
 search, element text round trips, record equality, moves undone by their
-inverses, the oriented cells of random complexes and the cell-support rule."""
+inverses, the oriented cells of random complexes, the cell-support rule,
+and the set-level ingest checks against per-entry scans."""
 
 from __future__ import annotations
 
@@ -13,7 +14,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 import trisweep as ts  # noqa: E402
-from conftest import random_connection2, random_section, random_walk, torus_complex  # noqa: E402
+from conftest import (  # noqa: E402
+    band_complex,
+    random_connection2,
+    random_element,
+    random_section,
+    random_walk,
+    torus_complex,
+)
 from trisweep.groups import _reduce_free  # noqa: E402
 from trisweep.paths import _candidate_moves  # noqa: E402
 
@@ -254,3 +262,144 @@ def test_candidate_moves_match_the_written_out_conditions_in_order(n):
         if rng.random() < 0.5:  # walk part of the way back, so cancellations apply
             path = path * ts.EdgePath(path.steps[-rng.randrange(1, len(path) + 1) :]).inverse()
         assert list(_candidate_moves(path, K)) == list(oracle_candidate_moves(path, K))
+
+
+# -- set-level ingest checks against per-entry scans --------------------------------
+
+SURFACES = [torus_complex(3), torus_complex(4), band_complex(3), band_complex(5)]
+FOREIGN = ts.cyclic_group(5)
+
+
+def scanned_diagnostics(K: ts.SimplicialComplex, pure: bool) -> list[ts.Diagnostic]:
+    """What ``validate_complex`` lists, each entry checked on its own against the raw fields."""
+    out = []
+    for t in sorted(tuple(sorted(t)) for t in K.triangles):
+        name = "{%s}" % ",".join(t)
+        out += [ts.Diagnostic("closure", name, f"triangle {name} references undeclared vertex {v}") for v in t if v not in K.vertices]
+        for pair in itertools.combinations(t, 2):
+            if frozenset(pair) not in K.edges:
+                pair_name = "{%s}" % ",".join(pair)
+                out.append(ts.Diagnostic("closure", pair_name, f"edge {pair_name} of triangle {name} is missing"))
+    edges = sorted(tuple(sorted(e)) for e in K.edges)
+    for e in edges:
+        name = "{%s}" % ",".join(e)
+        out += [ts.Diagnostic("closure", name, f"edge {name} references undeclared vertex {v}") for v in e if v not in K.vertices]
+    if pure:
+        for v in sorted(K.vertices):
+            if not any(v in t for t in K.triangles):
+                out.append(ts.Diagnostic("pure_dim2", v, f"vertex {v} not in any 2-simplex"))
+        for e in edges:
+            if not any(frozenset(e) <= t for t in K.triangles):
+                name = "{%s}" % ",".join(e)
+                out.append(ts.Diagnostic("pure_dim2", name, f"edge {name} not in any 2-simplex"))
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), require_pure=st.booleans())
+def test_validate_complex_lists_what_a_per_entry_scan_finds_on_damaged_surfaces(seed, require_pure):
+    rng = random.Random(seed)
+    K = rng.choice(SURFACES)
+    vertices, edges = set(K.vertices), set(K.edges)
+    if rng.random() < 0.5:  # a triangle side dropped
+        edges.discard(frozenset(rng.choice(K.sorted_edges)))
+    if rng.random() < 0.5:  # an isolated vertex
+        vertices.add("z")
+    if rng.random() < 0.5:  # an edge in no triangle
+        non_edges = [p for p in itertools.combinations(K.sorted_vertices, 2) if frozenset(p) not in K.edges]
+        edges.add(frozenset(rng.choice(non_edges)))
+    if rng.random() < 0.5:  # an edge to an undeclared vertex
+        edges.add(frozenset(("y", rng.choice(K.sorted_vertices))))
+    if rng.random() < 0.5:  # a triangle vertex left undeclared
+        vertices.discard(rng.choice(K.sorted_vertices))
+    damaged = ts.SimplicialComplex(frozenset(vertices), K.triangles, frozenset(edges), rng.random() < 0.5)
+    expected = scanned_diagnostics(damaged, require_pure or damaged.pure_dim2)
+    assert ts.validate_complex(damaged, require_pure) == expected
+    assert ts.validate_complex(K, require_pure) == []
+
+
+def first_edge_fault(group: ts.GroupDescriptor, K: ts.SimplicialComplex, values: dict) -> str | None:
+    """The refusal of ``Connection1.build``: entries checked one at a time, in insertion order."""
+    stored = set()
+    for (a, b), g in values.items():
+        key = tuple(sorted((a, b)))
+        if a == b:
+            return f"degenerate key ({a},{b}): degenerate edges are implicit"
+        if frozenset(key) not in K.edges:
+            return f"({a},{b}) is not an edge of the complex"
+        if g.group != group:
+            return f"backend mismatch at edge ({a},{b})"
+        if key in stored:
+            return f"edge {{{key[0]},{key[1]}}} assigned twice"
+        stored.add(key)
+    missing = [e for e in K.sorted_edges if e not in stored]
+    return f"connection is partial: missing edges {missing}" if missing else None
+
+
+def damaged_entries(rng: random.Random, entries: list, faults: list) -> dict:
+    """The entries shuffled, a tail of them dropped three times in ten, and up to three faults inserted."""
+    entries = entries[:]
+    rng.shuffle(entries)
+    if rng.random() < 0.3:
+        del entries[rng.randrange(len(entries) + 1) :]
+    for _ in range(rng.randrange(4)):
+        entries.insert(rng.randrange(len(entries) + 1), rng.choice(faults)())
+    return dict(entries)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_connection1_build_names_the_first_fault_in_insertion_order(seed):
+    rng = random.Random(seed)
+    K = rng.choice(SURFACES)
+    non_edges = [p for p in itertools.combinations(K.sorted_vertices, 2) if frozenset(p) not in K.edges]
+    faults = [
+        lambda: (rng.choice(K.sorted_edges), random_element(FOREIGN, rng)),
+        lambda: (rng.choice(non_edges), random_element(Z12, rng)),
+        lambda: ((v := rng.choice(K.sorted_vertices), v), random_element(Z12, rng)),
+        lambda: (rng.choice(K.sorted_edges)[::-1], random_element(Z12, rng)),
+    ]
+    entries = [(e if rng.random() < 0.5 else e[::-1], random_element(Z12, rng)) for e in K.sorted_edges]
+    values = damaged_entries(rng, entries, faults)
+    refusal = first_edge_fault(Z12, K, values)
+    if refusal is None:
+        stored = {(a, b) if a < b else (b, a): g if a < b else ts.inverse(g) for (a, b), g in values.items()}
+        assert ts.Connection1.build(Z12, K, values) == ts.Connection1(Z12, K, stored)
+    else:
+        with pytest.raises(ts.BundleError) as info:
+            ts.Connection1.build(Z12, K, values)
+        assert str(info.value) == refusal
+
+
+def first_cell_fault(base: ts.Connection1, alpha: dict, beta: dict) -> str | None:
+    """The refusal of ``Connection2.build``: alpha cells, then loop cells, one at a time in insertion order."""
+    cells = [((a, c, b), g) for (a, c, b), g in alpha.items()] + [((c, a, b, c), g) for (c, a, b), g in beta.items()]
+    for cell, g in cells:
+        if not old_support_rule(base.complex, cell):
+            return f"cell {'.'.join(cell)} is not supported by a triangle of the complex"
+        if g.group != base.group:
+            return f"backend mismatch at cell {'.'.join(cell)}"
+    return None
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_connection2_build_names_the_first_fault_in_insertion_order(seed):
+    rng = random.Random(seed)
+    K = rng.choice(SURFACES)
+    base = ts.Connection1.constant(Z12, K, ts.identity(Z12))
+    markings = list(K.markings())
+    unsupported = [t for t in itertools.permutations(K.sorted_vertices[:6], 3) if t not in set(markings)]
+    unsupported += [(v, v, w) for v, w in K.sorted_edges[:4]]
+    faults = [
+        lambda: (rng.choice(markings), random_element(FOREIGN, rng)),
+        lambda: (rng.choice(unsupported), random_element(Z12, rng)),
+    ]
+    alpha, beta = (
+        damaged_entries(rng, [(m, random_element(Z12, rng)) for m in rng.sample(markings, k)], faults)
+        for k in (rng.randrange(len(markings) + 1), rng.randrange(4))
+    )
+    refusal = first_cell_fault(base, alpha, beta)
+    if refusal is None:
+        assert ts.Connection2.build(base, alpha, beta) == ts.Connection2(base, alpha, beta)
+    else:
+        with pytest.raises(ts.SweepError) as info:
+            ts.Connection2.build(base, alpha, beta)
+        assert str(info.value) == refusal

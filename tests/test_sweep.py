@@ -222,6 +222,24 @@ def test_connection_errors_quote_a_bounded_prefix_of_the_entry(tetra, block, sho
     assert got.startswith(" ".join(refusal.split()[:3])) and len(got) <= 200
 
 
+def test_a_cell_key_is_read_as_it_splits_when_a_vertex_name_holds_a_dot():
+    # "c.a.b.d" names the marking (c, a.b, d) when joined, yet splits into four parts;
+    # "x.a.b.x" names the marking (x.a, b, x) when joined, yet splits into the loop x.a.b.x
+    K = ts.SimplicialComplex.build({"c", "a.b", "d", "x.a", "b", "x", "a"}, [("c", "a.b", "d"), ("x.a", "b", "x"), ("x", "a", "b")])
+
+    def load(cells):
+        payload = {"group": {"cyclic": 12}, "edges": {f"{u}>{w}": "1" for u, w in K.sorted_edges}, "cells": cells}
+        return ts.load_connection(json.dumps(payload), K)
+
+    with pytest.raises(BundleError) as info:
+        load({"c.a.b.d": "1"})
+    assert str(info.value) == 'bad cell key \'c.a.b.d\': expected "a.c.b" or "c.a.b.c"'
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the loop value differs from the one its triangle cell would give
+        conn = load({"x.a.b.x": "1"})
+    assert conn.alpha_values == () and conn.beta_values == ((("x", "a", "b"), ts.element(Z12, 1)),)
+
+
 def test_connections_built_from_one_map_in_two_insertion_orders_are_equal():
     K = torus_complex(3)
     rng = random.Random(5)
@@ -579,6 +597,21 @@ def test_sections_gauge_not_equivalent_without_movable(tetra, symbolic_connectio
     s = generic_start(symbolic_connection)
     t = ts.Section(s.path, (s.letters[1], s.letters[0]))
     assert ts.sections_gauge_equivalent(s, t, movable=set()) is None
+
+
+def test_sections_gauge_refuses_a_twist_at_a_pinned_interior_vertex(tetra):
+    # t is s twisted at c and at the pinned interior vertex b: only the walk's
+    # comparisons at b and at the pinned target d can refuse it
+    rng = random.Random(59)
+    path = ts.EdgePath((("a", "c"), ("c", "b"), ("b", "d")))
+    for _ in range(30):
+        s = ts.Section(path, tuple(random_element(S3, rng) for _ in range(3)))
+        n_b = random_element(S3, rng)
+        if n_b.is_identity():
+            continue
+        t = ts.twist_section(s, ts.GaugeTransform.build(S3, {"c": random_element(S3, rng), "b": n_b}))
+        assert ts.sections_gauge_equivalent(s, t, movable={"c"}) is None
+        assert ts.sections_gauge_equivalent(s, t, movable={"b", "c"}) is not None
 
 
 def test_sections_gauge_equivalent_finite_backend_loop(tetra):
