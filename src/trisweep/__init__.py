@@ -22,9 +22,7 @@ from .paths import (
     SweepScheme,
     apply_move_path,
     compose_paths,
-    drop_degenerate,
     dump_scheme,
-    insert_degenerate,
     invert_path,
     load_scheme,
     reduce_x1,

@@ -18,12 +18,11 @@ import sys
 from pathlib import Path
 
 from .complexes import load_complex, validate_complex
-from .errors import TrisweepError, input_limit_text
+from .errors import TrisweepError, decode_json
 from .groups import (
     center_obstruction_check,
     descriptor_from_json,
     format_element,
-    free_group,
     identity,
     parse_element,
 )
@@ -33,7 +32,6 @@ from .sweep import (
     Section,
     compare_schemes,
     curvature_square,
-    decode_connection,
     defect_report_to_json,
     load_connection,
     run_scheme,
@@ -69,32 +67,10 @@ def _emit_json(obj) -> int:
     return 0
 
 
-_WORD_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 def _load_connection_for_word(args, complex):
-    """Load the connection, extending a free backend with fresh word generators."""
-    obj = decode_connection(_read_text(args.connection))
-    group = None
-    word_texts = _split_word(args.word) if getattr(args, "word", None) else []
-    if word_texts:
-        try:
-            declared = descriptor_from_json(obj.get("group"))
-        except AttributeError:  # not an object: load_connection below reports it
-            declared = None
-        if declared is not None and declared.kind == "free":
-            fresh = sorted(
-                {
-                    tok
-                    for letter in word_texts
-                    for tok in _WORD_TOKEN_RE.findall(letter)
-                    if tok != "e" and tok not in declared.generators
-                }
-            )
-            if fresh:
-                group = free_group(declared.generators + tuple(fresh))
-    connection = load_connection(obj, complex, group=group)
-    return connection, word_texts
+    """Load the connection, extending a free backend with the fresh generators of a --word."""
+    word_texts = _split_word(args.word) if args.word else []
+    return load_connection(_read_text(args.connection), complex, word_texts), word_texts
 
 
 def _split_word(word: str) -> list[str]:
@@ -210,12 +186,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_center(args) -> int:
-    try:
-        descriptor = descriptor_from_json(json.loads(args.group))
-    except json.JSONDecodeError as exc:
-        raise TrisweepError(f"bad group descriptor: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # an integer past the int-to-str limit, or deep nesting
-        raise TrisweepError(f"bad group descriptor: {input_limit_text(exc)}") from exc
+    descriptor = descriptor_from_json(decode_json(args.group, TrisweepError, "bad group descriptor"))
     elements = center_obstruction_check(descriptor)
     if args.format == "json":
         return _emit_json({"center": [format_element(z) for z in elements]})

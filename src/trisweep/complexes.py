@@ -19,7 +19,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from ._record import Record
-from .errors import ComplexError, SchemeError, input_limit_text, quote
+from .errors import ComplexError, SchemeError, decode_json, quote
 from .paths import EdgePath, HomotopyStep, cell_name, cell_sides, move_window, reduce_x1
 
 VertexId = str
@@ -185,16 +185,7 @@ def load_complex(text: str) -> SimplicialComplex:
     duplicate vertex, and on closure violations such as a triangle naming
     an undeclared vertex.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ComplexError(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            line=exc.lineno,
-            column=exc.colno,
-        ) from exc
-    except (ValueError, RecursionError) as exc:  # an integer past the int-to-str limit, or deep nesting
-        raise ComplexError(f"parse error: {input_limit_text(exc)}") from exc
+    obj = decode_json(text, ComplexError, "parse error")
     if not isinstance(obj, dict):
         raise ComplexError("complex file must hold a JSON object")
     unknown = set(obj) - _COMPLEX_KEYS
@@ -269,41 +260,44 @@ def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False
 
     Pure-dimension checks run when requested or when the complex declares
     itself pure of dimension two.  The invariants are checked in bulk:
-    every side of a triangle is a declared edge and every edge's
-    vertices are declared, one set comparison each over the vertices,
-    the edges and the incidence index; for pure dimension two, every
-    vertex has faces (``faces_containing``) and every edge lies in a
-    triangle.  Only when one fails are the triangles, edges and vertices
-    scanned, in sorted order, for the diagnostics.
+    every triangle has three vertices and every edge two, every side of a
+    triangle is a declared edge and every edge's vertices are declared,
+    one set comparison each over the simplex sizes, the vertices, the
+    edges and the incidence index; for pure dimension two, every vertex
+    has faces (``faces_containing``) and every edge lies in a triangle.
+    Only when one fails are the triangles, edges and vertices scanned, in
+    sorted order, for the diagnostics.  A simplex of the wrong size, which
+    only the raw constructor lets through, is reported as such and is left
+    out of the side and pure-edge rules.
     """
     pure = require_pure_dim2 or complex.pure_dim2
     V, E, in_faces = complex.vertices, complex.edges, complex._edge_faces.keys()
     # a triangle's vertices lie on its sides, so declared sides with declared vertices declare them too
-    if in_faces <= E and V.issuperset(chain.from_iterable(E)):
+    sized = set(map(len, complex.triangles)) <= {3} and set(map(len, E)) <= {2}
+    if sized and in_faces <= E and V.issuperset(chain.from_iterable(E)):
         if not pure or (all(map(complex.faces_containing, V)) and E <= in_faces):
             return []
     out: list[Diagnostic] = []
     for t in complex.sorted_triangles:
-        for v in t:
-            if v not in complex.vertices:
-                out.append(
-                    Diagnostic("closure", "{%s}" % ",".join(t), f"triangle {{{','.join(t)}}} references undeclared vertex {v}")
-                )
+        name = "{%s}" % ",".join(t)
+        out += [Diagnostic("closure", name, f"triangle {name} references undeclared vertex {v}") for v in t if v not in V]
+        if len(t) != 3:
+            out.append(Diagnostic("size", name, f"triangle {name} needs three distinct vertices"))
+            continue
         for pair in _edge_subsets(frozenset(t)):
-            if frozenset(pair) not in complex.edges:
-                out.append(
-                    Diagnostic("closure", "{%s}" % ",".join(pair), f"edge {{{','.join(pair)}}} of triangle {{{','.join(t)}}} is missing")
-                )
+            if frozenset(pair) not in E:
+                out.append(Diagnostic("closure", "{%s}" % ",".join(pair), f"edge {{{','.join(pair)}}} of triangle {name} is missing"))
     for e in complex.sorted_edges:
-        for v in e:
-            if v not in complex.vertices:
-                out.append(Diagnostic("closure", "{%s}" % ",".join(e), f"edge {{{','.join(e)}}} references undeclared vertex {v}"))
+        name = "{%s}" % ",".join(e)
+        out += [Diagnostic("closure", name, f"edge {name} references undeclared vertex {v}") for v in e if v not in V]
+        if len(e) != 2:
+            out.append(Diagnostic("size", name, f"edge {name} needs two distinct vertices"))
     if pure:
         for v in complex.sorted_vertices:
             if not complex.faces_containing(v):
                 out.append(Diagnostic("pure_dim2", v, f"vertex {v} not in any 2-simplex"))
         for e in complex.sorted_edges:
-            if not complex.faces_containing_edge(*e):
+            if len(e) == 2 and not complex.faces_containing_edge(*e):
                 out.append(Diagnostic("pure_dim2", "{%s}" % ",".join(e), f"edge {{{','.join(e)}}} not in any 2-simplex"))
     return out
 

@@ -1,21 +1,28 @@
-"""Exception hierarchy shared by all trisweep modules."""
+"""Exception hierarchy shared by all trisweep modules, and the one JSON decode rule.
+
+Every domain error has ``line`` and ``column``, set when a JSON text failed
+to decode, and ``step_index``, set when a move of a scheme failed; each is
+``None`` where it does not apply.
+"""
 
 from __future__ import annotations
 
+import json
 import sys
 
 
 class TrisweepError(Exception):
     """Base class for all domain errors raised by this package."""
 
-
-class ComplexError(TrisweepError):
-    """Bad complex file or simplicial data (parse, closure, duplicates)."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, *, line: int | None = None, column: int | None = None, step_index: int | None = None):
         super().__init__(message)
         self.line = line
         self.column = column
+        self.step_index = step_index
+
+
+class ComplexError(TrisweepError):
+    """Bad complex file or simplicial data (parse, closure, duplicates)."""
 
 
 class PathError(TrisweepError):
@@ -23,15 +30,7 @@ class PathError(TrisweepError):
 
 
 class SchemeError(TrisweepError):
-    """Invalid homotopy move or sweep scheme.
-
-    ``step_index`` locates the offending move when the error surfaced
-    while running a scheme.
-    """
-
-    def __init__(self, message: str, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
+    """Invalid homotopy move or sweep scheme; ``step_index`` is set by ``validate_scheme``."""
 
 
 class GroupError(TrisweepError):
@@ -43,14 +42,7 @@ class BundleError(TrisweepError):
 
 
 class SweepError(TrisweepError):
-    """Section-level move failure: path mismatch or missing cell value.
-
-    ``step_index`` is set when raised from inside ``run_scheme``.
-    """
-
-    def __init__(self, message: str, step_index: int | None = None):
-        super().__init__(message)
-        self.step_index = step_index
+    """Section-level move failure: path mismatch or missing cell value; ``step_index`` is set by ``run_scheme``."""
 
 
 def quote(value: object) -> str:
@@ -69,3 +61,18 @@ def input_limit_text(exc: Exception) -> str:
     if isinstance(exc, RecursionError):
         return "arrays or objects nested too deeply"
     return f"an integer longer than {sys.get_int_max_str_digits()} digits"
+
+
+def decode_json(text: str, error: type[TrisweepError], what: str):
+    """The JSON value of ``text``, or ``error`` saying ``what`` failed and why.
+
+    A syntax error gives ``"{what} at line L, column C: ..."`` with ``line``
+    and ``column`` set; an input past an interpreter limit gives
+    ``"{what}: ..."`` through ``input_limit_text``.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} at line {exc.lineno}, column {exc.colno}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except (ValueError, RecursionError) as exc:  # an integer past the int-to-str limit, or deep nesting
+        raise error(f"{what}: {input_limit_text(exc)}") from exc

@@ -20,7 +20,7 @@ import json
 from typing import Iterator, Optional, Sequence
 
 from ._record import Record
-from .errors import PathError, SchemeError, input_limit_text, quote
+from .errors import PathError, SchemeError, decode_json, quote
 
 Step = tuple[str, str]
 
@@ -157,23 +157,6 @@ def x1_homotopic(p: EdgePath, q: EdgePath) -> bool:
     if p.source != q.source or p.target != q.target:
         return False
     return reduce_x1(p) == reduce_x1(q)
-
-
-def _degenerate_move(p: EdgePath, move: str, position: int) -> EdgePath:
-    try:
-        return apply_move_path(p, HomotopyStep(move, position), None)
-    except SchemeError as exc:
-        raise PathError(str(exc)) from exc
-
-
-def insert_degenerate(p: EdgePath, k: int) -> EdgePath:
-    """Insert the degenerate step at the k-th vertex of the chain (0 <= k <= len)."""
-    return _degenerate_move(p, "deg_insert", k)
-
-
-def drop_degenerate(p: EdgePath, idx: int) -> EdgePath:
-    """Remove the degenerate step at ``idx``; the path must keep at least one step."""
-    return _degenerate_move(p, "deg_drop", idx)
 
 
 class HomotopyStep(Record):
@@ -412,12 +395,7 @@ def cell_name(cell: tuple[str, ...]) -> str:
 
 def load_scheme(text: str) -> SweepScheme:
     """Parse the JSON scheme format into a SweepScheme."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemeError(f"scheme parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # an integer past the int-to-str limit, or deep nesting
-        raise SchemeError(f"scheme parse error: {input_limit_text(exc)}") from exc
+    obj = decode_json(text, SchemeError, "scheme parse error")
     if not isinstance(obj, dict):
         raise SchemeError("scheme file must hold a JSON object")
     unknown = set(obj) - {"start", "steps"}

@@ -24,15 +24,16 @@ import json
 import warnings
 from functools import cached_property, reduce
 from itertools import chain
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from ._record import Record
 from .bundle import Connection1, GaugeTransform
 from .complexes import SimplicialComplex
-from .errors import BundleError, GroupError, SchemeError, SweepError, input_limit_text, quote
+from .errors import BundleError, GroupError, SchemeError, SweepError, decode_json, quote
 # center_obstruction_check lives in groups; it stays importable from this
 # module, where it was defined before and where the benchmark's tracer wraps it
 from .groups import (
+    _NAME_RE,
     GroupDescriptor,
     GroupElement,
     center_obstruction_check,
@@ -40,6 +41,7 @@ from .groups import (
     descriptor_to_json,
     enumerate_elements,
     format_element,
+    free_group,
     identity,
     inverse,
     is_finite,
@@ -543,31 +545,19 @@ def _parse_cell_key(key: str) -> tuple[str, ...]:
     raise BundleError(f'bad cell key {quote(key)}: expected "a.c.b" or "c.a.b.c"')
 
 
-def decode_connection(text: str):
-    """The JSON value of a connection file's text; a BundleError says why there is none."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"connection parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:  # an integer past the int-to-str limit, or deep nesting
-        raise BundleError(f"connection parse error: {input_limit_text(exc)}") from exc
-
-
-def load_connection(
-    text: str | dict, complex: SimplicialComplex, group: GroupDescriptor | None = None
-) -> Connection1 | Connection2:
+def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] = ()) -> Connection1 | Connection2:
     """Parse the JSON connection format against a complex.
 
-    ``text`` is the file's text, or its value from ``decode_connection``.
     Returns a plain edge connection when the file has no "cells" block.
-    ``group`` overrides the declared descriptor, e.g. to extend a free
-    group with extra generators before parsing.  Each distinct element
-    text is parsed once per call.  A cell key is looked up among the
-    names of the complex's markings first, so a triangle cell's key is
-    the complex's own marking tuple; only a key not found there is split
-    by ``_parse_cell_key``, which refuses a malformed one.
+    When the declared group is free, every name in the letter texts
+    ``words`` that is not ``e`` or a generator joins its generators, in
+    sorted order, so that a word over fresh generators parses.  Each
+    distinct element text is parsed once per call.  A cell key is looked
+    up among the names of the complex's markings first, so a triangle
+    cell's key is the complex's own marking tuple; only a key not found
+    there is split by ``_parse_cell_key``, which refuses a malformed one.
     """
-    obj = decode_connection(text) if isinstance(text, str) else text
+    obj = decode_json(text, BundleError, "connection parse error")
     if not isinstance(obj, dict):
         raise BundleError("connection file must hold a JSON object")
     unknown = set(obj) - _CONNECTION_KEYS
@@ -575,9 +565,11 @@ def load_connection(
         raise BundleError(f"unknown keys: {sorted(unknown)}")
     if "group" not in obj or "edges" not in obj:
         raise BundleError('connection file needs "group" and "edges"')
-    declared = descriptor_from_json(obj["group"])
-    if group is None:
-        group = declared
+    group = descriptor_from_json(obj["group"])
+    if group.kind == "free":
+        fresh = {name for w in words for name in _NAME_RE.findall(w)} - {"e", *group.generators}
+        if fresh:
+            group = free_group(group.generators + tuple(sorted(fresh)))
     if not isinstance(obj["edges"], dict):
         raise BundleError('"edges" must be an object of "a>b" keys')
     parsed: dict[str, GroupElement] = {}

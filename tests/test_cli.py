@@ -167,6 +167,17 @@ def test_sweep_accepts_fresh_generators(tmp_path: Path):
     assert proc.stdout.splitlines()[-1] == "(ab) -> (fresh_u*fresh_v*phi_acb^-1)"
 
 
+@pytest.mark.parametrize("word", [[], ["--word", "x,y"]], ids=["no-word", "word"])
+def test_a_connection_without_a_group_fails_its_key_check_with_or_without_a_word(tmp_path: Path, word):
+    conn = tmp_path / "conn.json"
+    conn.write_text(json.dumps({"edges": {e: "x" for e in TETRA_EDGES}}))
+    proc = run_cli(
+        "sweep", "--complex", "tetrahedron.json", "--connection", str(conn), "--scheme", "scheme1.json", *word
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == 'error: connection file needs "group" and "edges"\n'
+
+
 def test_compare_bundled_schemes():
     proc = run_cli(
         "compare",

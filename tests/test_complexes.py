@@ -122,6 +122,56 @@ def test_validate_dangling_edge_under_pure_dim2():
     assert any("not in any 2-simplex" in d.message for d in diags)
 
 
+ABC = ts.SimplicialComplex.build("abc", [("a", "b", "c")])
+
+
+def size_fault(kind: str, names: str, need: str) -> ts.Diagnostic:
+    name = "{%s}" % ",".join(names)
+    return ts.Diagnostic("size", name, f"{kind} {name} needs {need} distinct vertices")
+
+
+# raw-constructor complexes over ABC with one simplex of the wrong size, and what validate_complex lists for them
+WRONG_SIZES = {
+    "one-vertex edge": (
+        ts.SimplicialComplex(ABC.vertices, ABC.triangles, ABC.edges | {frozenset("a")}),
+        [size_fault("edge", "a", "two")],
+    ),
+    "one undeclared vertex edge": (
+        ts.SimplicialComplex(ABC.vertices, ABC.triangles, ABC.edges | {frozenset("z")}),
+        [ts.Diagnostic("closure", "{z}", "edge {z} references undeclared vertex z"), size_fault("edge", "z", "two")],
+    ),
+    "three-vertex edge": (
+        ts.SimplicialComplex(ABC.vertices, ABC.triangles, ABC.edges | {frozenset("abc")}),
+        [size_fault("edge", "abc", "two")],
+    ),
+    "two-vertex triangle": (
+        ts.SimplicialComplex(ABC.vertices, ABC.triangles | {frozenset("ab")}, ABC.edges),
+        [size_fault("triangle", "ab", "three")],
+    ),
+    "four-vertex triangle": (
+        ts.SimplicialComplex(ABC.vertices | {"d"}, ABC.triangles | {frozenset("abcd")}, ABC.edges),
+        [size_fault("triangle", "abcd", "three")],
+    ),
+}
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["plain", "pure"])
+@pytest.mark.parametrize("case", sorted(WRONG_SIZES))
+def test_validate_reports_a_simplex_of_the_wrong_size(case, pure):
+    K, expected = WRONG_SIZES[case]
+    assert ts.validate_complex(K, require_pure_dim2=pure) == expected
+
+
+def test_validate_runs_the_other_rules_beside_a_simplex_of_the_wrong_size():
+    K = ts.SimplicialComplex(ABC.vertices | {"x"}, ABC.triangles | {frozenset("ab")}, ABC.edges | {frozenset("a"), frozenset("bx")})
+    assert ts.validate_complex(K, require_pure_dim2=True) == [
+        size_fault("triangle", "ab", "three"),
+        size_fault("edge", "a", "two"),
+        ts.Diagnostic("pure_dim2", "x", "vertex x not in any 2-simplex"),
+        ts.Diagnostic("pure_dim2", "{b,x}", "edge {b,x} not in any 2-simplex"),
+    ]
+
+
 def test_alpha_count_on_tetrahedron(tetra):
     # oracle: exhaustive enumeration of oriented markings over the four faces
     expected = set()

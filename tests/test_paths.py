@@ -143,28 +143,32 @@ def test_identities_neutral_on_degenerate_free_paths(tetra):
 
 # -- degenerate bookkeeping ----------------------------------------------------
 
+def deg(p, move, k):
+    return ts.apply_move_path(p, ts.HomotopyStep(move, k), None)
+
+
 def test_insert_degenerate():
-    assert ts.insert_degenerate(P("a", "b", "c"), 1) == ts.EdgePath(
+    assert deg(P("a", "b", "c"), "deg_insert", 1) == ts.EdgePath(
         (("a", "b"), ("b", "b"), ("b", "c"))
     )
 
 
 def test_drop_then_insert_round_trip():
     p = ts.EdgePath((("a", "b"), ("b", "b"), ("b", "c")))
-    assert ts.insert_degenerate(ts.drop_degenerate(p, 1), 1) == p
+    assert deg(deg(p, "deg_drop", 1), "deg_insert", 1) == p
 
 
 def test_insert_raises_length():
     p = P("a", "b", "c")
     for k in range(len(p.steps) + 1):
-        assert len(ts.insert_degenerate(p, k)) == len(p) + 1
+        assert len(deg(p, "deg_insert", k)) == len(p) + 1
 
 
 def test_drop_requires_degenerate():
-    with pytest.raises(PathError, match="not degenerate"):
-        ts.drop_degenerate(P("a", "b"), 0)
-    with pytest.raises(PathError):
-        ts.drop_degenerate(ts.EdgePath.identity("a"), 0)
+    with pytest.raises(SchemeError, match="not degenerate"):
+        deg(P("a", "b"), "deg_drop", 0)
+    with pytest.raises(SchemeError, match="only step of an identity path"):
+        deg(ts.EdgePath.identity("a"), "deg_drop", 0)
 
 
 # -- scheme validation ---------------------------------------------------------

@@ -271,11 +271,18 @@ FOREIGN = ts.cyclic_group(5)
 
 
 def scanned_diagnostics(K: ts.SimplicialComplex, pure: bool) -> list[ts.Diagnostic]:
-    """What ``validate_complex`` lists, each entry checked on its own against the raw fields."""
+    """What ``validate_complex`` lists, each entry checked on its own against the raw fields.
+
+    A triangle without three vertices or an edge without two is reported
+    by size and takes no part in the side and pure-edge rules.
+    """
     out = []
     for t in sorted(tuple(sorted(t)) for t in K.triangles):
         name = "{%s}" % ",".join(t)
         out += [ts.Diagnostic("closure", name, f"triangle {name} references undeclared vertex {v}") for v in t if v not in K.vertices]
+        if len(t) != 3:
+            out.append(ts.Diagnostic("size", name, f"triangle {name} needs three distinct vertices"))
+            continue
         for pair in itertools.combinations(t, 2):
             if frozenset(pair) not in K.edges:
                 pair_name = "{%s}" % ",".join(pair)
@@ -284,12 +291,14 @@ def scanned_diagnostics(K: ts.SimplicialComplex, pure: bool) -> list[ts.Diagnost
     for e in edges:
         name = "{%s}" % ",".join(e)
         out += [ts.Diagnostic("closure", name, f"edge {name} references undeclared vertex {v}") for v in e if v not in K.vertices]
+        if len(e) != 2:
+            out.append(ts.Diagnostic("size", name, f"edge {name} needs two distinct vertices"))
     if pure:
         for v in sorted(K.vertices):
             if not any(v in t for t in K.triangles):
                 out.append(ts.Diagnostic("pure_dim2", v, f"vertex {v} not in any 2-simplex"))
         for e in edges:
-            if not any(frozenset(e) <= t for t in K.triangles):
+            if len(e) == 2 and not any(frozenset(e) <= t for t in K.triangles if len(t) == 3):
                 name = "{%s}" % ",".join(e)
                 out.append(ts.Diagnostic("pure_dim2", name, f"edge {name} not in any 2-simplex"))
     return out
@@ -311,7 +320,12 @@ def test_validate_complex_lists_what_a_per_entry_scan_finds_on_damaged_surfaces(
         edges.add(frozenset(("y", rng.choice(K.sorted_vertices))))
     if rng.random() < 0.5:  # a triangle vertex left undeclared
         vertices.discard(rng.choice(K.sorted_vertices))
-    damaged = ts.SimplicialComplex(frozenset(vertices), K.triangles, frozenset(edges), rng.random() < 0.5)
+    triangles = set(K.triangles)
+    if rng.random() < 0.3:  # a one-vertex edge, declared or not
+        edges.add(frozenset((rng.choice([*K.sorted_vertices, "y"]),)))
+    if rng.random() < 0.3:  # a two-vertex triangle on an edge
+        triangles.add(frozenset(rng.choice(K.sorted_edges)))
+    damaged = ts.SimplicialComplex(frozenset(vertices), frozenset(triangles), frozenset(edges), rng.random() < 0.5)
     expected = scanned_diagnostics(damaged, require_pure or damaged.pure_dim2)
     assert ts.validate_complex(damaged, require_pure) == expected
     assert ts.validate_complex(K, require_pure) == []

@@ -188,7 +188,29 @@ def test_no_parsed_value_outlives_its_load(tetra):
     text = json.dumps({"group": {"free": ["x"]}, "edges": {f"{a}>{b}": "x" for a, b in tetra.sorted_edges}})
     wider = ts.free_group(["x", "y"])
     assert ts.load_connection(text, tetra).value("a", "b").group == ts.free_group(["x"])
-    assert ts.load_connection(text, tetra, group=wider).value("a", "b").group == wider
+    assert ts.load_connection(text, tetra, words=["y"]).value("a", "b").group == wider
+
+
+def edge_text(tetra, group) -> str:
+    e = ts.format_element(ts.identity(ts.descriptor_from_json(group)))
+    return json.dumps({"group": group, "edges": {f"{a}>{b}": e for a, b in tetra.sorted_edges}})
+
+
+def test_words_extend_a_free_group_by_their_fresh_names_in_sorted_order(tetra):
+    conn = ts.load_connection(edge_text(tetra, {"free": ["x", "q"]}), tetra, words=["z^2*y", "x*w^-1", "y"])
+    assert conn.group == ts.free_group(["x", "q", "w", "y", "z"])
+
+
+def test_words_skip_e_and_the_declared_generators(tetra):
+    text = edge_text(tetra, {"free": ["x", "y"]})
+    assert ts.load_connection(text, tetra, words=["e", "x*y^-1", "y*e"]).group == ts.free_group(["x", "y"])
+    assert ts.load_connection(text, tetra, words=[]).group == ts.free_group(["x", "y"])
+
+
+@pytest.mark.parametrize("group", [{"cyclic": 5}, {"symmetric": 3}, {"product": [{"free": ["x"]}, {"cyclic": 2}]}])
+def test_words_leave_a_group_that_is_not_free_as_declared(tetra, group):
+    conn = ts.load_connection(edge_text(tetra, group), tetra, words=["y", "x*z"])
+    assert conn.group == ts.descriptor_from_json(group)
 
 
 LONG_NAMES = [f"v{i}" for i in range(3004)]
