@@ -88,11 +88,7 @@ from .sweep import (
     SchemeComparison,
     Section,
     SweepTrace,
-    alpha_expand,
-    alpha_merge,
     apply_move_section,
-    beta_expand,
-    beta_merge,
     compare_schemes,
     curvature_square,
     interior_vertices,

@@ -52,19 +52,23 @@ def _read_text(path: str) -> str:
     raise FileNotFoundError(f"no such file: {path}")
 
 
-def _fmt_path(path: EdgePath) -> str:
-    if all(len(x) == 1 and len(y) == 1 for x, y in path.steps):
-        return "(" + ",".join(x + y for x, y in path.steps) + ")"
-    return "(" + ",".join(f"{x}>{y}" for x, y in path.steps) + ")"
+def _fmt_path(steps) -> str:
+    sep = "" if all(len(x) == 1 and len(y) == 1 for x, y in steps) else ">"
+    return "(" + ",".join(x + sep + y for x, y in steps) + ")"
 
 
-def _fmt_word(letters) -> str:
-    return "(" + ", ".join(format_element(l) for l in letters) + ")"
+def _emit(args, result, lines, code: int = 0) -> int:
+    """Print a subcommand's one result, as a JSON line or as its text lines, and return ``code``.
 
-
-def _emit_json(obj) -> int:
-    print(json.dumps(obj, sort_keys=True))
-    return 0
+    ``result`` is what ``--format json`` prints; ``lines`` are the same
+    result rendered as text.
+    """
+    if args.format == "json":
+        print(json.dumps(result, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def _load_connection_for_word(args, complex):
@@ -110,14 +114,9 @@ def _as_connection2(connection) -> Connection2:
 def cmd_validate(args) -> int:
     complex = load_complex(_read_text(args.complex))
     diagnostics = validate_complex(complex, require_pure_dim2=args.require_pure_dim2)
-    if args.format == "json":
-        _emit_json({"diagnostics": [{"rule": d.rule, "simplex": d.simplex, "message": d.message} for d in diagnostics]})
-    else:
-        if not diagnostics:
-            print("ok")
-        for d in diagnostics:
-            print(d.message)
-    return 1 if diagnostics else 0
+    result = {"diagnostics": [{"rule": d.rule, "simplex": d.simplex, "message": d.message} for d in diagnostics]}
+    lines = [d.message for d in diagnostics] or ["ok"]
+    return _emit(args, result, lines, 1 if diagnostics else 0)
 
 
 def cmd_holonomy(args) -> int:
@@ -126,11 +125,8 @@ def cmd_holonomy(args) -> int:
     base = connection.base if isinstance(connection, Connection2) else connection
     chain = [v.strip() for v in re.split(r"[,\s]+", args.path.strip()) if v.strip()]
     path = EdgePath.from_vertices(*chain)
-    result = edge_holonomy(base, path)
-    if args.format == "json":
-        return _emit_json({"holonomy": format_element(result)})
-    print(format_element(result))
-    return 0
+    text = format_element(edge_holonomy(base, path))
+    return _emit(args, {"holonomy": text}, [text])
 
 
 def cmd_sweep(args) -> int:
@@ -138,12 +134,9 @@ def cmd_sweep(args) -> int:
     connection, word_texts = _load_connection_for_word(args, complex)
     scheme = load_scheme(_read_text(args.scheme))
     start = _initial_section(connection, scheme.start_path, word_texts)
-    trace = run_scheme(start, scheme, _as_connection2(connection))
-    if args.format == "json":
-        return _emit_json(trace_to_json(trace))
-    for section in trace.sections:
-        print(f"{_fmt_path(section.path)} -> {_fmt_word(section.letters)}")
-    return 0
+    sections = trace_to_json(run_scheme(start, scheme, _as_connection2(connection)))
+    lines = [f"{_fmt_path(s['path'])} -> ({', '.join(s['letters'])})" for s in sections]
+    return _emit(args, sections, lines)
 
 
 def cmd_compare(args) -> int:
@@ -154,21 +147,12 @@ def cmd_compare(args) -> int:
     scheme1 = load_scheme(_read_text(args.scheme[0]))
     scheme2 = load_scheme(_read_text(args.scheme[1]))
     start = _initial_section(connection, scheme1.start_path, word_texts)
-    result = compare_schemes(scheme1, scheme2, start, _as_connection2(connection))
-    if args.format == "json":
-        return _emit_json(
-            {
-                "verdict": result.verdict,
-                "quotient": [format_element(q) for q in result.quotient],
-                "gauge": None if result.gauge is None else {v: format_element(g) for v, g in result.gauge.values},
-            }
-        )
-    print(result.verdict)
-    print(f"quotient: {_fmt_word(result.quotient)}")
-    if result.gauge is not None:
-        for v, g in result.gauge.values:
-            print(f"gauge {v}: {format_element(g)}")
-    return 0
+    comparison = compare_schemes(scheme1, scheme2, start, _as_connection2(connection))
+    quotient = [format_element(q) for q in comparison.quotient]
+    gauge = None if comparison.gauge is None else {v: format_element(g) for v, g in comparison.gauge.values}
+    lines = [comparison.verdict, f"quotient: ({', '.join(quotient)})"]
+    lines += [f"gauge {v}: {g}" for v, g in (gauge or {}).items()]
+    return _emit(args, {"verdict": comparison.verdict, "quotient": quotient, "gauge": gauge}, lines)
 
 
 def cmd_curvature(args) -> int:
@@ -177,22 +161,15 @@ def cmd_curvature(args) -> int:
     a, b, c, d = args.vertices
     path = EdgePath(((a, b), (b, d)))
     start = _initial_section(connection, path, word_texts)
-    report = curvature_square(a, b, c, d, start, _as_connection2(connection))
-    if args.format == "json":
-        return _emit_json(defect_report_to_json(report))
-    print(f"path: {_fmt_path(report.path)}")
-    print(f"defects: {_fmt_word(report.defects)}")
-    return 0
+    report = defect_report_to_json(curvature_square(a, b, c, d, start, _as_connection2(connection)))
+    lines = [f"path: {_fmt_path(report['path'])}", f"defects: ({', '.join(report['defects'])})"]
+    return _emit(args, report, lines)
 
 
 def cmd_center(args) -> int:
     descriptor = descriptor_from_json(decode_json(args.group, TrisweepError, "bad group descriptor"))
-    elements = center_obstruction_check(descriptor)
-    if args.format == "json":
-        return _emit_json({"center": [format_element(z) for z in elements]})
-    for z in elements:
-        print(format_element(z))
-    return 0
+    elements = [format_element(z) for z in center_obstruction_check(descriptor)]
+    return _emit(args, {"center": elements}, elements)
 
 
 def _add_common(sub) -> None:

@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all trisweep modules, and the one JSON decode rule.
 
 Every domain error has ``line`` and ``column``, set when a JSON text failed
-to decode, and ``step_index``, set when a move of a scheme failed; each is
-``None`` where it does not apply.
+to decode, and ``step_index``, set when a step of a scheme could not be read
+or applied; each is ``None`` where it does not apply.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class PathError(TrisweepError):
 
 
 class SchemeError(TrisweepError):
-    """Invalid homotopy move or sweep scheme; ``step_index`` is set by ``validate_scheme``."""
+    """Invalid homotopy move or sweep scheme; ``step_index`` is set by ``load_scheme`` and ``validate_scheme``."""
 
 
 class GroupError(TrisweepError):

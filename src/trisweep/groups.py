@@ -690,14 +690,6 @@ class Representation(Record):
     def _lookup(self) -> dict[str, Matrix]:
         return dict(self.table)
 
-    @property
-    def dimension(self) -> int:
-        if self.kind == "permutation":
-            return self.group.degree
-        if self.kind == "cyclic_character":
-            return 2
-        return len(self.table[0][1])
-
 
 def permutation_representation(group: GroupDescriptor) -> Representation:
     if group.kind != "symmetric":

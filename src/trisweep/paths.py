@@ -394,7 +394,11 @@ def cell_name(cell: tuple[str, ...]) -> str:
 
 
 def load_scheme(text: str) -> SweepScheme:
-    """Parse the JSON scheme format into a SweepScheme."""
+    """Parse the JSON scheme format into a SweepScheme.
+
+    A step that cannot be read raises a ``SchemeError`` with ``step_index``
+    set and the text ``step k: ...``.
+    """
     obj = decode_json(text, SchemeError, "scheme parse error")
     if not isinstance(obj, dict):
         raise SchemeError("scheme file must hold a JSON object")
@@ -417,23 +421,23 @@ def load_scheme(text: str) -> SweepScheme:
         raise SchemeError('"steps" must be a list')
     for k, raw in enumerate(obj["steps"]):
         if not isinstance(raw, dict):
-            raise SchemeError(f"step {k} must be an object")
-        unknown = set(raw) - {"move", "cell", "position"}
-        if unknown:
-            raise SchemeError(f"step {k}: unknown keys {sorted(unknown)}")
-        move = raw.get("move")
-        position = raw.get("position")
-        if not isinstance(move, str) or not isinstance(position, int) or isinstance(position, bool):
-            raise SchemeError(f'step {k}: needs string "move" and integer "position"')
-        cell = None
-        if "cell" in raw and raw["cell"] is not None:
-            if not isinstance(raw["cell"], str):
-                raise SchemeError(f'step {k}: "cell" must be a string')
-            cell = _cell_from_text(raw["cell"])
+            raise SchemeError(f"step {k} must be an object", step_index=k)
         try:
+            unknown = set(raw) - {"move", "cell", "position"}
+            if unknown:
+                raise SchemeError(f"unknown keys {sorted(unknown)}")
+            move = raw.get("move")
+            position = raw.get("position")
+            if not isinstance(move, str) or not isinstance(position, int) or isinstance(position, bool):
+                raise SchemeError('needs string "move" and integer "position"')
+            cell = None
+            if "cell" in raw and raw["cell"] is not None:
+                if not isinstance(raw["cell"], str):
+                    raise SchemeError('"cell" must be a string')
+                cell = _cell_from_text(raw["cell"])
             moves.append(HomotopyStep(move, position, cell))
-        except SchemeError as exc:
-            raise SchemeError(f"step {k}: {exc}") from exc
+        except SchemeError as exc:  # each step's refusal names the step, in its text and its step_index
+            raise SchemeError(f"step {k}: {exc}", step_index=k) from exc
     return SweepScheme(start, tuple(moves))
 
 

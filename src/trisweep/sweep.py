@@ -288,48 +288,6 @@ def interior_vertices(path: EdgePath) -> frozenset[str]:
 
 # -- elementary moves on sections -----------------------------------------
 
-def alpha_expand(
-    section: Section,
-    cell: tuple[str, str, str],
-    position: int,
-    connection: Connection2,
-    identity_first: bool = False,
-) -> Section:
-    """Replace the letter w over (a,b) by (w, phi) over (a,c),(c,b).
-
-    With ``identity_first`` the letters are (e, w*phi) instead: the same
-    section re-gauged at the new interior vertex, matching the convention
-    that parks the identity on the first new edge.
-    """
-    out = apply_move_section(section, HomotopyStep("alpha_expand", position, cell), connection)
-    if not identity_first:
-        return out
-    w, phi = out.letters[position : position + 2]
-    pair = (identity(connection.group), multiply(w, phi))
-    return Section._trusted(out.path, out.letters[:position] + pair + out.letters[position + 2 :])
-
-
-def alpha_merge(
-    section: Section, cell: tuple[str, str, str], position: int, connection: Connection2
-) -> Section:
-    """Replace the letters (u, v) over (a,c),(c,b) by u*v*phi^-1 over (a,b)."""
-    return apply_move_section(section, HomotopyStep("alpha_merge", position, cell), connection)
-
-
-def beta_expand(
-    section: Section, cell: tuple[str, str, str, str], connection: Connection2, position: int = 0
-) -> Section:
-    """Expand the letter w over (c,c) to (e, w, phi) over (c,a),(a,b),(b,c)."""
-    return apply_move_section(section, HomotopyStep("beta_expand", position, cell), connection)
-
-
-def beta_merge(
-    section: Section, cell: tuple[str, str, str, str], connection: Connection2, position: int = 0
-) -> Section:
-    """Collapse the boundary letters (l1, l2, l3) to l1*l2*l3*phi^-1 over (c,c)."""
-    return apply_move_section(section, HomotopyStep("beta_merge", position, cell), connection)
-
-
 def apply_move_section(section: Section, step: HomotopyStep, connection: Connection2) -> Section:
     """Apply one homotopy move to a section, rewriting only the letters over its window.
 
@@ -456,8 +414,10 @@ def sections_gauge_equivalent(
 def two_holonomy(initial: Section, final: Section) -> DefectReport:
     """Letterwise defects of the final section against the initial one.
 
-    Uses the canonical identity gauge on the interior vertices; the gauge
-    is reported so alternative choices can be recomputed by re-twisting.
+    Uses the canonical identity gauge on the interior vertices, which
+    leaves every letter as it is, so the defects are read from the final
+    letters directly; the gauge is reported so alternative choices can be
+    recomputed by re-twisting.
     """
     if initial.path != final.path:
         raise SweepError("sections live over different paths")
@@ -465,8 +425,7 @@ def two_holonomy(initial: Section, final: Section) -> DefectReport:
     if final.letters[0].group != group:
         raise GroupError("backend mismatch between the two sections")
     gauge = GaugeTransform.build(group, {v: identity(group) for v in sorted(interior_vertices(initial.path))})
-    gauged_final = twist_section(final, gauge)
-    defects = tuple(multiply(inverse(a), b) for a, b in zip(initial.letters, gauged_final.letters))
+    defects = tuple(multiply(inverse(a), b) for a, b in zip(initial.letters, final.letters))
     return DefectReport(initial.path, defects, gauge)
 
 

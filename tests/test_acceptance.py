@@ -184,14 +184,16 @@ def test_criterion_5_move_inverses():
 
             # triangle moves: expand then merge is the identity
             s_edge = ts.Section(ts.EdgePath(((a, b),)), (random_element(group, rng),))
-            expanded = ts.alpha_expand(s_edge, (a, apex, b), 0, conn)
-            ok = ok and ts.alpha_merge(expanded, (a, apex, b), 0, conn) == s_edge
+            expand = ts.HomotopyStep("alpha_expand", 0, (a, apex, b))
+            merge = ts.HomotopyStep("alpha_merge", 0, (a, apex, b))
+            expanded = ts.apply_move_section(s_edge, expand, conn)
+            ok = ok and ts.apply_move_section(expanded, merge, conn) == s_edge
 
             # loop moves: expand then merge is the identity
             s_loop = ts.Section(ts.EdgePath.identity(apex), (random_element(group, rng),))
             cell = (apex, a, b, apex)
-            blown = ts.beta_expand(s_loop, cell, conn)
-            ok = ok and ts.beta_merge(blown, cell, conn) == s_loop
+            blown = ts.apply_move_section(s_loop, ts.HomotopyStep("beta_expand", 0, cell), conn)
+            ok = ok and ts.apply_move_section(blown, ts.HomotopyStep("beta_merge", 0, cell), conn) == s_loop
 
             # merge then expand returns a section that is the original one
             # re-gauged at the interior vertex
@@ -199,9 +201,7 @@ def test_criterion_5_move_inverses():
                 ts.EdgePath(((a, apex), (apex, b))),
                 (random_element(group, rng), random_element(group, rng)),
             )
-            back = ts.alpha_expand(
-                ts.alpha_merge(pair, (a, apex, b), 0, conn), (a, apex, b), 0, conn
-            )
+            back = ts.apply_move_section(ts.apply_move_section(pair, merge, conn), expand, conn)
             gauge = ts.sections_gauge_equivalent(back, pair, movable={apex})
             ok = ok and gauge is not None and ts.twist_section(back, gauge) == pair
             if not ok:

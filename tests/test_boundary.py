@@ -108,11 +108,13 @@ def test_run_scheme_reports_a_backend_mismatch_on_an_expansion(symbolic_connecti
 
 
 def test_section_moves_report_a_backend_mismatch(symbolic_connection):
+    merge = ts.HomotopyStep("alpha_merge", 0, ("a", "c", "b"))
+    expand = ts.HomotopyStep("alpha_expand", 0, ("a", "c", "b"))
     with pytest.raises(SweepError) as info:
-        ts.alpha_merge(z5_section(ts.EdgePath.from_vertices("a", "c", "b")), ("a", "c", "b"), 0, symbolic_connection)
+        ts.apply_move_section(z5_section(ts.EdgePath.from_vertices("a", "c", "b")), merge, symbolic_connection)
     assert_names_both_groups(info.value)
     with pytest.raises(SweepError) as info:
-        ts.alpha_expand(z5_section(ts.EdgePath.from_vertices("a", "b")), ("a", "c", "b"), 0, symbolic_connection)
+        ts.apply_move_section(z5_section(ts.EdgePath.from_vertices("a", "b")), expand, symbolic_connection)
     assert_names_both_groups(info.value)
 
 
@@ -122,7 +124,7 @@ def test_a_cell_value_outside_the_connection_group_is_refused(tetra):
     conn = ts.Connection2(base, ((("a", "c", "b"), ts.identity(Z5)),))
     section = ts.Section(ts.EdgePath.from_vertices("a", "b"), (ts.identity(S3),))
     with pytest.raises(SweepError, match="backend mismatch at cell a.c.b"):
-        ts.alpha_expand(section, ("a", "c", "b"), 0, conn)
+        ts.apply_move_section(section, ts.HomotopyStep("alpha_expand", 0, ("a", "c", "b")), conn)
 
 
 def test_trace_to_json_formats_every_section_like_section_to_json():

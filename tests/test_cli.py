@@ -193,6 +193,69 @@ def test_compare_bundled_schemes():
     assert lines[1] == "quotient: (phi_adc*phi_adb^-1, phi_dcb^-1*phi_acd*phi_adb*phi_cdb^-1)"
 
 
+def _compare_schemes_cli(tmp_path: Path, first: list, second: list, fmt: str) -> subprocess.CompletedProcess[str]:
+    schemes = []
+    for name, steps in (("first", first), ("second", second)):
+        scheme = tmp_path / f"{name}.json"
+        scheme.write_text(json.dumps({"start": [["a", "c"], ["c", "b"]], "steps": steps}))
+        schemes += ["--scheme", str(scheme)]
+    return run_cli(
+        "compare",
+        "--complex", "tetrahedron.json",
+        "--connection", "tetrahedron_symbolic.json",
+        *schemes,
+        "--word", "x,y",
+        "--format", fmt,
+    )
+
+
+MERGE_THEN_EXPAND = [
+    {"move": "alpha_merge", "cell": "a.c.b", "position": 0},
+    {"move": "alpha_expand", "cell": "a.c.b", "position": 0},
+]
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("text", "gauge_equivalent\nquotient: (phi_acb*y^-1, phi_acb^-1*y)\ngauge c: phi_acb*y^-1\n"),
+        (
+            "json",
+            '{"gauge": {"c": "phi_acb*y^-1"}, "quotient": ["phi_acb*y^-1", "phi_acb^-1*y"], '
+            '"verdict": "gauge_equivalent"}\n',
+        ),
+    ],
+)
+def test_compare_gauge_equivalent_output(tmp_path: Path, fmt, expected):
+    proc = _compare_schemes_cli(tmp_path, MERGE_THEN_EXPAND, [], fmt)
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("text", "equal\nquotient: (e, e)\n"),
+        ("json", '{"gauge": null, "quotient": ["e", "e"], "verdict": "equal"}\n'),
+    ],
+)
+def test_compare_equal_output(tmp_path: Path, fmt, expected):
+    proc = _compare_schemes_cli(tmp_path, [], [], fmt)
+    assert proc.returncode == 0
+    assert proc.stdout == expected
+
+
+def test_validate_json_lists_the_diagnostics_and_exits_1(tmp_path: Path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": ["a","b","c","x"], "triangles": [["a","b","c"]], "edges": [["a","x"]], "pure_dim2": true}')
+    proc = run_cli("validate", "--complex", str(bad), "--format", "json")
+    assert proc.returncode == 1
+    assert proc.stdout == (
+        '{"diagnostics": [{"message": "vertex x not in any 2-simplex", "rule": "pure_dim2", "simplex": "x"}, '
+        '{"message": "edge {a,x} not in any 2-simplex", "rule": "pure_dim2", "simplex": "{a,x}"}]}\n'
+    )
+
+
 def test_curvature_flat_cells(tmp_path: Path):
     conn = tmp_path / "flat.json"
     edges = {f"{a}>{b}": "0" for a, b in (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"))}

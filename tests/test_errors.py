@@ -60,7 +60,15 @@ def test_run_scheme_and_validate_scheme_errors_keep_their_step_index(tetra, symb
     start = ts.Section(bad.start_path, tuple(ts.identity(symbolic_connection.group) for _ in bad.start_path.steps))
     with pytest.raises(SweepError) as on_section:
         ts.run_scheme(start, bad, symbolic_connection)
-    for err in (on_path.value, on_section.value):
+    # load_scheme names the step it could not read, whichever check refused it
+    read_errors = []
+    for key, value in (("position", True), ("cell", "a..b"), ("move", "zig"), ("extra", 1)):
+        obj = json.loads(ts.dump_scheme(scheme1))
+        obj["steps"][2][key] = value
+        with pytest.raises(SchemeError) as on_read:
+            ts.load_scheme(json.dumps(obj))
+        read_errors.append(on_read.value)
+    for err in (on_path.value, on_section.value, *read_errors):
         assert err.step_index == 2
         assert str(err).startswith("step 2: ")
         assert (err.line, err.column) == (None, None)

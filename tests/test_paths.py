@@ -347,9 +347,9 @@ def test_scheme_cell_name_errors_quote_a_bounded_prefix():
             ts.load_scheme(json.dumps({"start": [["a", "c"], ["c", "b"]], "steps": [step]}))
         return str(info.value)
 
-    assert refusal("a..b") == "bad cell name 'a..b'"  # a short name is quoted whole
+    assert refusal("a..b") == "step 0: bad cell name 'a..b'"  # a short name is quoted whole
     got = refusal("a." + ".".join(f"v{i}" for i in range(3004)) + ".")
-    assert got.startswith("bad cell name 'a.v0.v1") and len(got) <= 200
+    assert got.startswith("step 0: bad cell name 'a.v0.v1") and len(got) <= 200
 
 
 def test_scheme_rejects_unknown_move():

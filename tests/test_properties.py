@@ -1,7 +1,8 @@
 """Property tests: group axioms, the free-group product, the conjugator
 search, element text round trips, record equality, moves undone by their
-inverses, the oriented cells of random complexes, the cell-support rule,
-and the set-level ingest checks against per-entry scans."""
+inverses, the gauge covariance of the defects, the oriented cells of
+random complexes, the cell-support rule, and the set-level ingest checks
+against per-entry scans."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from conftest import (  # noqa: E402
     band_complex,
     random_connection2,
     random_element,
+    random_gauge,
     random_section,
     random_walk,
     torus_complex,
@@ -167,6 +169,26 @@ def test_an_expansion_or_insertion_then_its_inverse_is_the_identity_on_sections(
         if step.move.endswith(("expand", "insert")):
             moved = ts.apply_move_section(section, step, conn)
             assert ts.apply_move_section(moved, inverse_step(section.path, step), conn) == section
+
+
+S3 = ts.symmetric_group(3)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_two_holonomy_is_gauge_covariant(seed):
+    # twisting both sections by n turns defect i into n_q^-1 * defect_i * n_q, q the target of step i
+    rng = random.Random(seed)
+    initial = random_section(TORUS, S3, rng, rng.randrange(1, 6), stay_prob=0.2)
+    final = ts.Section(initial.path, tuple(random_element(S3, rng) for _ in initial.letters))
+    n = random_gauge(TORUS, S3, rng)
+    report = ts.two_holonomy(initial, final)
+    twisted = ts.two_holonomy(ts.twist_section(initial, n), ts.twist_section(final, n))
+    conjugated = tuple(
+        ts.multiply(ts.multiply(ts.inverse(n.get(q)), d), n.get(q)) for (_p, q), d in zip(initial.path.steps, report.defects)
+    )
+    assert twisted.defects == conjugated
+    e = ts.identity(S3)
+    assert report.gauge_used == ts.GaugeTransform.build(S3, {v: e for v in ts.interior_vertices(initial.path)})
 
 
 VERTICES = "pqrstu"

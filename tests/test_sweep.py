@@ -32,6 +32,13 @@ def words(section: ts.Section) -> list[str]:
     return [ts.format_element(l) for l in section.letters]
 
 
+# the moves across the triangle a.c.b and across the loop c.a.b.c, at position 0
+EXPAND_ACB = ts.HomotopyStep("alpha_expand", 0, ("a", "c", "b"))
+MERGE_ACB = ts.HomotopyStep("alpha_merge", 0, ("a", "c", "b"))
+EXPAND_CABC = ts.HomotopyStep("beta_expand", 0, ("c", "a", "b", "c"))
+MERGE_CABC = ts.HomotopyStep("beta_merge", 0, ("c", "a", "b", "c"))
+
+
 # -- single moves -----------------------------------------------------------------
 
 def test_alpha_merge_generic_word(tetra, symbolic_connection):
@@ -39,7 +46,7 @@ def test_alpha_merge_generic_word(tetra, symbolic_connection):
         ts.EdgePath((("a", "c"), ("c", "b"))),
         (parse("x", symbolic_connection), parse("y", symbolic_connection)),
     )
-    merged = ts.alpha_merge(start, ("a", "c", "b"), 0, symbolic_connection)
+    merged = ts.apply_move_section(start, MERGE_ACB, symbolic_connection)
     assert merged.path == ts.EdgePath((("a", "b"),))
     assert words(merged) == ["x*y*phi_acb^-1"]
 
@@ -47,7 +54,7 @@ def test_alpha_merge_generic_word(tetra, symbolic_connection):
 def test_alpha_merge_trivial_letters(tetra):
     flat = ts.Connection2.flat(Z12, tetra)
     start = ts.Section(ts.EdgePath((("a", "c"), ("c", "b"))), (ts.identity(Z12),) * 2)
-    merged = ts.alpha_merge(start, ("a", "c", "b"), 0, flat)
+    merged = ts.apply_move_section(start, MERGE_ACB, flat)
     assert merged.letters == (ts.identity(Z12),)
 
 
@@ -58,7 +65,7 @@ def test_alpha_merge_permutation_oracle(tetra):
     base = ts.Connection1.constant(S3, tetra, ts.identity(S3))
     conn = ts.Connection2.build(base, {m: phi for m in all_alpha_markings(tetra)})
     start = ts.Section(ts.EdgePath((("a", "c"), ("c", "b"))), (u, v))
-    merged = ts.alpha_merge(start, ("a", "c", "b"), 0, conn)
+    merged = ts.apply_move_section(start, MERGE_ACB, conn)
     # oracle: compose the permutations directly
     expected = ts.multiply(ts.multiply(u, v), ts.inverse(phi))
     assert merged.letters == (expected,)
@@ -68,29 +75,25 @@ def test_alpha_merge_permutation_oracle(tetra):
 def test_alpha_expand_golden_lines(tetra, symbolic_connection):
     w = parse("x*y*phi_acb^-1", symbolic_connection)
     s = ts.Section(ts.EdgePath((("a", "b"),)), (w,))
-    s = ts.alpha_expand(s, ("a", "d", "b"), 0, symbolic_connection)
+    s = ts.apply_move_section(s, ts.HomotopyStep("alpha_expand", 0, ("a", "d", "b")), symbolic_connection)
     assert words(s) == ["x*y*phi_acb^-1", "phi_adb"]
-    s = ts.alpha_expand(s, ("d", "c", "b"), 1, symbolic_connection)
+    s = ts.apply_move_section(s, ts.HomotopyStep("alpha_expand", 1, ("d", "c", "b")), symbolic_connection)
     assert words(s) == ["x*y*phi_acb^-1", "phi_adb", "phi_dcb"]
 
 
 def test_alpha_moves_are_inverse_in_stated_order(tetra, symbolic_connection):
     w = parse("x", symbolic_connection)
     s = ts.Section(ts.EdgePath((("a", "b"),)), (w,))
-    expanded = ts.alpha_expand(s, ("a", "c", "b"), 0, symbolic_connection)
-    assert ts.alpha_merge(expanded, ("a", "c", "b"), 0, symbolic_connection) == s
+    expanded = ts.apply_move_section(s, EXPAND_ACB, symbolic_connection)
+    assert ts.apply_move_section(expanded, MERGE_ACB, symbolic_connection) == s
 
 
 def test_expand_after_merge_needs_interior_gauge(tetra, symbolic_connection):
     u = parse("x", symbolic_connection)
     v = parse("y", symbolic_connection)
     s = ts.Section(ts.EdgePath((("a", "c"), ("c", "b"))), (u, v))
-    back = ts.alpha_expand(
-        ts.alpha_merge(s, ("a", "c", "b"), 0, symbolic_connection),
-        ("a", "c", "b"),
-        0,
-        symbolic_connection,
-    )
+    merged = ts.apply_move_section(s, MERGE_ACB, symbolic_connection)
+    back = ts.apply_move_section(merged, EXPAND_ACB, symbolic_connection)
     assert back != s
     gauge = ts.sections_gauge_equivalent(back, s, movable={"c"})
     assert gauge is not None
@@ -103,17 +106,19 @@ def test_expand_after_merge_needs_interior_gauge(tetra, symbolic_connection):
 def test_alpha_expand_identity_first_variant(tetra, symbolic_connection):
     w = parse("x", symbolic_connection)
     s = ts.Section(ts.EdgePath((("a", "b"),)), (w,))
-    default = ts.alpha_expand(s, ("a", "c", "b"), 0, symbolic_connection)
-    variant = ts.alpha_expand(s, ("a", "c", "b"), 0, symbolic_connection, identity_first=True)
+    default = ts.apply_move_section(s, EXPAND_ACB, symbolic_connection)
+    # the variant parks the identity on the first new edge: (e, w*phi) over (a,c),(c,b)
+    phi = symbolic_connection.alpha_value("a", "c", "b")
+    variant = ts.Section(default.path, (ts.identity(symbolic_connection.group), ts.multiply(w, phi)))
     assert words(variant) == ["e", "x*phi_acb"]
     assert ts.sections_gauge_equivalent(default, variant, movable={"c"}) is not None
-    assert ts.alpha_merge(variant, ("a", "c", "b"), 0, symbolic_connection) == s
+    assert ts.apply_move_section(variant, MERGE_ACB, symbolic_connection) == s
 
 
 def test_beta_expand_flat(tetra):
     flat = ts.Connection2.flat(Z12, tetra)
     s = ts.Section(ts.EdgePath.identity("c"), (ts.identity(Z12),))
-    out = ts.beta_expand(s, ("c", "a", "b", "c"), flat)
+    out = ts.apply_move_section(s, EXPAND_CABC, flat)
     assert out.path == ts.EdgePath((("c", "a"), ("a", "b"), ("b", "c")))
     assert out.letters == (ts.identity(Z12),) * 3
 
@@ -121,8 +126,8 @@ def test_beta_expand_flat(tetra):
 def test_beta_moves_inverse_and_product_conservation(tetra, symbolic_connection):
     w = parse("x*y^-1", symbolic_connection)
     s = ts.Section(ts.EdgePath.identity("c"), (w,))
-    out = ts.beta_expand(s, ("c", "a", "b", "c"), symbolic_connection)
-    assert ts.beta_merge(out, ("c", "a", "b", "c"), symbolic_connection) == s
+    out = ts.apply_move_section(s, EXPAND_CABC, symbolic_connection)
+    assert ts.apply_move_section(out, MERGE_CABC, symbolic_connection) == s
     # oracle: the ordered product of the letters is w times the boundary value
     phi = symbolic_connection.beta_value("c", "a", "b")
     assert product_of_letters(out.letters) == ts.multiply(w, phi)
@@ -144,7 +149,7 @@ def test_independent_beta_value_is_flagged_and_used(tetra):
     assert conn.beta_value("c", "a", "b") == ts.parse_element("q", conn.group)
     # an unsupplied basepoint still derives from the triangle cell
     s = ts.Section(ts.EdgePath.identity("c"), (ts.identity(conn.group),))
-    out = ts.beta_expand(s, ("c", "a", "b", "c"), conn)
+    out = ts.apply_move_section(s, EXPAND_CABC, conn)
     assert words(out) == ["e", "e", "q"]
 
 
@@ -244,6 +249,56 @@ def test_connection_errors_quote_a_bounded_prefix_of_the_entry(tetra, block, sho
     assert got.startswith(" ".join(refusal.split()[:3])) and len(got) <= 200
 
 
+def load_z12_relations(tetra, cells: dict, relations: list) -> ts.Connection2:
+    payload = {
+        "group": {"cyclic": 12},
+        "edges": {f"{a}>{b}": "0" for a, b in tetra.sorted_edges},
+        "cells": cells,
+        "cell_relations": relations,
+    }
+    return ts.load_connection(json.dumps(payload), tetra)
+
+
+@pytest.mark.parametrize(
+    "cells, relation, filled, value",
+    [
+        ({"a.c.b": "5"}, ["a.c.b", "a.d.b", "equal"], ("a", "d", "b"), "5"),  # the right cell from the left
+        ({"a.b.d": "5"}, ["a.c.d", "a.b.d", "inverse"], ("a", "c", "d"), "7"),  # the left cell from the right
+    ],
+    ids=["equal", "inverse"],
+)
+def test_a_cell_relation_fills_the_missing_cell(tetra, cells, relation, filled, value):
+    conn = load_z12_relations(tetra, cells, [relation])
+    assert conn.alpha_value(*filled) == ts.parse_element(value, Z12)
+    [(given, text)] = cells.items()
+    assert conn.alpha_value(*given.split(".")) == ts.parse_element(text, Z12)
+
+
+def test_a_cell_relation_between_consistent_supplied_values_loads(tetra):
+    conn = load_z12_relations(tetra, {"a.c.b": "5", "a.d.b": "7"}, [["a.c.b", "a.d.b", "inverse"]])
+    assert conn.alpha_value("a", "d", "b") == ts.parse_element("7", Z12)
+
+
+@pytest.mark.parametrize(
+    "cells, relation, refusal",
+    [
+        (
+            {"a.c.b": "5", "a.d.b": "4"},
+            ["a.c.b", "a.d.b", "equal"],
+            "cell relation ['a.c.b', 'a.d.b', 'equal'] violated by supplied values",
+        ),
+        ({}, ["a.c.b", "a.d.b", "equal"], "cell relation ['a.c.b', 'a.d.b', 'equal'] references values that are not present"),
+        ({"a.c.b": "5"}, ["c.a.b.c", "a.c.b", "equal"], "cell relations apply to triangle cells only"),
+        ({"a.c.b": "5"}, ["a.c.b", "a.d.b", "same"], "unknown cell relation kind 'same'"),
+    ],
+    ids=["inconsistent", "neither-present", "loop-cell", "unknown-kind"],
+)
+def test_a_cell_relation_is_refused(tetra, cells, relation, refusal):
+    with pytest.raises(BundleError) as info:
+        load_z12_relations(tetra, cells, [relation])
+    assert str(info.value) == refusal
+
+
 def test_a_cell_key_is_read_as_it_splits_when_a_vertex_name_holds_a_dot():
     # "c.a.b.d" names the marking (c, a.b, d) when joined, yet splits into four parts;
     # "x.a.b.x" names the marking (x.a, b, x) when joined, yet splits into the loop x.a.b.x
@@ -323,7 +378,7 @@ def test_missing_cell_value_raises(tetra):
     conn = ts.Connection2.build(base, {})
     s = ts.Section(ts.EdgePath((("a", "b"),)), (ts.identity(S3),))
     with pytest.raises(SweepError, match="missing cell value"):
-        ts.alpha_expand(s, ("a", "c", "b"), 0, conn)
+        ts.apply_move_section(s, EXPAND_ACB, conn)
 
 
 # -- whole schemes ------------------------------------------------------------------
@@ -440,8 +495,8 @@ def test_compare_gauge_equivalent_schemes(tetra, symbolic_connection):
     round_trip = ts.SweepScheme(
         path,
         (
-            ts.HomotopyStep("alpha_merge", 0, ("a", "c", "b")),
-            ts.HomotopyStep("alpha_expand", 0, ("a", "c", "b")),
+            MERGE_ACB,
+            EXPAND_ACB,
         ),
     )
     stay_put = ts.SweepScheme(path, ())
@@ -658,7 +713,7 @@ def test_alpha_merge_conserves_product_up_to_cell_value(tetra):
         conn = random_connection2(tetra, S3, rng)
         u, v = random_element(S3, rng), random_element(S3, rng)
         s = ts.Section(ts.EdgePath((("a", "c"), ("c", "b"))), (u, v))
-        merged = ts.alpha_merge(s, ("a", "c", "b"), 0, conn)
+        merged = ts.apply_move_section(s, MERGE_ACB, conn)
         phi = conn.alpha_value("a", "c", "b")
         assert ts.multiply(merged.letters[0], phi) == ts.multiply(u, v)
 
@@ -668,7 +723,7 @@ def test_compare_swapped_disjoint_moves_equal(tetra, symbolic_connection):
     first = ts.SweepScheme(
         path,
         (
-            ts.HomotopyStep("alpha_merge", 0, ("a", "c", "b")),
+            MERGE_ACB,
             ts.HomotopyStep("alpha_expand", 1, ("b", "c", "d")),
         ),
     )
@@ -676,7 +731,7 @@ def test_compare_swapped_disjoint_moves_equal(tetra, symbolic_connection):
         path,
         (
             ts.HomotopyStep("alpha_expand", 2, ("b", "c", "d")),
-            ts.HomotopyStep("alpha_merge", 0, ("a", "c", "b")),
+            MERGE_ACB,
         ),
     )
     letters = tuple(
