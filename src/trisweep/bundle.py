@@ -10,6 +10,8 @@ vertexwise and conjugate loop holonomies at the basepoint.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import starmap
+from operator import lt
 from typing import Mapping, Optional
 
 from ._record import Record
@@ -86,6 +88,18 @@ class Connection1(Record):
         complex: SimplicialComplex,
         values: Mapping[tuple[str, str], GroupElement],
     ) -> "Connection1":
+        """Check that the values are one per edge of the complex, in the connection's backend.
+
+        The check is done in bulk when every key is a sorted pair: the keys'
+        edges must be exactly the complex's, and the set of the values'
+        descriptors at most the connection's.  Any other map is walked entry
+        by entry, which stores the inverse under a reversed key and names
+        the first fault.
+        """
+        keys = values.keys()
+        if set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2} and set(map(frozenset, keys)) == complex.edges:
+            if all(starmap(lt, keys)) and {g.group for g in values.values()} <= {group}:
+                return cls(group, complex, values)
         store: dict[tuple[str, str], GroupElement] = {}
         for (a, b), g in values.items():
             if a == b:
@@ -106,8 +120,8 @@ class Connection1(Record):
 
     @classmethod
     def constant(cls, group: GroupDescriptor, complex: SimplicialComplex, value: GroupElement) -> "Connection1":
-        """The same value on every edge: only its backend is checked, as the complex's own edges need no check."""
-        store = dict.fromkeys(complex.sorted_edges, value)
+        """The same value on every edge: only its backend is checked, and an edge without two vertices refused."""
+        store = dict.fromkeys(complex._edge_pairs, value)
         if value.group != group:  # build names the first edge, as for any map
             return cls.build(group, complex, store)
         return cls(group, complex, store)

@@ -14,8 +14,9 @@ cells a complex carries.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Optional
 
 from ._record import Record
@@ -25,10 +26,6 @@ from .paths import EdgePath, HomotopyStep, cell_name, cell_sides, move_window, r
 VertexId = str
 
 KINDS = ("alpha", "alpha_star", "beta", "beta_star", "identity_edge", "identity_vertex")
-
-
-def _token_ok(name: str) -> bool:
-    return isinstance(name, str) and bool(name) and not any(ch.isspace() for ch in name)
 
 
 class SimplicialComplex(Record):
@@ -56,18 +53,27 @@ class SimplicialComplex(Record):
         edges: Iterable[Iterable[str]] = (),
         pure_dim2: bool = False,
     ) -> "SimplicialComplex":
+        """A complex with every side of every triangle among its edges.
+
+        The triangles are checked in bulk, by one set of their sizes, and
+        walked in the given order only when that fails, to name the first
+        one that is not three distinct vertices; each edge is checked on
+        its own.  The sides are derived as the pairs of each triangle,
+        with no sort.
+        """
         vs = frozenset(vertices)
-        listed = [tuple(t) for t in triangles]
-        for t in listed:
-            if len(set(t)) != 3:
-                raise ComplexError(f"bad triangle {quote(t)}: need three distinct vertices")
+        listed = list(map(tuple, triangles))
         tris = frozenset(map(frozenset, listed))
+        if not set(map(len, tris)) <= {3}:
+            for t in listed:
+                if len(set(t)) != 3:
+                    raise ComplexError(f"bad triangle {quote(t)}: need three distinct vertices")
         declared = [tuple(e) for e in edges]
         for e in declared:
             if len(e) != 2 or e[0] == e[1]:
                 raise ComplexError(f"bad edge {quote(e)}: need two distinct vertices")
-        derived = frozenset(frozenset(pair) for t in tris for pair in _edge_subsets(t))
-        return cls(vs, tris, frozenset(map(frozenset, declared)) | derived, pure_dim2)
+        sides = map(frozenset, chain.from_iterable(map(combinations, tris, repeat(2))))
+        return cls(vs, tris, frozenset(map(frozenset, declared)).union(sides), pure_dim2)
 
     # -- queries ---------------------------------------------------------
 
@@ -104,12 +110,12 @@ class SimplicialComplex(Record):
 
     @cached_property
     def _neighbor_map(self) -> dict[str, tuple[str, ...]]:
-        adj: dict[str, set[str]] = {}
-        for e in self.edges:
-            a, b = sorted(e)
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+        adj: dict[str, list[str]] = defaultdict(list)
+        # the pairs come in sorted order, so each vertex's list is sorted as it is appended to
+        for a, b in self._edge_pairs:
+            adj[a].append(b)
+            adj[b].append(a)
+        return dict(zip(adj, map(tuple, adj.values())))
 
     @cached_property
     def _vertex_faces(self) -> dict[str, tuple[frozenset[str], ...]]:
@@ -117,7 +123,16 @@ class SimplicialComplex(Record):
 
     @cached_property
     def _edge_faces(self) -> dict[frozenset[str], tuple[frozenset[str], ...]]:
-        return _faces_by_part(self.sorted_triangles_sets, lambda face: [face - {v} for v in face])
+        faces = self.sorted_triangles_sets
+        if not set(map(len, faces)) <= {3}:
+            # a triangle of another size, which only the raw constructor lets through and validate_complex reports
+            return _faces_by_part(faces, lambda face: [face - {v} for v in face])
+        buckets: dict = defaultdict(list)
+        for (a, b, c), face in zip(self.sorted_triangles, faces):
+            buckets[frozenset((a, b))].append(face)
+            buckets[frozenset((a, c))].append(face)
+            buckets[frozenset((b, c))].append(face)
+        return dict(zip(buckets, map(tuple, buckets.values())))
 
     @cached_property
     def sorted_vertices(self) -> tuple[str, ...]:
@@ -125,15 +140,27 @@ class SimplicialComplex(Record):
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(tuple(sorted(e)) for e in self.edges))
+        return tuple(sorted(map(tuple, map(sorted, self.edges))))
+
+    @cached_property
+    def _edge_pairs(self) -> tuple[tuple[str, str], ...]:
+        """``sorted_edges`` for what reads each edge as a pair of vertices.
+
+        An edge that is not two distinct vertices, which only the raw
+        constructor lets through, is refused with ``validate_complex``'s text.
+        """
+        if not set(map(len, self.edges)) <= {2}:
+            bad = next(e for e in self.sorted_edges if len(e) != 2)
+            raise ComplexError(_bad_edge_text(bad))
+        return self.sorted_edges
 
     @cached_property
     def sorted_triangles(self) -> tuple[tuple[str, str, str], ...]:
-        return tuple(sorted(tuple(sorted(t)) for t in self.triangles))
+        return tuple(sorted(map(tuple, map(sorted, self.triangles))))
 
     @cached_property
     def sorted_triangles_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(frozenset(t) for t in self.sorted_triangles)
+        return tuple(map(frozenset, self.sorted_triangles))
 
     def markings(self) -> Iterator[tuple[str, str, str]]:
         """The six markings (source, apex, target) of each face, faces in sorted order."""
@@ -173,6 +200,10 @@ def _edge_subsets(tri: frozenset[str]) -> list[tuple[str, str]]:
     return [(a, b), (a, c), (b, c)]
 
 
+def _bad_edge_text(e: tuple[str, ...]) -> str:
+    return f"edge {{{','.join(e)}}} needs two distinct vertices"
+
+
 # -- file format ---------------------------------------------------------
 
 _COMPLEX_KEYS = {"vertices", "triangles", "edges", "pure_dim2"}
@@ -183,7 +214,9 @@ def load_complex(text: str) -> SimplicialComplex:
 
     Raises ``ComplexError`` on malformed JSON (with line and column), on a
     duplicate vertex, and on closure violations such as a triangle naming
-    an undeclared vertex.
+    an undeclared vertex.  The vertices, triangles and edges are checked in
+    bulk, in C-level passes over the whole list; only when one fails is the
+    list walked entry by entry, to name the first bad entry in file order.
     """
     obj = decode_json(text, ComplexError, "parse error")
     if not isinstance(obj, dict):
@@ -192,46 +225,52 @@ def load_complex(text: str) -> SimplicialComplex:
     if unknown:
         raise ComplexError(f"unknown keys: {sorted(unknown)}")
     raw_vertices = obj.get("vertices", [])
-    if not isinstance(raw_vertices, list) or not all(isinstance(v, str) for v in raw_vertices):
+    if not isinstance(raw_vertices, list) or not set(map(type, raw_vertices)) <= {str}:
         raise ComplexError('"vertices" must be a list of strings')
-    seen: set[str] = set()
-    for v in raw_vertices:
-        if not _token_ok(v):
-            raise ComplexError(f"bad vertex name {quote(v)}: must be nonempty without whitespace")
-        if v in seen:
-            raise ComplexError(f"duplicate vertex {quote(v)}")
-        seen.add(v)
+    # str.split() splits at exactly the characters str.isspace() accepts, and drops empty names
+    if " ".join(raw_vertices).split() != raw_vertices or len(set(raw_vertices)) != len(raw_vertices):
+        seen: set[str] = set()
+        for v in raw_vertices:
+            if not v or any(ch.isspace() for ch in v):
+                raise ComplexError(f"bad vertex name {quote(v)}: must be nonempty without whitespace")
+            if v in seen:
+                raise ComplexError(f"duplicate vertex {quote(v)}")
+            seen.add(v)
     vertices = frozenset(raw_vertices)
-
-    raw_triangles = obj.get("triangles", [])
-    if not isinstance(raw_triangles, list):
-        raise ComplexError('"triangles" must be a list')
-    triangles = []
-    for t in raw_triangles:
-        # a list or an object among the vertices would make set(t) raise
-        if not isinstance(t, list) or len(t) != 3 or not (type(t[0]) is type(t[1]) is type(t[2]) is str) or len(set(t)) != 3:
-            raise ComplexError(f"bad triangle {quote(t)}: need three distinct vertices")
-        for v in t:
-            if v not in vertices:
-                raise ComplexError(f"closure violation: triangle {quote(t)} references undeclared vertex {quote(v)}")
-        triangles.append(t)
-
-    raw_edges = obj.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise ComplexError('"edges" must be a list')
-    edges = []
-    for e in raw_edges:
-        if not isinstance(e, list) or len(e) != 2 or not (type(e[0]) is type(e[1]) is str) or len(set(e)) != 2:
-            raise ComplexError(f"bad edge {quote(e)}: need two distinct vertices")
-        for v in e:
-            if v not in vertices:
-                raise ComplexError(f"closure violation: edge {quote(e)} references undeclared vertex {quote(v)}")
-        edges.append(e)
-
+    triangles = _simplices(obj, "triangles", 3, vertices)
+    edges = _simplices(obj, "edges", 2, vertices)
     pure = obj.get("pure_dim2", False)
     if not isinstance(pure, bool):
         raise ComplexError('"pure_dim2" must be a boolean')
     return SimplicialComplex.build(vertices, triangles, edges, pure)
+
+
+def _simplices(obj: dict, key: str, size: int, vertices: frozenset[str]) -> list:
+    """The file's list of triangles or edges, each ``size`` distinct declared vertex names.
+
+    One C-level pass per rule checks the whole list; only when one fails
+    is the list walked, to name its first bad entry.
+    """
+    raw = obj.get(key, [])
+    if not isinstance(raw, list):
+        raise ComplexError(f'"{key}" must be a list')
+    if (
+        set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {size}
+        and set(map(type, chain.from_iterable(raw))) <= {str}
+        and set(map(len, map(set, raw))) <= {size}
+        and vertices.issuperset(chain.from_iterable(raw))
+    ):
+        return raw
+    what, count = key[:-1], ("two", "three")[size - 2]
+    for s in raw:
+        # a list or an object among the vertices would make set(s) raise
+        if not isinstance(s, list) or len(s) != size or not all(type(v) is str for v in s) or len(set(s)) != size:
+            raise ComplexError(f"bad {what} {quote(s)}: need {count} distinct vertices")
+        for v in s:
+            if v not in vertices:
+                raise ComplexError(f"closure violation: {what} {quote(s)} references undeclared vertex {quote(v)}")
+    return raw
 
 
 def dump_complex(complex: SimplicialComplex) -> str:
@@ -291,7 +330,7 @@ def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False
         name = "{%s}" % ",".join(e)
         out += [Diagnostic("closure", name, f"edge {name} references undeclared vertex {v}") for v in e if v not in V]
         if len(e) != 2:
-            out.append(Diagnostic("size", name, f"edge {name} needs two distinct vertices"))
+            out.append(Diagnostic("size", name, _bad_edge_text(e)))
     if pure:
         for v in complex.sorted_vertices:
             if not complex.faces_containing(v):
@@ -362,7 +401,7 @@ def oriented_triangles(complex: SimplicialComplex, kind_filter: Optional[str] = 
     if kind_filter is not None and kind_filter not in KINDS:
         raise ComplexError(f"unknown cell kind {kind_filter!r}")
     loops = ((c, a, b, c) for p, q, r in complex.sorted_triangles for c, a, b in ((p, q, r), (q, r, p), (r, p, q)))
-    edges = (pair for u, w in complex.sorted_edges for pair in ((u, w), (w, u)))
+    edges = (pair for u, w in complex._edge_pairs for pair in ((u, w), (w, u)))
     vertices = ((v, v) for v in complex.sorted_vertices)
     families = ((complex.markings(), (False, True)), (loops, (False, True)), (edges, (False,)), (vertices, (False,)))
     return [

@@ -24,6 +24,7 @@ import json
 import warnings
 from functools import cached_property, reduce
 from itertools import chain
+from operator import methodcaller
 from typing import Iterable, Mapping, Optional
 
 from ._record import Record
@@ -515,6 +516,10 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
     up among the names of the complex's markings first, so a triangle
     cell's key is the complex's own marking tuple; only a key not found
     there is split by ``_parse_cell_key``, which refuses a malformed one.
+
+    The edge keys, the cell keys and the values are each checked in bulk,
+    in C-level passes; only when one of these fails is that block read
+    entry by entry, so that the first fault in file order is named.
     """
     obj = decode_json(text, BundleError, "connection parse error")
     if not isinstance(obj, dict):
@@ -529,7 +534,8 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
         fresh = {name for w in words for name in _NAME_RE.findall(w)} - {"e", *group.generators}
         if fresh:
             group = free_group(group.generators + tuple(sorted(fresh)))
-    if not isinstance(obj["edges"], dict):
+    edges = obj["edges"]
+    if not isinstance(edges, dict):
         raise BundleError('"edges" must be an object of "a>b" keys')
     parsed: dict[str, GroupElement] = {}
 
@@ -538,7 +544,24 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
             parsed[value] = parse_element(value, group)  # which refuses a non-string
         return parsed[value]
 
-    edge_values = {_parse_edge_key(k): parse(v) for k, v in obj["edges"].items()}
+    def parse_values(block: dict) -> list[GroupElement]:
+        """The block's values as elements, each new text parsed once; ``parse`` names a bad one in file order."""
+        try:
+            new = set(block.values()) - parsed.keys()
+            if set(map(type, new)) <= {str}:
+                for text in new:
+                    parsed[text] = parse_element(text, group)
+                return list(map(parsed.__getitem__, block.values()))
+        except (TypeError, GroupError):  # an unhashable value, or a bad text
+            pass
+        return list(map(parse, block.values()))
+
+    split = list(map(methodcaller("split", ">"), edges))
+    # exactly the keys _parse_edge_key accepts: one ">" between two nonempty names
+    if set(map(len, split)) <= {2} and "" not in chain.from_iterable(split):
+        edge_values = dict(zip(map(tuple, split), parse_values(edges)))
+    else:
+        edge_values = {_parse_edge_key(k): parse(v) for k, v in edges.items()}
     base = Connection1.build(group, complex, edge_values)
     if "cells" not in obj and "cell_relations" not in obj:
         return base
@@ -550,14 +573,21 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
     beta: dict[tuple[str, str, str], GroupElement] = {}
     # a key that names a marking maps to the complex's own tuple; the name of a marking whose vertex names
     # hold a dot splits into other parts, so those markings are left out and _parse_cell_key reads the key
-    named = {cell_name(m): m for m in complex.markings() if "." not in "".join(m)}
-    for key, val in cells.items():
-        parts = named.get(key) or _parse_cell_key(key)
-        g = parse(val)
-        if len(parts) == 3:
-            alpha[parts] = g
-        else:
-            beta[parts[:3]] = g
+    markings = complex._markings
+    named = dict(zip(map(".".join, markings), markings))  # each marking's cell_name
+    if "." in "".join(complex.vertices):
+        named = {name: m for name, m in named.items() if name.count(".") == 2}
+    found = list(map(named.get, cells))
+    if None not in found:
+        alpha.update(zip(found, parse_values(cells)))
+    else:
+        for key, val in cells.items():
+            parts = named.get(key) or _parse_cell_key(key)
+            g = parse(val)
+            if len(parts) == 3:
+                alpha[parts] = g
+            else:
+                beta[parts[:3]] = g
 
     relations = obj.get("cell_relations", [])
     if not isinstance(relations, list):

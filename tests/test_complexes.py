@@ -3,11 +3,12 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
 import trisweep as ts
-from trisweep.errors import ComplexError
+from trisweep.errors import ComplexError, quote
 
 
 def test_load_tetrahedron(tetra):
@@ -98,6 +99,27 @@ def test_load_rejects_whitespace_vertex():
         ts.load_complex('{"vertices": ["a b"]}')
 
 
+def vertex_refusal(vertices: list) -> str:
+    with pytest.raises(ComplexError) as info:
+        ts.load_complex(json.dumps({"vertices": vertices}))
+    return str(info.value)
+
+
+def test_a_vertex_name_is_refused_for_exactly_the_characters_isspace_accepts():
+    spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+    assert len(spaces) > 20  # the ASCII ones and the Unicode separators
+    for ch in spaces:
+        name = f"a{ch}b"
+        assert vertex_refusal([name]) == f"bad vertex name {quote(name)}: must be nonempty without whitespace"
+    assert vertex_refusal([""]) == "bad vertex name '': must be nonempty without whitespace"
+    good = [f"v{i}" for i in range(256)]
+    assert vertex_refusal(good + ["x\u2029y"]) == "bad vertex name 'x\\u2029y': must be nonempty without whitespace"
+    # every other code point but the surrogates, which JSON escapes pair up, is accepted, in names of 4,096
+    others = "".join(chr(c) for c in range(sys.maxunicode + 1) if not (chr(c).isspace() or 0xD800 <= c <= 0xDFFF))
+    names = [others[i : i + 4096] for i in range(0, len(others), 4096)]
+    assert ts.load_complex(json.dumps({"vertices": names})).vertices == frozenset(names)
+
+
 def test_validate_tetrahedron_clean(tetra):
     assert ts.validate_complex(tetra, require_pure_dim2=True) == []
 
@@ -170,6 +192,28 @@ def test_validate_runs_the_other_rules_beside_a_simplex_of_the_wrong_size():
         ts.Diagnostic("pure_dim2", "x", "vertex x not in any 2-simplex"),
         ts.Diagnostic("pure_dim2", "{b,x}", "edge {b,x} not in any 2-simplex"),
     ]
+
+
+ONE_VERTEX_EDGE = ts.SimplicialComplex(frozenset("ab"), frozenset(), frozenset({frozenset("a"), frozenset("ab")}))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda K: ts.Connection1.constant(ts.cyclic_group(2), K, ts.identity(ts.cyclic_group(2))),
+        lambda K: K.is_connected(),
+        lambda K: K.neighbors("a"),
+        lambda K: ts.oriented_triangles(K),
+    ],
+    ids=["constant", "is_connected", "neighbors", "oriented_triangles"],
+)
+def test_an_edge_without_two_vertices_is_refused_where_edges_are_read_as_pairs(read):
+    with pytest.raises(ComplexError) as info:
+        read(ONE_VERTEX_EDGE)
+    assert str(info.value) == "edge {a} needs two distinct vertices"
+    # the size diagnostics still read every edge, sorted
+    assert ONE_VERTEX_EDGE.sorted_edges == (("a",), ("a", "b"))
+    assert ts.validate_complex(ONE_VERTEX_EDGE) == [size_fault("edge", "a", "two")]
 
 
 def test_alpha_count_on_tetrahedron(tetra):

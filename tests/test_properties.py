@@ -2,12 +2,14 @@
 search, element text round trips, record equality, moves undone by their
 inverses, the gauge covariance of the defects, the oriented cells of
 random complexes, the cell-support rule, and the set-level ingest checks
-against per-entry scans."""
+and bulk file readers against per-entry scans."""
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
+import warnings
 
 import pytest
 
@@ -24,8 +26,10 @@ from conftest import (  # noqa: E402
     random_walk,
     torus_complex,
 )
+from trisweep.errors import quote  # noqa: E402
 from trisweep.groups import _reduce_free  # noqa: E402
 from trisweep.paths import _candidate_moves  # noqa: E402
+from trisweep.sweep import _parse_cell_key, _parse_edge_key  # noqa: E402
 
 FREE = ts.free_group(["x", "y"])
 Z12 = ts.cyclic_group(12)
@@ -393,15 +397,17 @@ def test_connection1_build_names_the_first_fault_in_insertion_order(seed):
         lambda: ((v := rng.choice(K.sorted_vertices), v), random_element(Z12, rng)),
         lambda: (rng.choice(K.sorted_edges)[::-1], random_element(Z12, rng)),
     ]
-    entries = [(e if rng.random() < 0.5 else e[::-1], random_element(Z12, rng)) for e in K.sorted_edges]
+    flip = rng.choice([0.0, 0.5])  # with no key reversed, a map without faults is checked in bulk
+    entries = [(e[::-1] if rng.random() < flip else e, random_element(Z12, rng)) for e in K.sorted_edges]
     values = damaged_entries(rng, entries, faults)
-    refusal = first_edge_fault(Z12, K, values)
+    group = rng.choice([Z12, ts.cyclic_group(12)])  # the values' descriptor, or an equal one that is another object
+    refusal = first_edge_fault(group, K, values)
     if refusal is None:
         stored = {(a, b) if a < b else (b, a): g if a < b else ts.inverse(g) for (a, b), g in values.items()}
-        assert ts.Connection1.build(Z12, K, values) == ts.Connection1(Z12, K, stored)
+        assert ts.Connection1.build(group, K, values) == ts.Connection1(group, K, stored)
     else:
         with pytest.raises(ts.BundleError) as info:
-            ts.Connection1.build(Z12, K, values)
+            ts.Connection1.build(group, K, values)
         assert str(info.value) == refusal
 
 
@@ -439,3 +445,157 @@ def test_connection2_build_names_the_first_fault_in_insertion_order(seed):
         with pytest.raises(ts.SweepError) as info:
             ts.Connection2.build(base, alpha, beta)
         assert str(info.value) == refusal
+
+
+# -- the bulk file readers against their per-entry loops ------------------------------
+
+def outcome(read, *args):
+    """What a reader returns, or the type and text of the error it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an independent loop-cell value is flagged, and used
+            return read(*args)
+    except ts.TrisweepError as exc:
+        return type(exc), str(exc)
+
+
+def per_entry_load_complex(text: str) -> ts.SimplicialComplex:
+    """``load_complex`` as its vertex, triangle and edge loops read a file before the bulk checks."""
+    obj = json.loads(text)
+    if not all(isinstance(v, str) for v in obj["vertices"]):
+        raise ts.ComplexError('"vertices" must be a list of strings')
+    seen = set()
+    for v in obj["vertices"]:
+        if not v or any(ch.isspace() for ch in v):
+            raise ts.ComplexError(f"bad vertex name {quote(v)}: must be nonempty without whitespace")
+        if v in seen:
+            raise ts.ComplexError(f"duplicate vertex {quote(v)}")
+        seen.add(v)
+    read = {}
+    for key, size, count in (("triangles", 3, "three"), ("edges", 2, "two")):
+        for s in obj[key]:
+            if not isinstance(s, list) or len(s) != size or not all(type(v) is str for v in s) or len(set(s)) != size:
+                raise ts.ComplexError(f"bad {key[:-1]} {quote(s)}: need {count} distinct vertices")
+            for v in s:
+                if v not in seen:
+                    raise ts.ComplexError(f"closure violation: {key[:-1]} {quote(s)} references undeclared vertex {quote(v)}")
+        read[key] = frozenset(map(frozenset, obj[key]))
+    sides = {frozenset(p) for t in read["triangles"] for p in itertools.combinations(t, 2)}
+    return ts.SimplicialComplex(frozenset(seen), read["triangles"], read["edges"] | sides, obj["pure_dim2"])
+
+
+def per_entry_load_connection(text: str, K: ts.SimplicialComplex) -> ts.Connection2:
+    """``load_connection`` as its edge and cell loops read a file, and the builds check it, entry by entry."""
+    obj = json.loads(text)
+    group = ts.descriptor_from_json(obj["group"])
+    parsed = {}
+
+    def parse(value):
+        if not (isinstance(value, str) and value in parsed):
+            parsed[value] = ts.parse_element(value, group)
+        return parsed[value]
+
+    edges = {_parse_edge_key(k): parse(v) for k, v in obj["edges"].items()}
+    refusal = first_edge_fault(group, K, edges)
+    if refusal is not None:
+        raise ts.BundleError(refusal)
+    base = ts.Connection1(group, K, {(a, b) if a < b else (b, a): g if a < b else ts.inverse(g) for (a, b), g in edges.items()})
+    named = {".".join(m): m for m in K.markings() if "." not in "".join(m)}
+    alpha, beta = {}, {}
+    for key, val in obj["cells"].items():
+        parts = named.get(key) or _parse_cell_key(key)
+        g = parse(val)
+        if len(parts) == 3:
+            alpha[parts] = g
+        else:
+            beta[parts[:3]] = g
+    refusal = first_cell_fault(base, alpha, beta)
+    if refusal is not None:
+        raise ts.SweepError(refusal)
+    return ts.Connection2(base, alpha, beta)
+
+
+def with_faults(rng: random.Random, entries: list, faults: list, count: int) -> list:
+    entries = entries[:]
+    for _ in range(count):
+        entries.insert(rng.randrange(len(entries) + 1), rng.choice(faults)())
+    return entries
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 2))
+def test_load_complex_reads_a_file_as_its_per_entry_loops_do(seed, count):
+    rng = random.Random(seed)
+    K = torus_complex(rng.choice([3, 4]))
+    V = K.sorted_vertices
+    non_edges = [list(p) for p in itertools.combinations(V, 2) if frozenset(p) not in K.edges]
+    blocks = {
+        "vertices": list(V),
+        "triangles": [rng.sample(t, 3) for t in K.sorted_triangles],
+        "edges": [list(e) for e in rng.sample(K.sorted_edges, rng.randrange(6))],
+    }
+    faults = {
+        "vertices": [lambda: rng.choice(["", "a b", "a\tb", "x　y", "z\x1fz", 7, rng.choice(V)])],
+        "triangles": [
+            lambda: list(rng.choice(K.sorted_edges)),
+            lambda: [*rng.choice(K.sorted_triangles), rng.choice(V)],
+            lambda: [(v := rng.choice(V)), v, rng.choice(V)],
+            lambda: [*rng.sample(V, 2), "zz"],
+            lambda: rng.choice(["abc", None, [["a"], "b", "c"], [1, 2, 3], [{}, "a", "b"]]),
+        ],
+        "edges": [
+            lambda: [rng.choice(V)],
+            lambda: [(v := rng.choice(V)), v],
+            lambda: [rng.choice(V), "zz"],
+            lambda: rng.choice(["ab", {"a": 1}, [1, 2], [[], "a"], [*rng.sample(V, 3)]]),
+            lambda: rng.choice(non_edges),  # an edge in no triangle: not a fault
+        ],
+    }
+    for _ in range(count):
+        key = rng.choice(sorted(faults))
+        blocks[key] = with_faults(rng, blocks[key], faults[key], 1)
+    text = json.dumps({**blocks, "pure_dim2": rng.random() < 0.5})
+    assert outcome(ts.load_complex, text) == outcome(per_entry_load_complex, text)
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 2))
+def test_load_connection_reads_a_file_as_its_per_entry_loops_do(seed, count):
+    rng = random.Random(seed)
+    K = torus_complex(rng.choice([3, 4]))
+    if rng.random() < 0.3:  # a vertex name that holds a dot
+        dotted = {v: v.replace("_", ".") for v in rng.sample(K.sorted_vertices, 2)}
+        triangles = [[dotted.get(v, v) for v in t] for t in K.sorted_triangles]
+        K = ts.SimplicialComplex.build({v for t in triangles for v in t}, triangles)
+    V = K.sorted_vertices
+    texts = ["e", "r", "r^6", "s", "r*s", "s*r^4"]
+    flip = rng.choice([0.0, 0.0, 0.3])
+    edges = [((b, a) if rng.random() < flip else (a, b), rng.choice(texts)) for a, b in K.sorted_edges]
+    edges = [(f"{a}>{b}", t) for (a, b), t in edges]
+    markings = list(K.markings())
+    # on a complex with dotted names, half the files name only the markings whose names split into three parts
+    pool = [m for m in markings if rng.random() < 0.5 or "." not in "".join(m)]
+    cells = [(".".join(m), rng.choice(texts)) for m in rng.sample(pool, rng.randrange(len(pool) + 1))]
+    bad_value = lambda: rng.choice([1, None, [], "t^2"])  # noqa: E731
+    edge_faults = [
+        lambda: (f"{rng.choice(V)}>{rng.choice(V)}>{rng.choice(V)}", "r"),
+        lambda: (f"{rng.choice(V)}>", "r"),
+        lambda: (f">{rng.choice(V)}", "r"),
+        lambda: (">".join(rng.choice(edges)[0].split(">")[::-1]), "s"),  # the reversed duplicate of a key
+        lambda: (rng.choice(edges)[0], bad_value()),  # a later bad value for a key, which replaces the earlier one
+    ]
+    cell_faults = [
+        lambda: (".".join((*(m := rng.choice(markings)), m[0])), rng.choice(texts)),  # a loop cell c.a.b.c: not a fault
+        lambda: (".".join(rng.sample(V, 3)), "r"),  # a cell that no face may support
+        lambda: (f"{V[0]}.{V[0]}.{V[1]}", "r"),  # a malformed key
+        lambda: (".".join(rng.choice(markings)), bad_value()),
+    ]
+    edge_block, cell_block = edges, cells
+    for _ in range(count):
+        if rng.random() < 0.5:
+            edge_block = with_faults(rng, edge_block, edge_faults, 1)
+        elif rng.random() < 0.2:
+            edge_block = edge_block[:]
+            del edge_block[rng.randrange(len(edge_block))]  # a missing edge
+        else:
+            cell_block = with_faults(rng, cell_block, cell_faults, 1)
+    text = json.dumps({"group": {"dihedral": 5}, "edges": dict(edge_block), "cells": dict(cell_block)})
+    assert outcome(ts.load_connection, text, K) == outcome(per_entry_load_connection, text, K)

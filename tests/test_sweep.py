@@ -172,6 +172,29 @@ def test_repeated_element_texts_load_as_each_text_parsed_alone():
         assert conn.alpha_value(*key.split(".")) == ts.parse_element(text, D5)
 
 
+def test_a_valid_connection_file_is_read_in_bulk(monkeypatch):
+    K = torus_complex(4)
+    rng = random.Random(12)
+    edges = {f"{a}>{b}": rng.choice(D5_TEXTS) for a, b in K.sorted_edges}
+    cells = {".".join(m): rng.choice(D5_TEXTS) for m in all_alpha_markings(K)}
+    text = json.dumps({"group": {"dihedral": 5}, "edges": edges, "cells": cells})
+    expected = ts.load_connection(text, K)
+    parsed = []
+
+    def counted(text, group):
+        parsed.append(text)
+        return ts.parse_element(text, group)
+
+    def per_entry(*args):
+        raise AssertionError("a valid file was read entry by entry")
+
+    monkeypatch.setattr(ts.sweep, "parse_element", counted)
+    for module, name in [(ts.sweep, "_parse_edge_key"), (ts.sweep, "_parse_cell_key"), (ts.SimplicialComplex, "has_edge")]:
+        monkeypatch.setattr(module, name, per_entry)
+    assert ts.load_connection(text, K) == expected
+    assert sorted(parsed) == sorted(set(edges.values()) | set(cells.values()))
+
+
 @pytest.mark.parametrize("bad", ["t^2", 3, ["r"]], ids=["bad-text", "number", "array"])
 @pytest.mark.parametrize("block", ["edges", "cells"])
 def test_a_repeated_bad_value_fails_as_parse_element_does(tetra, block, bad):
