@@ -9,6 +9,7 @@ vertexwise and conjugate loop holonomies at the basepoint.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import cached_property
 from itertools import starmap
 from operator import lt
@@ -28,13 +29,18 @@ from .groups import (
     inverse,
     is_finite,
     multiply,
+    payload_rules,
     represent,
 )
 from .paths import EdgePath
 
 
 class GaugeTransform(Record):
-    """A choice of group element per vertex; unlisted vertices act as identity."""
+    """A choice of group element per vertex; unlisted vertices act as identity.
+
+    ``build`` checks that every value is an element of the group; the
+    constructor checks nothing.
+    """
 
     group: GroupDescriptor
     values: tuple[tuple[str, GroupElement], ...]
@@ -42,13 +48,9 @@ class GaugeTransform(Record):
     @classmethod
     def build(cls, group: GroupDescriptor, values: Mapping[str, GroupElement]) -> "GaugeTransform":
         for v, g in values.items():
-            if g.group != group:
+            if not isinstance(g, GroupElement) or g.group != group:
                 raise BundleError(f"backend mismatch in gauge value at vertex {v}")
         return cls(group, tuple(sorted(values.items())))
-
-    @classmethod
-    def identity_gauge(cls, group: GroupDescriptor) -> "GaugeTransform":
-        return cls(group, ())
 
     @cached_property
     def _map(self) -> dict[str, GroupElement]:
@@ -94,19 +96,21 @@ class Connection1(Record):
         edges must be exactly the complex's, and the set of the values'
         descriptors at most the connection's.  Any other map is walked entry
         by entry, which stores the inverse under a reversed key and names
-        the first fault.
+        the first fault.  A value that is not a ``GroupElement`` is a
+        backend mismatch.
         """
         keys = values.keys()
         if set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2} and set(map(frozenset, keys)) == complex.edges:
-            if all(starmap(lt, keys)) and {g.group for g in values.values()} <= {group}:
-                return cls(group, complex, values)
+            with suppress(AttributeError):  # a value that is not an element: the loop below names it
+                if all(starmap(lt, keys)) and {g.group for g in values.values()} <= {group}:
+                    return cls(group, complex, values)
         store: dict[tuple[str, str], GroupElement] = {}
         for (a, b), g in values.items():
             if a == b:
                 raise BundleError(f"degenerate key ({a},{b}): degenerate edges are implicit")
             if not complex.has_edge(a, b):
                 raise BundleError(f"({a},{b}) is not an edge of the complex")
-            if g.group != group:
+            if not isinstance(g, GroupElement) or g.group != group:
                 raise BundleError(f"backend mismatch at edge ({a},{b})")
             key = (a, b) if a < b else (b, a)
             val = g if a < b else inverse(g)
@@ -174,44 +178,56 @@ def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]
     it is n_v = F_v^-1 * c * G_v.  That gauge carries f to g iff on every
     edge (a, b) the loop values x = F_a f_ab F_b^-1 and y = G_a g_ab G_b^-1
     satisfy c^-1 * x * c == y.  So the transports, their inverses and the
-    loop values are computed once per vertex and edge, and c is the first
-    element, in enumeration order, that ``groups.conjugators`` yields for
-    the loop pairs (x, y): at most two payload products per loop edge and
-    candidate.  The gauge is built for that c alone.  Needs a finite
+    loop values are computed once per vertex and edge, on payloads through
+    the backend's rules (``groups.payload_rules``) from the stored edge
+    values, and c is the first element, in enumeration order, that
+    ``groups.conjugators`` yields for the loop pairs (x, y): at most two
+    payload products per loop edge and candidate.  Elements are built only
+    for the loop pairs and for the gauge of that c.  Needs a finite
     backend and a connected complex.
     """
     if f.group != g.group or f.complex != g.complex:
         raise BundleError("connections must share a backend and a complex")
     if not is_finite(f.group):
         raise BundleError("infinite backend: isomorphism search needs a finite group")
-    K = f.complex
+    K, grp = f.complex, f.group
     if not K.is_connected():
         raise BundleError("isomorphism search needs a connected complex")
     if not K.vertices:
-        return GaugeTransform.identity_gauge(f.group)
-    candidates = enumerate_elements(f.group)
+        return GaugeTransform(grp, ())
+    candidates = enumerate_elements(grp)
+    mul, inv = payload_rules(grp)
+    fm, gm = f._map, g._map
+
+    def value(m, a, b):  # an edge walked against its stored orientation carries the inverse
+        return m[a, b].payload if a < b else inv(grp, m[b, a].payload)
+
     root = K.sorted_vertices[0]
-    e = identity(f.group)
+    e = identity(grp).payload
     F, G = {root: e}, {root: e}
-    queue = [root]
-    for v in queue:  # the loop reaches the vertices appended to it, breadth first
-        for w in K.neighbors(v):
-            if w not in F:
-                F[w] = multiply(F[v], f.value(v, w))
-                G[w] = multiply(G[v], g.value(v, w))
-                queue.append(w)
-    F_inv = {v: inverse(x) for v, x in F.items()}
-    G_inv = {v: inverse(y) for v, y in G.items()}
-    loops = []
-    for a, b in K.sorted_edges:
-        x = multiply(multiply(F[a], f.value(a, b)), F_inv[b])
-        y = multiply(multiply(G[a], g.value(a, b)), G_inv[b])
-        if x != e or y != e:  # x = y = e holds for every c, as on every tree edge
-            loops.append((x, y))
+    queue, loops = [root], []
+    try:
+        for v in queue:  # the loop reaches the vertices appended to it, breadth first
+            for w in K.neighbors(v):
+                if w not in F:
+                    F[w] = mul(grp, F[v], value(fm, v, w))
+                    G[w] = mul(grp, G[v], value(gm, v, w))
+                    queue.append(w)
+        F_inv = {v: inv(grp, x) for v, x in F.items()}
+        G_inv = {v: inv(grp, y) for v, y in G.items()}
+        for a, b in K.sorted_edges:
+            x = mul(grp, mul(grp, F[a], fm[a, b].payload), F_inv[b])
+            y = mul(grp, mul(grp, G[a], gm[a, b].payload), G_inv[b])
+            if x != e or y != e:  # x = y = e holds for every c, as on every tree edge
+                loops.append((GroupElement(grp, x), GroupElement(grp, y)))
+    except KeyError as exc:  # only the unchecked constructor leaves an edge without a value
+        raise BundleError(f"connection has no value on edge ({exc.args[0][0]},{exc.args[0][1]})") from None
     c = next(conjugators(loops, candidates), None)
     if c is None:
         return None
-    return GaugeTransform.build(f.group, {v: multiply(multiply(F_inv[v], c), G[v]) for v in F})
+    # every value lies in the group, so GaugeTransform.build's check is skipped
+    gauge = {v: GroupElement(grp, mul(grp, mul(grp, F_inv[v], c.payload), G[v])) for v in F}
+    return GaugeTransform(grp, tuple(sorted(gauge.items())))
 
 
 def wilson_loop(connection: Connection1, loop: EdgePath, rho: Representation):

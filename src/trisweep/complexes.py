@@ -59,21 +59,25 @@ class SimplicialComplex(Record):
         walked in the given order only when that fails, to name the first
         one that is not three distinct vertices; each edge is checked on
         its own.  The sides are derived as the pairs of each triangle,
-        with no sort.
+        with no sort.  A simplex that is not a sequence of hashable
+        vertices is a ``ComplexError`` too.
         """
-        vs = frozenset(vertices)
-        listed = list(map(tuple, triangles))
-        tris = frozenset(map(frozenset, listed))
-        if not set(map(len, tris)) <= {3}:
-            for t in listed:
-                if len(set(t)) != 3:
-                    raise ComplexError(f"bad triangle {quote(t)}: need three distinct vertices")
-        declared = [tuple(e) for e in edges]
-        for e in declared:
-            if len(e) != 2 or e[0] == e[1]:
-                raise ComplexError(f"bad edge {quote(e)}: need two distinct vertices")
-        sides = map(frozenset, chain.from_iterable(map(combinations, tris, repeat(2))))
-        return cls(vs, tris, frozenset(map(frozenset, declared)).union(sides), pure_dim2)
+        try:
+            vs = frozenset(vertices)
+            listed = list(map(tuple, triangles))
+            tris = frozenset(map(frozenset, listed))
+            if not set(map(len, tris)) <= {3}:
+                for t in listed:
+                    if len(set(t)) != 3:
+                        raise ComplexError(f"bad triangle {quote(t)}: need three distinct vertices")
+            declared = [tuple(e) for e in edges]
+            for e in declared:
+                if len(e) != 2 or e[0] == e[1]:
+                    raise ComplexError(f"bad edge {quote(e)}: need two distinct vertices")
+            sides = map(frozenset, chain.from_iterable(map(combinations, tris, repeat(2))))
+            return cls(vs, tris, frozenset(map(frozenset, declared)).union(sides), pure_dim2)
+        except TypeError as exc:  # a simplex that is not a sequence, or a vertex that cannot be hashed
+            raise ComplexError(f"bad simplicial data: {exc}") from exc
 
     # -- queries ---------------------------------------------------------
 

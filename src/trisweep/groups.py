@@ -29,7 +29,7 @@ import math
 import re
 from collections import namedtuple
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._record import Record
 from .errors import GroupError, input_limit_text, quote as _quote
@@ -228,11 +228,13 @@ def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
 #     that is not None, an order above the cap may come back as any number
 #     above the cap, so that a huge order is never computed in full
 #   elements(g) -> every payload of a finite group, in a fixed order
+#   center(g) -> the payloads of the center of a finite group, in the order
+#     of elements(g), from a closed form: no element is multiplied
 #   generators(g) -> the payloads of a generating set
 
 _Backend = namedtuple(
     "_Backend",
-    "from_json to_json normalise identity multiply inverse parse format order elements generators",
+    "from_json to_json normalise identity multiply inverse parse format order elements center generators",
 )
 
 
@@ -283,6 +285,7 @@ _BACKENDS["free"] = _Backend(
     format=_free_format,
     order=lambda g, cap: None if g.generators else 1,
     elements=lambda g: [()],
+    center=lambda g: [()],
     generators=lambda g: [((gen, 1),) for gen in g.generators],
 )
 
@@ -311,6 +314,7 @@ _BACKENDS["cyclic"] = _Backend(
     format=lambda g, a: str(a),
     order=lambda g, cap: g.modulus,
     elements=lambda g: range(g.modulus),
+    center=lambda g: range(g.modulus),
     generators=lambda g: [1 % g.modulus],
 )
 
@@ -393,6 +397,8 @@ _BACKENDS["symmetric"] = _Backend(
     format=_symmetric_format,
     order=_symmetric_order,
     elements=lambda g: itertools.permutations(range(1, g.degree + 1)),
+    # S_1 and S_2 are abelian; from S_3 on only the identity commutes with everything
+    center=lambda g: _BACKENDS["symmetric"].elements(g) if g.degree <= 2 else [tuple(range(1, g.degree + 1))],
     generators=_symmetric_generators,
 )
 
@@ -441,12 +447,16 @@ _BACKENDS["dihedral"] = _Backend(
     format=_dihedral_format,
     order=lambda g, cap: 2 * g.modulus,
     elements=lambda g: [(r, f) for f in (0, 1) for r in range(g.modulus)],
+    # D_1 and D_2 are abelian; from D_3 on no flip is central, and a rotation
+    # r^k is central iff r^k = r^-k: k = 0, and k = n/2 for even n
+    center=lambda g: _BACKENDS["dihedral"].elements(g) if g.modulus <= 2 else [(0, 0), (g.modulus // 2, 0)][: 2 - g.modulus % 2],
     generators=lambda g: [(1 % g.modulus, 0), (0, 1)],
 )
 
 
-# A product payload is a tuple of factor elements, so its rules call the
-# public operations on each component.
+# A product payload is a tuple of factor elements.  Multiply, inverse and
+# center call each factor backend's rule on the component payloads; the
+# other rules go through the public operations.
 
 def _product_from_json(arg: Any) -> GroupDescriptor:
     if not isinstance(arg, list):
@@ -477,6 +487,14 @@ def _product_parse(g: GroupDescriptor, text: str) -> tuple[GroupElement, ...]:
     return tuple(parts)
 
 
+def _product_multiply(g: GroupDescriptor, a: tuple, b: tuple) -> tuple[GroupElement, ...]:
+    return tuple([GroupElement(f, _BACKENDS[f.kind].multiply(f, x.payload, y.payload)) for f, x, y in zip(g.factors, a, b)])
+
+
+def _product_inverse(g: GroupDescriptor, a: tuple) -> tuple[GroupElement, ...]:
+    return tuple([GroupElement(f, _BACKENDS[f.kind].inverse(f, x.payload)) for f, x in zip(g.factors, a)])
+
+
 def _product_order(g: GroupDescriptor, cap: Optional[int]) -> Optional[int]:
     # every factor counts: one infinite factor makes the product infinite
     orders = [_BACKENDS[f.kind].order(f, cap) for f in g.factors]
@@ -498,12 +516,14 @@ _BACKENDS["product"] = _Backend(
     to_json=lambda g: [descriptor_to_json(f) for f in g.factors],
     normalise=_product_normalise,
     identity=lambda g: tuple(identity(f) for f in g.factors),
-    multiply=lambda g, a, b: tuple([multiply(x, y) for x, y in zip(a, b)]),
-    inverse=lambda g, a: tuple(inverse(x) for x in a),
+    multiply=_product_multiply,
+    inverse=_product_inverse,
     parse=_product_parse,
     format=lambda g, a: json.dumps([format_element(x) for x in a]),
     order=_product_order,
     elements=lambda g: itertools.product(*(enumerate_elements(f) for f in g.factors)),
+    # Z(G x H) = Z(G) x Z(H), and the product of lists in order keeps the order of elements
+    center=lambda g: itertools.product(*([GroupElement(f, p) for p in _BACKENDS[f.kind].center(f)] for f in g.factors)),
     generators=_product_generators,
 )
 
@@ -598,25 +618,36 @@ def is_finite(group: GroupDescriptor) -> bool:
     return _BACKENDS[group.kind].order(group, 0) is not None
 
 
-def enumerate_elements(group: GroupDescriptor) -> list[GroupElement]:
-    """All elements of a finite backend, in a fixed deterministic order.
-
-    Every operation over the whole group goes through here, so groups of
-    order above ``ENUMERATION_LIMIT`` fail fast instead of filling memory.
-    """
-    cap = 10**_STATED_ORDER_DIGITS
-    order = _BACKENDS[group.kind].order(group, cap)
+def _enumerable(group: GroupDescriptor) -> _Backend:
+    """The group's backend, once its order is known to be finite and at most ``ENUMERATION_LIMIT``."""
+    backend, cap = _BACKENDS[group.kind], 10**_STATED_ORDER_DIGITS
+    order = backend.order(group, cap)
     if order is None:
         raise GroupError(f"infinite backend: cannot enumerate {json.dumps(descriptor_to_json(group))}")
     if order > ENUMERATION_LIMIT:
         stated = order if order <= cap else f"over 10^{_STATED_ORDER_DIGITS}"
         raise GroupError(f"group of order {stated} is above the enumeration limit of {ENUMERATION_LIMIT}")
-    return [GroupElement(group, p) for p in _BACKENDS[group.kind].elements(group)]
+    return backend
+
+
+def enumerate_elements(group: GroupDescriptor) -> list[GroupElement]:
+    """All elements of a finite backend, in a fixed deterministic order.
+
+    Every operation over the whole group goes through here or through
+    ``center_obstruction_check``, so groups of order above
+    ``ENUMERATION_LIMIT`` fail fast instead of filling memory.
+    """
+    return [GroupElement(group, p) for p in _enumerable(group).elements(group)]
 
 
 def generating_set(group: GroupDescriptor) -> list[GroupElement]:
     """A set of elements that generates the group: empty for a trivial one."""
     return [GroupElement(group, p) for p in _BACKENDS[group.kind].generators(group)]
+
+
+def payload_rules(group: GroupDescriptor) -> tuple[Callable, Callable]:
+    """The backend's ``multiply(group, a, b)`` and ``inverse(group, a)`` rules on payloads in normal form."""
+    return _BACKENDS[group.kind].multiply, _BACKENDS[group.kind].inverse
 
 
 def conjugators(pairs: Sequence[tuple[GroupElement, GroupElement]], candidates: Iterable[GroupElement]) -> Iterator[GroupElement]:
@@ -640,14 +671,14 @@ def center_obstruction_check(group: GroupDescriptor) -> list[GroupElement]:
     """Admissible cell values under a trivial connective structure.
 
     These are the elements whose commutator with every element is the
-    identity: the center of the group, in enumeration order.  An element
-    commutes with everything once it commutes with each generator, so this
-    is ``conjugators`` of the pairs (u, u) over ``generating_set(group)``:
-    O(|G|·k) payload products for k generators.  ``center`` keeps the
-    exhaustive pairwise check through ``multiply``.
+    identity: the center of the group, in enumeration order.  Each
+    backend's ``center`` rule gives it in closed form, so the group is
+    neither enumerated nor multiplied; it is refused as
+    ``enumerate_elements`` refuses it, when infinite or above
+    ``ENUMERATION_LIMIT``.  ``center`` keeps the exhaustive pairwise
+    check through ``multiply``.
     """
-    elems = enumerate_elements(group)  # first: it refuses infinite and huge groups
-    return list(conjugators([(u, u) for u in generating_set(group)], elems))
+    return [GroupElement(group, p) for p in _enumerable(group).center(group)]
 
 
 def center(group: GroupDescriptor) -> list[GroupElement]:

@@ -95,9 +95,6 @@ class EdgePath(Record):
     def is_identity(self) -> bool:
         return len(self.steps) == 1 and self.steps[0][0] == self.steps[0][1]
 
-    def compose(self, other: "EdgePath") -> "EdgePath":
-        return compose_paths(self, other)
-
     def inverse(self) -> "EdgePath":
         return invert_path(self)
 

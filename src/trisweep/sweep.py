@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import suppress
 from functools import cached_property, reduce
 from itertools import chain
 from operator import methodcaller
@@ -102,13 +103,15 @@ class Connection2(Record):
         the complex's markings, and one of the values' backends in the
         connection's.  Only when one fails are the cells walked, alpha
         before beta in insertion order, to raise a ``SweepError`` naming
-        the first unsupported cell or mismatched value.
+        the first unsupported cell or mismatched value; a value that is
+        not a ``GroupElement`` is a backend mismatch.
         """
         K, beta = base.complex, beta or {}
         marked = K._marking_set
         if alpha.keys() <= marked and beta.keys() <= marked:
-            if {g.group for g in chain(alpha.values(), beta.values())} <= {base.group}:
-                return cls(base, alpha, beta)
+            with suppress(AttributeError):  # a value that is not an element: the loop below names it
+                if {g.group for g in chain(alpha.values(), beta.values())} <= {base.group}:
+                    return cls(base, alpha, beta)
         # the loop names the first fault: alpha keys are unpacked, so a key of another length fails and is
         # never read as an edge cell; the cells are made one at a time, as a list of them all would be
         # thousands of objects kept alive
@@ -117,7 +120,7 @@ class Connection2(Record):
         for cell, g in chain(alpha_cells, beta_cells):
             if not K.supports(cell):
                 raise SweepError(f"cell {cell_name(cell)} is not supported by a triangle of the complex")
-            if g.group != base.group:
+            if not isinstance(g, GroupElement) or g.group != base.group:
                 raise SweepError(f"backend mismatch at cell {cell_name(cell)}")
         return cls(base, alpha, beta)
 

@@ -168,3 +168,30 @@ def product_of_letters(letters) -> ts.GroupElement:
     for l in letters[1:]:
         out = ts.multiply(out, l)
     return out
+
+
+def tree_propagation_search(f: ts.Connection1, g: ts.Connection1):
+    """Oracle: the isomorphism search by propagation along a spanning tree.
+
+    For each root value in enumeration order, solve f_ab * n_b = n_a * g_ab
+    for n_b along a breadth-first tree, then check every edge.
+    """
+    K = f.complex
+    root = K.sorted_vertices[0]
+    tree = []
+    seen = {root}
+    queue = [root]
+    while queue:
+        v = queue.pop(0)
+        for w in K.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                tree.append((v, w))
+                queue.append(w)
+    for candidate in ts.enumerate_elements(f.group):
+        n = {root: candidate}
+        for a, b in tree:
+            n[b] = ts.multiply(ts.multiply(ts.inverse(f.value(a, b)), n[a]), g.value(a, b))
+        if all(ts.multiply(f.value(a, b), n[b]) == ts.multiply(n[a], g.value(a, b)) for a, b in K.sorted_edges):
+            return n
+    return None

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import trisweep as ts
-from conftest import random_connection1, random_element, random_gauge, random_walk, torus_complex
+from conftest import random_connection1, random_element, random_gauge, random_walk, torus_complex, tree_propagation_search
 from trisweep.errors import BundleError
 
 Z12 = ts.cyclic_group(12)
@@ -73,6 +73,15 @@ def test_partial_connection_rejected(tetra):
         ts.Connection1.build(Z12, tetra, {("a", "b"): ts.identity(Z12)})
 
 
+@pytest.mark.parametrize("key", [("a", "b"), ("b", "a")], ids=["sorted", "reversed"])
+def test_connection1_build_refuses_a_value_that_is_not_a_group_element(tetra, key):
+    values = {e: ts.identity(Z12) for e in tetra.sorted_edges if e != ("a", "b")}
+    values[key] = 3
+    with pytest.raises(BundleError) as info:
+        ts.Connection1.build(Z12, tetra, values)
+    assert str(info.value) == f"backend mismatch at edge ({key[0]},{key[1]})"
+
+
 def test_duplicate_edge_assignment_rejected(tetra):
     values = {e: ts.identity(Z12) for e in tetra.sorted_edges}
     values[("b", "a")] = ts.element(Z12, 5)
@@ -130,6 +139,12 @@ def test_gauge_missing_vertex_rejected(tetra):
         ts.gauge_transform(conn, partial)
 
 
+def test_gauge_build_refuses_a_value_that_is_not_a_group_element():
+    with pytest.raises(BundleError) as info:
+        ts.GaugeTransform.build(Z12, {"b": ts.identity(Z12), "a": 3})
+    assert str(info.value) == "backend mismatch in gauge value at vertex a"
+
+
 # -- isomorphism search ---------------------------------------------------------
 
 def test_find_isomorphism_recovers_gauged_connection(tetra):
@@ -173,39 +188,23 @@ def test_find_isomorphism_rejects_infinite_backend(tetra):
         ts.find_isomorphism(f, f)
 
 
+def test_find_isomorphism_names_an_edge_left_without_a_value():
+    # the unchecked constructor lets a connection miss an edge
+    Z3 = ts.cyclic_group(3)
+    K = ts.SimplicialComplex.build("abc", [("a", "b", "c")])
+    full = ts.Connection1.constant(Z3, K, ts.identity(Z3))
+    partial = ts.Connection1(Z3, K, {("a", "b"): ts.identity(Z3), ("b", "c"): ts.identity(Z3)})
+    for f, g in ((full, partial), (partial, full)):
+        with pytest.raises(BundleError, match=r"^connection has no value on edge \(a,c\)$"):
+            ts.find_isomorphism(f, g)
+
+
 def test_find_isomorphism_rejects_disconnected():
     Z2 = ts.cyclic_group(2)
     K = ts.SimplicialComplex.build("abcd", edges=[("a", "b"), ("c", "d")])
     f = ts.Connection1.constant(Z2, K, ts.identity(Z2))
     with pytest.raises(BundleError, match="connected"):
         ts.find_isomorphism(f, f)
-
-
-def _tree_propagation_search(f: ts.Connection1, g: ts.Connection1):
-    """Oracle: the isomorphism search by propagation along a spanning tree.
-
-    For each root value in enumeration order, solve f_ab * n_b = n_a * g_ab
-    for n_b along a breadth-first tree, then check every edge.
-    """
-    K = f.complex
-    root = K.sorted_vertices[0]
-    tree = []
-    seen = {root}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w in K.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                tree.append((v, w))
-                queue.append(w)
-    for candidate in ts.enumerate_elements(f.group):
-        n = {root: candidate}
-        for a, b in tree:
-            n[b] = ts.multiply(ts.multiply(ts.inverse(f.value(a, b)), n[a]), g.value(a, b))
-        if all(ts.multiply(f.value(a, b), n[b]) == ts.multiply(n[a], g.value(a, b)) for a, b in K.sorted_edges):
-            return n
-    return None
 
 
 @pytest.mark.parametrize(
@@ -225,7 +224,7 @@ def test_find_isomorphism_matches_tree_propagation(group, n):
         one_edge_off = ts.Connection1.build(group, K, values)
         unrelated = random_connection1(K, group, rng)
         for g in (related, one_edge_off, unrelated):
-            expected = _tree_propagation_search(f, g)
+            expected = tree_propagation_search(f, g)
             found = ts.find_isomorphism(f, g)
             if expected is None:
                 assert found is None

@@ -44,6 +44,16 @@ def test_build_refuses_an_edge_without_two_distinct_vertices(edge):
 
 
 @pytest.mark.parametrize(
+    "vertices, triangles, edges",
+    [("abc", [(["a"], "b", "c")], []), ("abc", [3], []), ("abc", [], [(["a"], "b")]), ([["a"]], [], [])],
+    ids=["list-in-triangle", "int-triangle", "list-in-edge", "list-vertex"],
+)
+def test_build_refuses_a_simplex_that_is_not_a_sequence_of_hashable_vertices(vertices, triangles, edges):
+    with pytest.raises(ComplexError, match="^bad simplicial data: "):
+        ts.SimplicialComplex.build(vertices, triangles, edges)
+
+
+@pytest.mark.parametrize(
     "key, entry, refusal",
     [
         ("triangles", ["a", "a", "b"], "bad triangle ['a', 'a', 'b']: need three distinct vertices"),

@@ -1,8 +1,10 @@
 """Property tests: group axioms, the free-group product, the conjugator
-search, element text round trips, record equality, moves undone by their
-inverses, the gauge covariance of the defects, the oriented cells of
-random complexes, the cell-support rule, and the set-level ingest checks
-and bulk file readers against per-entry scans."""
+search, the closed-form centers, the isomorphism search against
+propagation along a spanning tree, element text round trips, record
+equality, moves undone by their inverses, the gauge covariance of the
+defects, the oriented cells of random complexes, the cell-support rule,
+and the set-level ingest checks and bulk file readers against per-entry
+scans."""
 
 from __future__ import annotations
 
@@ -19,12 +21,14 @@ from hypothesis import given, strategies as st  # noqa: E402
 import trisweep as ts  # noqa: E402
 from conftest import (  # noqa: E402
     band_complex,
+    random_connection1,
     random_connection2,
     random_element,
     random_gauge,
     random_section,
     random_walk,
     torus_complex,
+    tree_propagation_search,
 )
 from trisweep.errors import quote  # noqa: E402
 from trisweep.groups import _reduce_free  # noqa: E402
@@ -99,6 +103,52 @@ def test_conjugators_of_no_pairs_or_of_unsolvable_pairs(kind):
     assert list(ts.conjugators([(e, elems[1])], elems)) == []
     with pytest.raises(ts.GroupError, match="backend mismatch"):
         list(ts.conjugators([(e, e)], [ts.identity(FREE)]))
+
+
+def finite_groups(max_order: int) -> st.SearchStrategy:
+    """Every finite backend, of order at most ``max_order``: the free group on no generators among them."""
+    options = [
+        st.integers(1, max_order).map(ts.cyclic_group),
+        st.integers(1, 5).map(ts.symmetric_group),
+        st.just(ts.free_group([])),
+    ]
+    if max_order >= 2:
+        options.append(st.integers(1, max_order // 2).map(ts.dihedral_group))
+    return st.one_of(options).filter(lambda G: ts.group_order(G) <= max_order)
+
+
+# one backend, or a product of two, up to order 200
+CENTER_GROUPS = st.one_of(
+    finite_groups(200),
+    finite_groups(100).flatmap(lambda G: finite_groups(200 // ts.group_order(G)).map(lambda H: ts.product_group(G, H))),
+)
+
+
+@given(CENTER_GROUPS)
+def test_the_closed_form_center_is_the_exhaustive_center(group):
+    assert ts.center_obstruction_check(group) == ts.center(group)
+
+
+# cyclic, odd and even dihedral, S_3 and Z_3 x S_3
+ISOMORPHISM_GROUPS = [
+    ts.cyclic_group(5), ts.cyclic_group(6), ts.dihedral_group(3), ts.dihedral_group(5),
+    ts.dihedral_group(4), ts.dihedral_group(6), ts.symmetric_group(3), Z3xS3,
+]
+ISOMORPHISM_TORI = [torus_complex(3), torus_complex(4)]
+
+
+@given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(ISOMORPHISM_GROUPS), K=st.sampled_from(ISOMORPHISM_TORI))
+def test_find_isomorphism_is_the_tree_propagation_search(seed, group, K):
+    rng = random.Random(seed)
+    f = random_connection1(K, group, rng)
+    related = ts.gauge_transform(f, random_gauge(K, group, rng))
+    values = dict(related.edge_values)
+    values[rng.choice(K.sorted_edges)] = random_element(group, rng)
+    one_edge_off = ts.Connection1.build(group, K, values)
+    for g in (related, one_edge_off, random_connection1(K, group, rng)):
+        found = ts.find_isomorphism(f, g)
+        assert (None if found is None else dict(found.values)) == tree_propagation_search(f, g)
+    assert ts.find_isomorphism(f, related) is not None
 
 
 @pytest.mark.parametrize("kind", sorted(BACKENDS))

@@ -377,11 +377,16 @@ def test_connections_built_from_one_map_in_two_insertion_orders_are_equal():
         ({("a", "c", "b"): "z5"}, {}, "backend mismatch at cell a.c.b"),
         ({}, {("c", "a", "b"): "z5"}, "backend mismatch at cell c.a.b.c"),
         ({("a", "c", "b"): "z5"}, {("e", "a", "b"): "e"}, "backend mismatch at cell a.c.b"),
+        ({("a", "b", "c"): "text"}, {}, "backend mismatch at cell a.b.c"),
+        ({}, {("c", "a", "b"): "int"}, "backend mismatch at cell c.a.b.c"),
     ],
-    ids=["alpha-no-face", "alpha-repeated", "beta-repeated", "beta-no-face", "alpha-group", "beta-group", "alpha-first"],
+    ids=[
+        "alpha-no-face", "alpha-repeated", "beta-repeated", "beta-no-face", "alpha-group", "beta-group", "alpha-first",
+        "alpha-not-an-element", "beta-not-an-element",
+    ],
 )
 def test_connection2_build_refuses_an_unsupported_cell_or_a_foreign_value(tetra, alpha, beta, message):
-    values = {"e": ts.identity(S3), "z5": ts.identity(ts.cyclic_group(5))}
+    values = {"e": ts.identity(S3), "z5": ts.identity(ts.cyclic_group(5)), "text": "r", "int": 3}
     base = ts.Connection1.constant(S3, tetra, ts.identity(S3))
     with pytest.raises(SweepError) as info:
         ts.Connection2.build(base, {k: values[v] for k, v in alpha.items()}, {k: values[v] for k, v in beta.items()})
