@@ -57,7 +57,6 @@ from .groups import (
     enumerate_elements,
     format_element,
     free_group,
-    generating_set,
     group_order,
     identity,
     inverse,

@@ -17,7 +17,7 @@ from typing import Mapping, Optional
 
 from ._record import Record
 from .complexes import SimplicialComplex
-from .errors import BundleError
+from .errors import BundleError, quote
 from .groups import (
     GroupDescriptor,
     GroupElement,
@@ -96,8 +96,9 @@ class Connection1(Record):
         edges must be exactly the complex's, and the set of the values'
         descriptors at most the connection's.  Any other map is walked entry
         by entry, which stores the inverse under a reversed key and names
-        the first fault.  A value that is not a ``GroupElement`` is a
-        backend mismatch.
+        the first fault.  A key that is not a tuple of two vertices is
+        refused, and a value that is not a ``GroupElement`` is a backend
+        mismatch.
         """
         keys = values.keys()
         if set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2} and set(map(frozenset, keys)) == complex.edges:
@@ -105,7 +106,10 @@ class Connection1(Record):
                 if all(starmap(lt, keys)) and {g.group for g in values.values()} <= {group}:
                     return cls(group, complex, values)
         store: dict[tuple[str, str], GroupElement] = {}
-        for (a, b), g in values.items():
+        for key, g in values.items():
+            if type(key) is not tuple or len(key) != 2:
+                raise BundleError(f"edge key {quote(key)} is not a pair of vertices")
+            a, b = key
             if a == b:
                 raise BundleError(f"degenerate key ({a},{b}): degenerate edges are implicit")
             if not complex.has_edge(a, b):

@@ -42,7 +42,11 @@ class BundleError(TrisweepError):
 
 
 class SweepError(TrisweepError):
-    """Section-level move failure: path mismatch or missing cell value; ``step_index`` is set by ``run_scheme``."""
+    """Section-level move failure or bad cell data.
+
+    A path mismatch, a missing cell value, or a cell key that is not a
+    triple; ``step_index`` is set by ``run_scheme``.
+    """
 
 
 def quote(value: object) -> str:

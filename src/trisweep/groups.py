@@ -230,11 +230,10 @@ def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
 #   elements(g) -> every payload of a finite group, in a fixed order
 #   center(g) -> the payloads of the center of a finite group, in the order
 #     of elements(g), from a closed form: no element is multiplied
-#   generators(g) -> the payloads of a generating set
 
 _Backend = namedtuple(
     "_Backend",
-    "from_json to_json normalise identity multiply inverse parse format order elements center generators",
+    "from_json to_json normalise identity multiply inverse parse format order elements center",
 )
 
 
@@ -286,7 +285,6 @@ _BACKENDS["free"] = _Backend(
     order=lambda g, cap: None if g.generators else 1,
     elements=lambda g: [()],
     center=lambda g: [()],
-    generators=lambda g: [((gen, 1),) for gen in g.generators],
 )
 
 
@@ -315,7 +313,6 @@ _BACKENDS["cyclic"] = _Backend(
     order=lambda g, cap: g.modulus,
     elements=lambda g: range(g.modulus),
     center=lambda g: range(g.modulus),
-    generators=lambda g: [1 % g.modulus],
 )
 
 
@@ -358,14 +355,6 @@ def _symmetric_order(g: GroupDescriptor, cap: Optional[int]) -> int:
     return order
 
 
-def _symmetric_generators(g: GroupDescriptor) -> list[tuple[int, ...]]:
-    # the transposition (1 2) and the cycle (1 ... n); S_1 needs none
-    n = g.degree
-    if n == 1:
-        return []
-    return [(2, 1) + tuple(range(3, n + 1)), tuple(range(2, n + 1)) + (1,)]
-
-
 def _symmetric_format(g: GroupDescriptor, a: tuple[int, ...]) -> str:
     cycles = []
     seen: set[int] = set()
@@ -399,7 +388,6 @@ _BACKENDS["symmetric"] = _Backend(
     elements=lambda g: itertools.permutations(range(1, g.degree + 1)),
     # S_1 and S_2 are abelian; from S_3 on only the identity commutes with everything
     center=lambda g: _BACKENDS["symmetric"].elements(g) if g.degree <= 2 else [tuple(range(1, g.degree + 1))],
-    generators=_symmetric_generators,
 )
 
 
@@ -450,7 +438,6 @@ _BACKENDS["dihedral"] = _Backend(
     # D_1 and D_2 are abelian; from D_3 on no flip is central, and a rotation
     # r^k is central iff r^k = r^-k: k = 0, and k = n/2 for even n
     center=lambda g: _BACKENDS["dihedral"].elements(g) if g.modulus <= 2 else [(0, 0), (g.modulus // 2, 0)][: 2 - g.modulus % 2],
-    generators=lambda g: [(1 % g.modulus, 0), (0, 1)],
 )
 
 
@@ -501,16 +488,6 @@ def _product_order(g: GroupDescriptor, cap: Optional[int]) -> Optional[int]:
     return None if None in orders else math.prod(orders)
 
 
-def _product_generators(g: GroupDescriptor) -> list[tuple[GroupElement, ...]]:
-    # each factor's generators, with the identity in every other slot
-    ones = [identity(f) for f in g.factors]
-    return [
-        tuple(ones[:i]) + (GroupElement(f, p),) + tuple(ones[i + 1 :])
-        for i, f in enumerate(g.factors)
-        for p in _BACKENDS[f.kind].generators(f)
-    ]
-
-
 _BACKENDS["product"] = _Backend(
     from_json=_product_from_json,
     to_json=lambda g: [descriptor_to_json(f) for f in g.factors],
@@ -524,7 +501,6 @@ _BACKENDS["product"] = _Backend(
     elements=lambda g: itertools.product(*(enumerate_elements(f) for f in g.factors)),
     # Z(G x H) = Z(G) x Z(H), and the product of lists in order keeps the order of elements
     center=lambda g: itertools.product(*([GroupElement(f, p) for p in _BACKENDS[f.kind].center(f)] for f in g.factors)),
-    generators=_product_generators,
 )
 
 
@@ -638,11 +614,6 @@ def enumerate_elements(group: GroupDescriptor) -> list[GroupElement]:
     ``ENUMERATION_LIMIT`` fail fast instead of filling memory.
     """
     return [GroupElement(group, p) for p in _enumerable(group).elements(group)]
-
-
-def generating_set(group: GroupDescriptor) -> list[GroupElement]:
-    """A set of elements that generates the group: empty for a trivial one."""
-    return [GroupElement(group, p) for p in _BACKENDS[group.kind].generators(group)]
 
 
 def payload_rules(group: GroupDescriptor) -> tuple[Callable, Callable]:

@@ -17,10 +17,12 @@ steps.  ``validate_scheme`` replays such a sequence against a complex and
 from __future__ import annotations
 
 import json
-from typing import Iterator, Optional, Sequence
+from collections.abc import Sequence
+from functools import cached_property
+from typing import Iterator, Optional
 
 from ._record import Record
-from .errors import PathError, SchemeError, decode_json, quote
+from .errors import PathError, SchemeError, TrisweepError, decode_json, quote
 
 Step = tuple[str, str]
 
@@ -225,7 +227,7 @@ def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step
     that does not apply raises ``SchemeError``.  Both windows run between
     the same two vertices, so a move keeps the path's endpoints.  A
     cancellation of the whole path produces the identity step at its
-    source.  ``path.steps`` may also be the list a sweep rewrites in place.
+    source.  ``path`` may also be a sweep, whose ``steps`` list a move rewrites in place.
     """
     steps, i, move, cell = path.steps, step.position, step.move, step.cell
     found = tuple(steps[i : i + MOVES[move]])
@@ -255,38 +257,107 @@ def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step
     return consumed, produced
 
 
-def splice_window(path: EdgePath, position: int, consumed: tuple[Step, ...], produced: tuple[Step, ...]) -> EdgePath:
-    """Replace the consumed steps at ``position`` by the produced ones.
+def apply_move_path(path: EdgePath, step: HomotopyStep, complex) -> EdgePath:
+    """Apply one move to a bare path, checking it against the complex.
 
-    The window must be the one ``move_window`` returned for this path and
-    position.  Its two sides then run between the same two vertices, and
-    the produced side starts where the path stands at ``position``, so the
+    The window's two sides run between the same two vertices, and the
+    produced side starts where the path stands at the position, so the
     spliced steps are composable and are not checked again.
     """
-    return EdgePath._trusted(path.steps[:position] + produced + path.steps[position + len(consumed) :])
-
-
-def apply_move_path(path: EdgePath, step: HomotopyStep, complex) -> EdgePath:
-    """Apply one move to a bare path, checking it against the complex."""
     consumed, produced = move_window(path, step, complex)
-    return splice_window(path, step.position, consumed, produced)
+    return EdgePath._trusted(path.steps[: step.position] + produced + path.steps[step.position + len(consumed) :])
 
 
-def validate_scheme(scheme: SweepScheme, complex) -> list[EdgePath]:
-    """Replay a scheme and return every intermediate path, start included.
+class _Sweep:
+    """The path, and the letters over it, that a running scheme rewrites in place, with one delta per move.
 
-    Raises ``SchemeError`` (with the step index) on an invalid move.  Every
-    path keeps the start path's endpoints, since each move does.
+    ``move_window`` reads its ``steps`` list as a path's steps, and
+    ``_spliced`` splices the lists and records the delta instead of
+    building a new path or section.  A sweep over a bare path keeps an
+    empty letter list.
     """
-    current = scheme.start_path
-    out = [current]
+
+    def __init__(self, path: EdgePath, letters: tuple = ()) -> None:
+        self.steps, self.letters = list(path.steps), list(letters)
+        self.deltas = [(0, 0, path.steps, 0, 0, letters)]
+
+    def _spliced(self, i: int, consumed: tuple, produced: tuple, lo: int, hi: int, new: tuple) -> None:
+        """The move window ``consumed`` at step i becomes ``produced``, and letters lo:hi become ``new``."""
+        j = i + len(consumed)
+        self.steps[i:j] = produced
+        self.letters[lo:hi] = new
+        self.deltas.append((i, j, produced, lo, hi, new))
+
+
+def _replay(deltas: list[tuple], step=None, letter=None):
+    """After each delta of a sweep, its step list and letter list.
+
+    The same two lists are yielded each time, so copy them to keep a
+    section; each step or letter a delta writes goes through ``step`` or
+    ``letter`` when given.
+    """
+    steps: list = []
+    letters: list = []
+    for i, j, new_steps, lo, hi, new_letters in deltas:
+        steps[i:j] = new_steps if step is None else map(step, new_steps)
+        letters[lo:hi] = new_letters if letter is None else map(letter, new_letters)
+        yield steps, letters
+
+
+def _sweep_scheme(sweep: _Sweep, scheme: SweepScheme, move, error: type[TrisweepError]) -> _Sweep:
+    """Apply every move of the scheme in order to the sweep, through ``move(sweep, step)``.
+
+    This is the one loop that replays a scheme.  A move that raises
+    ``error`` is named in the text ``step k: ...`` and in ``step_index``.
+    """
     for idx, step in enumerate(scheme.steps):
         try:
-            current = apply_move_path(current, step, complex)
-        except SchemeError as exc:
-            raise SchemeError(f"step {idx}: {exc}", step_index=idx) from exc
-        out.append(current)
-    return out
+            move(sweep, step)
+        except error as exc:
+            raise error(f"step {idx}: {exc}", step_index=idx) from exc
+    return sweep
+
+
+class _SweptPaths(Sequence):
+    """Every path of a validated scheme, start included: read-only, built from the deltas on first read.
+
+    It supports ``len``, indexing and iteration, and compares equal to a
+    list of the same paths; the last path is kept, so ``[-1]`` builds no other.
+    """
+
+    def __init__(self, sweep: _Sweep) -> None:
+        self._deltas, self._final = sweep.deltas, EdgePath._trusted(tuple(sweep.steps))
+
+    @cached_property
+    def _paths(self) -> list[EdgePath]:
+        return [EdgePath._trusted(tuple(steps)) for steps, _letters in _replay(self._deltas)]
+
+    def __len__(self) -> int:
+        return len(self._deltas)
+
+    def __getitem__(self, k):
+        return self._final if k in (-1, len(self) - 1) else self._paths[k]
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def validate_scheme(scheme: SweepScheme, complex) -> Sequence[EdgePath]:
+    """Replay a scheme on one step list and return every path it passes, start included.
+
+    Raises ``SchemeError`` (with the step index) on an invalid move.  Every
+    path keeps the start path's endpoints, since each move does.  The
+    result is a read-only sequence whose paths are built on first read.
+    """
+
+    def move(sweep: _Sweep, step: HomotopyStep) -> None:
+        consumed, produced = move_window(sweep, step, complex)
+        sweep._spliced(step.position, consumed, produced, 0, 0, ())
+
+    return _SweptPaths(_sweep_scheme(_Sweep(scheme.start_path), scheme, move, SchemeError))
 
 
 def _candidate_moves(path: EdgePath, complex) -> Iterator[HomotopyStep]:

@@ -56,10 +56,12 @@ from .paths import (
     EdgePath,
     HomotopyStep,
     SweepScheme,
+    _replay,
+    _Sweep,
+    _sweep_scheme,
     apply_move_path,
     cell_name,
     move_window,
-    splice_window,
 )
 
 
@@ -103,8 +105,9 @@ class Connection2(Record):
         the complex's markings, and one of the values' backends in the
         connection's.  Only when one fails are the cells walked, alpha
         before beta in insertion order, to raise a ``SweepError`` naming
-        the first unsupported cell or mismatched value; a value that is
-        not a ``GroupElement`` is a backend mismatch.
+        the first key that is not a triple of vertex names, unsupported
+        cell or mismatched value; a value that is not a ``GroupElement`` is
+        a backend mismatch.
         """
         K, beta = base.complex, beta or {}
         marked = K._marking_set
@@ -112,16 +115,16 @@ class Connection2(Record):
             with suppress(AttributeError):  # a value that is not an element: the loop below names it
                 if {g.group for g in chain(alpha.values(), beta.values())} <= {base.group}:
                     return cls(base, alpha, beta)
-        # the loop names the first fault: alpha keys are unpacked, so a key of another length fails and is
-        # never read as an edge cell; the cells are made one at a time, as a list of them all would be
-        # thousands of objects kept alive
-        alpha_cells = (((a, c, b), g) for (a, c, b), g in alpha.items())
-        beta_cells = (((c, a, b, c), g) for (c, a, b), g in beta.items())
-        for cell, g in chain(alpha_cells, beta_cells):
-            if not K.supports(cell):
-                raise SweepError(f"cell {cell_name(cell)} is not supported by a triangle of the complex")
-            if not isinstance(g, GroupElement) or g.group != base.group:
-                raise SweepError(f"backend mismatch at cell {cell_name(cell)}")
+        # the loop names the first fault; a key must be a triple before it is read as a cell, so a pair is
+        # never read as an edge cell; an alpha key is its cell, and a beta key (c, a, b) names the loop c.a.b.c
+        for name, cells, loop in (("alpha", alpha, 0), ("beta", beta, 1)):
+            for key, g in cells.items():
+                if type(key) is not tuple or len(key) != 3 or not all(isinstance(v, str) for v in key):
+                    raise SweepError(f"{name} key {quote(key)} is not a triple of vertex names")
+                if not K.supports(cell := key + key[:loop]):
+                    raise SweepError(f"cell {cell_name(cell)} is not supported by a triangle of the complex")
+                if not isinstance(g, GroupElement) or g.group != base.group:
+                    raise SweepError(f"backend mismatch at cell {cell_name(cell)}")
         return cls(base, alpha, beta)
 
     @classmethod
@@ -182,56 +185,12 @@ class Section(Record):
             raise SweepError("section letters must share one backend")
 
     @classmethod
-    def _trusted(cls, path: EdgePath, letters: tuple[GroupElement, ...]) -> "Section":
-        """Build from a move result already known to be valid, unchecked."""
+    def _trusted(cls, steps: Iterable, letters: Iterable) -> "Section":
+        """Build from the steps and letters of a move result already known to be valid, copied, unchecked."""
         section = object.__new__(cls)
-        object.__setattr__(section, "path", path)
-        object.__setattr__(section, "letters", letters)
+        object.__setattr__(section, "path", EdgePath._trusted(tuple(steps)))
+        object.__setattr__(section, "letters", tuple(letters))
         return section
-
-    def _spliced(self, i: int, consumed: tuple, produced: tuple, lo: int, hi: int, new: tuple) -> "Section":
-        """A new section: the move window ``consumed`` at step i becomes ``produced``, letters lo:hi ``new``."""
-        path = splice_window(self.path, i, consumed, produced)
-        return Section._trusted(path, self.letters[:lo] + new + self.letters[hi:])
-
-
-class _Sweep:
-    """The section a running scheme rewrites in place, with one delta per move.
-
-    ``apply_move_section`` reads it like a section, its steps and letters
-    being lists, and ``_spliced`` splices the lists and records the delta
-    instead of building a section.
-    """
-
-    def __init__(self, start: Section) -> None:
-        self.steps, self.letters = list(start.path.steps), list(start.letters)
-        self.deltas = [(0, 0, start.path.steps, 0, 0, start.letters)]
-
-    @property
-    def path(self) -> "_Sweep":  # section.path.steps reads the step list
-        return self
-
-    def _spliced(self, i: int, consumed: tuple, produced: tuple, lo: int, hi: int, new: tuple) -> "_Sweep":
-        j = i + len(consumed)
-        self.steps[i:j] = produced
-        self.letters[lo:hi] = new
-        self.deltas.append((i, j, produced, lo, hi, new))
-        return self
-
-
-def _replay(deltas: list[tuple], step=None, letter=None):
-    """After each delta of a trace, the step list and letter list of its section.
-
-    The same two lists are yielded each time, so copy them to keep a
-    section; each step or letter a delta writes goes through ``step`` or
-    ``letter`` when given.
-    """
-    steps: list = []
-    letters: list = []
-    for i, j, new_steps, lo, hi, new_letters in deltas:
-        steps[i:j] = new_steps if step is None else map(step, new_steps)
-        letters[lo:hi] = new_letters if letter is None else map(letter, new_letters)
-        yield steps, letters
 
 
 class SweepTrace(Record):
@@ -262,7 +221,7 @@ class SweepTrace(Record):
     # read only where the constructor did not store the field: on a recorded trace
     @cached_property
     def sections(self) -> tuple[Section, ...]:
-        return tuple(Section._trusted(EdgePath._trusted(tuple(s)), tuple(l)) for s, l in _replay(self._deltas))
+        return tuple(Section._trusted(s, l) for s, l in _replay(self._deltas))
 
     # read only where _recorded did not store it: on a trace built from its sections
     @cached_property
@@ -307,15 +266,17 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
     The section's backend is checked against the connection's once; the
     result is built unchecked, since the window keeps the path composable
     and every letter written lives in that one backend.  ``run_scheme``
-    passes its ``_Sweep`` here, which splices the result into itself.
+    passes its ``_Sweep`` here, which splices the result into itself; a
+    plain section runs as a sweep of one move.
     """
-    letters = section.letters
+    sweep = section if isinstance(section, _Sweep) else _Sweep(section.path, section.letters)
+    letters = sweep.letters
     group = letters[0].group
     if group != connection.group:
         section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (group, connection.group))
         raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
     try:
-        consumed, produced = move_window(section.path, step, connection.complex)
+        consumed, produced = move_window(sweep, step, connection.complex)
     except SchemeError as exc:
         raise SweepError(str(exc)) from exc
     lo = step.position
@@ -340,25 +301,26 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
             new = (letters[lo], phi)
         else:
             new = (identity(group), letters[lo], phi)
-    return section._spliced(step.position, consumed, produced, lo, hi, new)
+    sweep._spliced(step.position, consumed, produced, lo, hi, new)
+    return sweep if sweep is section else Section._trusted(sweep.steps, sweep.letters)
 
 
 def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> SweepTrace:
     """Apply every move of the scheme in order to one step list and one letter list.
 
-    A move so costs its window and a list splice, not a copy of the
-    section.  The trace records one delta per move and the final section.
+    ``paths._sweep_scheme`` is the loop, as for ``validate_scheme``, and
+    each move goes through ``apply_move_section``.  A move so costs its
+    window and a list splice, not a copy of the section.  The trace records
+    one delta per move and the final section.
     """
     if start.path != scheme.start_path:
         raise SweepError("section path does not match the scheme start path")
-    sweep = _Sweep(start)
-    for idx, step in enumerate(scheme.steps):
-        try:
-            apply_move_section(sweep, step, connection)
-        except SweepError as exc:
-            raise SweepError(f"step {idx}: {exc}", step_index=idx) from exc
-    final = Section._trusted(EdgePath._trusted(tuple(sweep.steps)), tuple(sweep.letters))
-    return SweepTrace._recorded(scheme, sweep.deltas, final)
+
+    def move(sweep: _Sweep, step: HomotopyStep) -> None:
+        apply_move_section(sweep, step, connection)  # looked up on every move, so a wrapper set on the name sees each one
+
+    sweep = _sweep_scheme(_Sweep(start.path, start.letters), scheme, move, SweepError)
+    return SweepTrace._recorded(scheme, sweep.deltas, Section._trusted(sweep.steps, sweep.letters))
 
 
 # -- gauge action on sections ----------------------------------------------

@@ -82,6 +82,15 @@ def test_connection1_build_refuses_a_value_that_is_not_a_group_element(tetra, ke
     assert str(info.value) == f"backend mismatch at edge ({key[0]},{key[1]})"
 
 
+@pytest.mark.parametrize("key", [("a", "b", "c"), 1, ("a",), "ab"])
+def test_connection1_build_refuses_a_key_that_is_not_a_pair_of_vertices(tetra, key):
+    values = {e: ts.identity(Z12) for e in tetra.sorted_edges}
+    values[key] = ts.identity(Z12)
+    with pytest.raises(BundleError) as info:
+        ts.Connection1.build(Z12, tetra, values)
+    assert str(info.value) == f"edge key {key!r} is not a pair of vertices"
+
+
 def test_duplicate_edge_assignment_rejected(tetra):
     values = {e: ts.identity(Z12) for e in tetra.sorted_edges}
     values[("b", "a")] = ts.element(Z12, 5)

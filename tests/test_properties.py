@@ -1,10 +1,11 @@
 """Property tests: group axioms, the free-group product, the conjugator
 search, the closed-form centers, the isomorphism search against
 propagation along a spanning tree, element text round trips, record
-equality, moves undone by their inverses, the gauge covariance of the
-defects, the oriented cells of random complexes, the cell-support rule,
-and the set-level ingest checks and bulk file readers against per-entry
-scans."""
+equality, moves undone by their inverses, the abelian flux law of a
+whole scheme, complex and scheme file round trips, the gauge covariance
+of the defects, the oriented cells of random complexes, the cell-support
+rule, and the set-level ingest checks and bulk file readers against
+per-entry scans."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 import trisweep as ts  # noqa: E402
 from conftest import (  # noqa: E402
     band_complex,
+    product_of_letters,
     random_connection1,
     random_connection2,
     random_element,
@@ -30,6 +32,7 @@ from conftest import (  # noqa: E402
     torus_complex,
     tree_propagation_search,
 )
+from test_boundary import random_scheme  # noqa: E402
 from trisweep.errors import quote  # noqa: E402
 from trisweep.groups import _reduce_free  # noqa: E402
 from trisweep.paths import _candidate_moves  # noqa: E402
@@ -225,6 +228,34 @@ def test_an_expansion_or_insertion_then_its_inverse_is_the_identity_on_sections(
             assert ts.apply_move_section(moved, inverse_step(section.path, step), conn) == section
 
 
+ABELIAN = [ts.cyclic_group(7), ts.product_group(ts.cyclic_group(4), ts.cyclic_group(6))]
+
+
+@given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from(ABELIAN))
+def test_over_an_abelian_group_the_letters_product_changes_by_the_swept_cells_only(seed, group):
+    # a discrete Stokes law, read off the scheme alone: each expansion multiplies the product of the letters
+    # by its cell value phi, each merge by phi^-1, and no other move changes it
+    rng = random.Random(seed)
+    conn = random_connection2(TORUS, group, rng)
+    start = random_section(TORUS, group, rng, rng.randrange(1, 6), stay_prob=0.2)
+    scheme = random_scheme(TORUS, start.path, rng, 40)
+    expected = product_of_letters(start.letters)
+    for step in scheme.steps:
+        if step.move.startswith(("alpha", "beta")):
+            cell = step.cell
+            phi = conn.alpha_value(*cell) if len(cell) == 3 else conn.beta_value(*cell[:3])
+            expected = ts.multiply(expected, phi if step.move.endswith("expand") else ts.inverse(phi))
+    assert product_of_letters(ts.run_scheme(start, scheme, conn).final.letters) == expected
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_dump_then_load_scheme_is_the_identity(seed):
+    rng = random.Random(seed)
+    start = random_walk(TORUS, rng, rng.randrange(1, 6), stay_prob=0.2)
+    scheme = random_scheme(TORUS, start, rng, rng.randrange(0, 20))
+    assert ts.load_scheme(ts.dump_scheme(scheme)) == scheme
+
+
 S3 = ts.symmetric_group(3)
 
 
@@ -280,6 +311,12 @@ def test_the_flat_connection_has_a_value_on_exactly_the_alpha_cells(K):
     flat = ts.Connection2.flat(ts.cyclic_group(2), K)
     alpha = [(c.source, c.apex, c.target) for c in ts.oriented_triangles(K, "alpha")]
     assert [key for key, _ in flat.alpha_values] == sorted(alpha)
+
+
+@given(COMPLEXES, st.booleans())
+def test_dump_then_load_complex_is_the_identity(K, pure):
+    K = ts.SimplicialComplex(K.vertices, K.triangles, K.edges, pure)
+    assert ts.load_complex(ts.dump_complex(K)) == K
 
 
 def old_support_rule(K: ts.SimplicialComplex, cell: tuple[str, ...]) -> bool:

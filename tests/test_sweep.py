@@ -397,8 +397,17 @@ def test_connection2_build_refuses_an_unsupported_cell_or_a_foreign_value(tetra,
 def test_connection2_build_refuses_an_alpha_key_that_is_not_a_triple(tetra, key):
     # ("a", "b") is an edge of the complex, yet never an alpha cell
     base = ts.Connection1.constant(S3, tetra, ts.identity(S3))
-    with pytest.raises(ValueError):
+    with pytest.raises(SweepError) as info:
         ts.Connection2.build(base, {key: ts.identity(S3)})
+    assert str(info.value) == f"alpha key {key!r} is not a triple of vertex names"
+
+
+@pytest.mark.parametrize("key", [("c", "a"), ("c", "a", "b", "c"), "cab", 1, ("c", "a", 2)])
+def test_connection2_build_refuses_a_beta_key_that_is_not_a_triple(tetra, key):
+    base = ts.Connection1.constant(S3, tetra, ts.identity(S3))
+    with pytest.raises(SweepError) as info:
+        ts.Connection2.build(base, {("a", "c", "b"): ts.identity(S3)}, {key: ts.identity(S3)})
+    assert str(info.value) == f"beta key {key!r} is not a triple of vertex names"
 
 
 def test_missing_cell_value_raises(tetra):
