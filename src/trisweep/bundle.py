@@ -13,7 +13,7 @@ from contextlib import suppress
 from functools import cached_property
 from itertools import starmap
 from operator import lt
-from typing import Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from ._record import Record
 from .complexes import SimplicialComplex
@@ -174,21 +174,62 @@ def gauge_transform(connection: Connection1, gauge: GaugeTransform) -> Connectio
     return Connection1.build(connection.group, connection.complex, new)
 
 
+def _solve_gauge(group: GroupDescriptor, root: str, walk: Iterable[tuple], pinned: Collection[str]) -> Optional[GaugeTransform]:
+    """The gauge n with n_a^-1 * f * n_b == g on every payload step (a, b, f, g) of the walk, or None.
+
+    Each step starts at the root or at a vertex an earlier step reached,
+    and every pinned vertex is reached.
+    Fixing the root value c fixes the whole gauge: with F_v and G_v the
+    products of f and of g along the steps that first reach v, it is
+    n_v = F_v^-1 * c * G_v.  Every later step (a, b) holds iff the loop
+    values x = F_a f F_b^-1 and y = G_a g G_b^-1 satisfy c^-1 * x * c == y.
+    So the transports and their inverses are computed once per vertex and
+    the loop values once per step, on payloads through the backend's rules
+    (``groups.payload_rules``).  A pinned vertex v keeps the identity,
+    which forces c = F_v * G_v^-1; with none pinned, c is the first
+    element, in enumeration order, that ``groups.conjugators`` yields for
+    the loop pairs, and over an infinite group only the identity is tried.
+    Elements are built only for the loop pairs and for the gauge of that c,
+    which holds every reached vertex that is not pinned.
+    """
+    mul, inv = payload_rules(group)
+    e = identity(group).payload
+    F, G, F_inv, G_inv = {root: e}, {root: e}, {root: e}, {root: e}
+    loops = []
+    for a, b, f, g in walk:
+        if b not in F:
+            F[b] = x = mul(group, F[a], f)
+            G[b] = y = mul(group, G[a], g)
+            F_inv[b], G_inv[b] = inv(group, x), inv(group, y)
+        else:
+            x = mul(group, mul(group, F[a], f), F_inv[b])
+            y = mul(group, mul(group, G[a], g), G_inv[b])
+            if x != e or y != e:  # x = y = e holds for every c, as on every tree edge
+                loops.append((GroupElement(group, x), GroupElement(group, y)))
+    forced = {mul(group, F[v], G_inv[v]) for v in pinned}
+    if len(forced) > 1:
+        return None
+    if forced:
+        candidates = [GroupElement(group, forced.pop())]
+    else:
+        candidates = enumerate_elements(group) if is_finite(group) else [identity(group)]
+    c = next(conjugators(loops, candidates), None)
+    if c is None:
+        return None
+    # every value lies in the group, so GaugeTransform.build's check is skipped
+    gauge = {v: GroupElement(group, mul(group, mul(group, F_inv[v], c.payload), G[v])) for v in F if v not in pinned}
+    return GaugeTransform(group, tuple(sorted(gauge.items())))
+
+
 def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]:
     """Search for a gauge carrying f to g, or None.
 
-    Fixing the root value c fixes the whole gauge: with F_v and G_v the
-    transports of f and g along the spanning-tree path from the root to v,
-    it is n_v = F_v^-1 * c * G_v.  That gauge carries f to g iff on every
-    edge (a, b) the loop values x = F_a f_ab F_b^-1 and y = G_a g_ab G_b^-1
-    satisfy c^-1 * x * c == y.  So the transports, their inverses and the
-    loop values are computed once per vertex and edge, on payloads through
-    the backend's rules (``groups.payload_rules``) from the stored edge
-    values, and c is the first element, in enumeration order, that
-    ``groups.conjugators`` yields for the loop pairs (x, y): at most two
-    payload products per loop edge and candidate.  Elements are built only
-    for the loop pairs and for the gauge of that c.  Needs a finite
-    backend and a connected complex.
+    The gauge solver walks the complex's spanning tree from its least
+    vertex and then every edge, with the stored values of f and g (an edge
+    walked against its stored orientation carries the inverse), and pins
+    no vertex: the root value is the first element, in enumeration order,
+    for which the gauge it fixes carries f to g.  Needs a finite backend
+    and a connected complex.
     """
     if f.group != g.group or f.complex != g.complex:
         raise BundleError("connections must share a backend and a complex")
@@ -199,39 +240,18 @@ def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]
         raise BundleError("isomorphism search needs a connected complex")
     if not K.vertices:
         return GaugeTransform(grp, ())
-    candidates = enumerate_elements(grp)
-    mul, inv = payload_rules(grp)
+    inv = payload_rules(grp)[1]
     fm, gm = f._map, g._map
 
     def value(m, a, b):  # an edge walked against its stored orientation carries the inverse
         return m[a, b].payload if a < b else inv(grp, m[b, a].payload)
 
-    root = K.sorted_vertices[0]
-    e = identity(grp).payload
-    F, G = {root: e}, {root: e}
-    queue, loops = [root], []
     try:
-        for v in queue:  # the loop reaches the vertices appended to it, breadth first
-            for w in K.neighbors(v):
-                if w not in F:
-                    F[w] = mul(grp, F[v], value(fm, v, w))
-                    G[w] = mul(grp, G[v], value(gm, v, w))
-                    queue.append(w)
-        F_inv = {v: inv(grp, x) for v, x in F.items()}
-        G_inv = {v: inv(grp, y) for v, y in G.items()}
-        for a, b in K.sorted_edges:
-            x = mul(grp, mul(grp, F[a], fm[a, b].payload), F_inv[b])
-            y = mul(grp, mul(grp, G[a], gm[a, b].payload), G_inv[b])
-            if x != e or y != e:  # x = y = e holds for every c, as on every tree edge
-                loops.append((GroupElement(grp, x), GroupElement(grp, y)))
+        walk = [(v, w, value(fm, v, w), value(gm, v, w)) for v, w in K._spanning_tree]
+        walk += [(a, b, fm[a, b].payload, gm[a, b].payload) for a, b in K.sorted_edges]
     except KeyError as exc:  # only the unchecked constructor leaves an edge without a value
         raise BundleError(f"connection has no value on edge ({exc.args[0][0]},{exc.args[0][1]})") from None
-    c = next(conjugators(loops, candidates), None)
-    if c is None:
-        return None
-    # every value lies in the group, so GaugeTransform.build's check is skipped
-    gauge = {v: GroupElement(grp, mul(grp, mul(grp, F_inv[v], c.payload), G[v])) for v in F}
-    return GaugeTransform(grp, tuple(sorted(gauge.items())))
+    return _solve_gauge(grp, K.sorted_vertices[0], walk, ())
 
 
 def wilson_loop(connection: Connection1, loop: EdgePath, rho: Representation):

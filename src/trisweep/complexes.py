@@ -177,17 +177,21 @@ class SimplicialComplex(Record):
             m for a, b, c in self.sorted_triangles for m in ((b, a, c), (c, a, b), (a, b, c), (c, b, a), (a, c, b), (b, c, a))
         )
 
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.sorted_vertices[0]}
-        stack = [self.sorted_vertices[0]]
-        while stack:
-            for w in self.neighbors(stack.pop()):
+    @cached_property
+    def _spanning_tree(self) -> tuple[tuple[str, str], ...]:
+        """The edges (v, w) by which a breadth-first walk from the least vertex first reaches each w."""
+        tree: list[tuple[str, str]] = []
+        queue, seen = list(self.sorted_vertices[:1]), set(self.sorted_vertices[:1])
+        for v in queue:  # the loop reaches the vertices appended to it
+            for w in self.neighbors(v):
                 if w not in seen:
                     seen.add(w)
-                    stack.append(w)
-        return seen == self.vertices
+                    tree.append((v, w))
+                    queue.append(w)
+        return tuple(tree)
+
+    def is_connected(self) -> bool:
+        return {w for _v, w in self._spanning_tree}.union(self.sorted_vertices[:1]) == self.vertices
 
 
 def _faces_by_part(faces, parts) -> dict:

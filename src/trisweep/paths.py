@@ -165,7 +165,8 @@ class HomotopyStep(Record):
     vertices ``(a, c, b)`` name the triangle cell with marked pair (a, b)
     and third vertex c; four vertices ``(c, a, b, c)`` name the loop cell
     based at c; two vertices give the edge pair used by ``x1_insert``.
-    Bookkeeping moves carry no cell.
+    Bookkeeping moves carry no cell.  A cell that is not a tuple of
+    strings is refused here, once, with a ``SchemeError`` that quotes it.
     """
 
     move: str
@@ -178,20 +179,22 @@ class HomotopyStep(Record):
         object.__setattr__(self, "move", move)
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "cell", cell)
-        if self.move not in MOVES:
-            raise SchemeError(f"unknown move {self.move!r}")
+        if move not in MOVES:
+            raise SchemeError(f"unknown move {move!r}")
         if type(position) is not int:  # refuses a bool, and any other int subclass, too
             raise SchemeError(f"position {position!r} is not an integer")
-        if self.position < 0:
-            raise SchemeError(f"negative position {self.position}")
-        size = _CELL_SIZE.get(self.move)
+        if position < 0:
+            raise SchemeError(f"negative position {position}")
+        size = _CELL_SIZE.get(move)
         if size is None:
-            if self.cell is not None:
-                raise SchemeError(f"move {self.move} takes no cell")
-        elif self.cell is None or len(self.cell) != size:
-            raise SchemeError(f"move {self.move} needs a cell with {size} vertices")
-        elif size == 4 and self.cell[0] != self.cell[-1]:
-            raise SchemeError(f"loop cell {'.'.join(self.cell)} must start and end at the same vertex")
+            if cell is not None:
+                raise SchemeError(f"move {move} takes no cell")
+        elif cell is not None and (type(cell) is not tuple or not {str}.issuperset(map(type, cell))):
+            raise SchemeError(f"cell {quote(cell)} is not a tuple of vertex names")
+        elif cell is None or len(cell) != size:
+            raise SchemeError(f"move {move} needs a cell with {size} vertices")
+        elif size == 4 and cell[0] != cell[-1]:
+            raise SchemeError(f"loop cell {'.'.join(cell)} must start and end at the same vertex")
 
 
 class SweepScheme(Record):
@@ -452,7 +455,7 @@ def _cell_from_text(text: str) -> tuple[str, ...]:
     else:
         # dotless shorthand: each character is a single-letter vertex name
         parts = tuple(text)
-    if any(not tok for tok in parts):
+    if "" in parts:
         raise SchemeError(f"bad cell name {quote(text)}")
     return parts
 
@@ -510,11 +513,18 @@ def load_scheme(text: str) -> SweepScheme:
 
 
 def dump_scheme(scheme: SweepScheme) -> str:
-    """Serialize a scheme back to its JSON file format."""
+    """Serialize a scheme back to its JSON file format.
+
+    A cell's vertices are joined with ``.``, so a vertex name that holds
+    one could not be read back: it is a ``SchemeError`` naming the step
+    and the vertex.
+    """
     steps = []
-    for st in scheme.steps:
+    for k, st in enumerate(scheme.steps):
         entry: dict = {"move": st.move, "position": st.position}
         if st.cell is not None:
+            if dotted := [v for v in st.cell if "." in v]:
+                raise SchemeError(f"step {k}: cell vertex {quote(dotted[0])} holds the cell name separator '.'", step_index=k)
             entry["cell"] = cell_name(st.cell)
         steps.append(entry)
     obj = {"start": [[x, y] for x, y in scheme.start_path.steps], "steps": steps}

@@ -29,11 +29,12 @@ from operator import methodcaller
 from typing import Iterable, Mapping, Optional
 
 from ._record import Record
-from .bundle import Connection1, GaugeTransform
+from .bundle import Connection1, GaugeTransform, _solve_gauge
 from .complexes import SimplicialComplex
 from .errors import BundleError, GroupError, SchemeError, SweepError, decode_json, quote
 # center_obstruction_check lives in groups; it stays importable from this
-# module, where it was defined before and where the benchmark's tracer wraps it
+# module, where it was defined before and where the benchmark's tracer wraps
+# it, as it wraps enumerate_elements, which is not called here
 from .groups import (
     _NAME_RE,
     GroupDescriptor,
@@ -46,7 +47,6 @@ from .groups import (
     free_group,
     identity,
     inverse,
-    is_finite,
     multiply,
     parse_element,
 )
@@ -339,13 +339,14 @@ def sections_gauge_equivalent(
 ) -> Optional[GaugeTransform]:
     """Find a gauge supported on ``movable`` with twist(s) == t, or None.
 
-    The constraints chain along the path, so every assignment is forced
-    by the value at the first vertex.  Finite backends enumerate that
-    value when the first vertex is movable; the free backend starts from
-    the identity, which is the canonical choice when the endpoints are
-    pinned.  The walk checks every step's constraint, a pinned vertex
-    keeping the identity, so the gauge it completes is returned without
-    twisting s again.
+    A section is an edge connection on its path's steps, so this is
+    ``find_isomorphism``'s question, asked through the same gauge solver:
+    it walks the path's steps with the letters of s and t, and the path's
+    vertices outside ``movable`` keep the identity.  A pinned vertex
+    forces the gauge, so the group is enumerated only when every vertex of
+    the path is movable; over an infinite group the root then takes the
+    identity.  The solver checks every step, so the gauge it finds is
+    returned without twisting s again.
     """
     if s.path != t.path:
         raise SweepError("sections live over different paths")
@@ -355,24 +356,8 @@ def sections_gauge_equivalent(
     if t.letters[0].group != group:
         raise GroupError("backend mismatch between the two sections")
     chain = s.path.vertices
-    e = identity(group)
-
-    if chain[0] in movable and is_finite(group):
-        candidates = enumerate_elements(group)
-    else:
-        candidates = [e]
-
-    for first in candidates:
-        assign: dict[str, GroupElement] = {chain[0]: first} if chain[0] in movable else {}
-        for (p, q), sl, tl in zip(s.path.steps, s.letters, t.letters):
-            needed = multiply(multiply(inverse(sl), assign.get(p, e)), tl)
-            if q in movable and q not in assign:
-                assign[q] = needed
-            elif needed != assign.get(q, e):  # an assigned vertex must agree; a pinned one stays e
-                break
-        else:  # every step's constraint n_p^-1 * s_pq * n_q == t_pq held
-            return GaugeTransform.build(group, assign)
-    return None
+    walk = [(p, q, sl.payload, tl.payload) for (p, q), sl, tl in zip(s.path.steps, s.letters, t.letters)]
+    return _solve_gauge(group, chain[0], walk, set(chain).difference(movable))
 
 
 # -- two-holonomy and scheme comparison --------------------------------------

@@ -437,7 +437,8 @@ def test_whole_group_operations_stop_at_the_enumeration_limit(group):
         lambda: ts.center_obstruction_check(group),
         lambda: ts.find_isomorphism(f, f),
         lambda: ts.table_representation(group, {}),
-        lambda: ts.sections_gauge_equivalent(section, section, movable={"a"}),
+        # with both path vertices movable nothing pins the root value, so it is searched for
+        lambda: ts.sections_gauge_equivalent(section, section, movable={"a", "b"}),
     ]
     for call in whole_group_calls:
         with pytest.raises(GroupError, match=message):

@@ -8,7 +8,7 @@ import pytest
 
 import trisweep as ts
 from conftest import random_walk, torus_complex
-from trisweep.errors import PathError, SchemeError
+from trisweep.errors import PathError, SchemeError, quote
 from trisweep.paths import _candidate_moves
 
 
@@ -368,6 +368,29 @@ def test_scheme_rejects_a_boolean_position(scheme1):
 def test_a_step_built_in_code_refuses_a_position_that_is_not_an_integer(position):
     with pytest.raises(SchemeError, match=f"position {position!r} is not an integer"):
         ts.HomotopyStep("deg_insert", position)
+
+
+@pytest.mark.parametrize(
+    "move, cell",
+    [("alpha_expand", "acb"), ("beta_expand", (1, 2, 3, 4)), ("alpha_expand", ["a", "c", "b"])],
+    ids=["string", "ints", "list"],
+)
+def test_a_step_built_in_code_refuses_a_cell_that_is_not_a_tuple_of_strings(move, cell):
+    with pytest.raises(SchemeError) as info:
+        ts.HomotopyStep(move, 0, cell)
+    assert str(info.value) == f"cell {quote(cell)} is not a tuple of vertex names"
+
+
+def test_dump_scheme_refuses_a_cell_vertex_that_holds_a_dot():
+    K = ts.SimplicialComplex.build(["a.1", "b", "c"], [("a.1", "b", "c")])
+    expand = ts.HomotopyStep("alpha_expand", 0, ("a.1", "b", "c"))
+    scheme = ts.SweepScheme(ts.EdgePath((("a.1", "c"),)), (ts.HomotopyStep("deg_insert", 1), expand))
+    assert ts.validate_scheme(scheme, K)[-1] == ts.EdgePath((("a.1", "b"), ("b", "c"), ("c", "c")))
+    # the file would join the cell as a.1.b.c, which reads back as four vertices
+    with pytest.raises(SchemeError) as info:
+        ts.dump_scheme(scheme)
+    assert str(info.value) == "step 1: cell vertex 'a.1' holds the cell name separator '.'"
+    assert info.value.step_index == 1
 
 
 def test_scheme_rejects_unknown_keys():

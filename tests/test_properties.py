@@ -3,9 +3,9 @@ search, the closed-form centers, the isomorphism search against
 propagation along a spanning tree, element text round trips, record
 equality, moves undone by their inverses, the abelian flux law of a
 whole scheme, complex and scheme file round trips, the gauge covariance
-of the defects, the oriented cells of random complexes, the cell-support
-rule, and the set-level ingest checks and bulk file readers against
-per-entry scans."""
+of the defects, the section gauge search against a brute-force search,
+the oriented cells of random complexes, the cell-support rule, and the
+set-level ingest checks and bulk file readers against per-entry scans."""
 
 from __future__ import annotations
 
@@ -274,6 +274,51 @@ def test_two_holonomy_is_gauge_covariant(seed):
     assert twisted.defects == conjugated
     e = ts.identity(S3)
     assert report.gauge_used == ts.GaugeTransform.build(S3, {v: e for v in ts.interior_vertices(initial.path)})
+
+
+GAUGE_GROUPS = [S3, ts.cyclic_group(4)]
+GAUGE_COMPLEXES = [ts.load_complex(ts.data_path("tetrahedron.json").read_text()), torus_complex(3)]
+
+
+def brute_force_gauge_exists(s: ts.Section, t: ts.Section, movable: set[str]) -> bool:
+    """Oracle: try every gauge on the movable vertices of the path, the others held at the identity."""
+    group = s.letters[0].group
+    free = sorted(movable & set(s.path.vertices))
+    e = ts.identity(group)
+    for values in itertools.product(ts.enumerate_elements(group), repeat=len(free)):
+        n = dict(zip(free, values))
+        if all(
+            ts.multiply(ts.multiply(ts.inverse(n.get(p, e)), sl), n.get(q, e)) == tl
+            for (p, q), sl, tl in zip(s.path.steps, s.letters, t.letters)
+        ):
+            return True
+    return False
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from(GAUGE_GROUPS),
+    K=st.sampled_from(GAUGE_COMPLEXES),
+    length=st.integers(1, 6),
+)
+def test_sections_gauge_equivalent_is_the_brute_force_search(seed, group, K, length):
+    rng = random.Random(seed)
+    s = random_section(K, group, rng, length, stay_prob=0.15)
+    pool = sorted(set(s.path.vertices) | {rng.choice(K.sorted_vertices)})  # one vertex may lie off the path
+    # at most four movable vertices keep the brute force small; some draws pin no vertex of the path
+    size = len(pool) if len(pool) <= 4 and rng.random() < 0.3 else rng.randint(0, min(4, len(pool)))
+    movable = set(rng.sample(pool, size))
+    kind = rng.randrange(3)
+    if kind == 2:  # unrelated letters
+        t = ts.Section(s.path, tuple(random_element(group, rng) for _ in s.letters))
+    else:  # a twist on the movable vertices, or on every vertex of the complex
+        support = movable if kind == 0 else K.sorted_vertices
+        t = ts.twist_section(s, ts.GaugeTransform.build(group, {v: random_element(group, rng) for v in support}))
+    found = ts.sections_gauge_equivalent(s, t, movable)
+    assert (found is not None) == brute_force_gauge_exists(s, t, movable)
+    if found is not None:
+        assert ts.twist_section(s, found) == t
+        assert set(found.vertices()) <= movable
 
 
 VERTICES = "pqrstu"

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import random
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -744,6 +748,27 @@ def test_sections_gauge_equivalent_finite_backend_loop(tetra):
         assert ts.twist_section(s, found) == t
 
 
+def test_sections_gauge_equivalent_solves_a_free_group_gauge_forced_by_the_pinned_target():
+    F = ts.free_group(["x", "y"])
+    x, y = ts.parse_element("x", F), ts.parse_element("y", F)
+    s = ts.Section(ts.EdgePath((("a", "b"), ("b", "c"))), (x, y))
+    n = ts.GaugeTransform.build(F, {"a": ts.parse_element("x*y", F), "b": ts.parse_element("y^2", F)})
+    t = ts.twist_section(s, n)
+    assert words(t) == ["y", "y^-1"]
+    # c is pinned, so n_b and then n_a are forced; no identity start is assumed at a
+    assert ts.sections_gauge_equivalent(s, t, movable={"a", "b"}) == n
+
+
+def test_sections_gauge_equivalent_pinned_vertices_force_the_gauge_in_a_group_too_large_to_enumerate():
+    S7 = ts.symmetric_group(7)
+    s = ts.Section(ts.EdgePath((("a", "b"), ("b", "c"))), (ts.parse_element("(1 2)", S7), ts.parse_element("(2 3)", S7)))
+    n = ts.GaugeTransform.build(S7, {"a": ts.parse_element("(1 2 3 4 5 6 7)", S7)})
+    t = ts.twist_section(s, n)
+    # 5040 elements are above the enumeration limit, but the pinned b forces n_a
+    assert ts.group_order(S7) > ts.groups.ENUMERATION_LIMIT
+    assert ts.sections_gauge_equivalent(s, t, movable={"a"}) == n
+
+
 def test_alpha_merge_conserves_product_up_to_cell_value(tetra):
     rng = random.Random(53)
     for _ in range(100):
@@ -910,3 +935,15 @@ def test_invalid_move_fails_alike_on_path_and_section(tetra, symbolic_connection
     with pytest.raises(SweepError, match=category) as on_section:
         ts.run_scheme(start, scheme, symbolic_connection)
     assert on_path.value.step_index == on_section.value.step_index == len(moves) - 1
+
+
+def test_the_readme_library_example_prints_its_trailing_comment():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    lines = block.rstrip("\n").split("\n")
+    comment = list(itertools.takewhile(lambda line: line.startswith("# "), reversed(lines)))[::-1]
+    assert comment, "the example ends with its expected output as a # comment"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert out.getvalue().splitlines() == [line[2:] for line in comment]
