@@ -28,6 +28,7 @@ from .groups import (
     identity,
     inverse,
     is_finite,
+    mat_trace,
     multiply,
     payload_rules,
     represent,
@@ -128,8 +129,8 @@ class Connection1(Record):
 
     @classmethod
     def constant(cls, group: GroupDescriptor, complex: SimplicialComplex, value: GroupElement) -> "Connection1":
-        """The same value on every edge: only its backend is checked, and an edge without two vertices refused."""
-        store = dict.fromkeys(complex._edge_pairs, value)
+        """The same value on every edge, keyed by ``sorted_edges``: only its backend is checked."""
+        store = dict.fromkeys(complex.sorted_edges, value)
         if value.group != group:  # build names the first edge, as for any map
             return cls.build(group, complex, store)
         return cls(group, complex, store)
@@ -258,8 +259,7 @@ def wilson_loop(connection: Connection1, loop: EdgePath, rho: Representation):
     """Trace of the loop holonomy in the given representation."""
     if not loop.is_loop():
         raise BundleError(f"path from {loop.source} to {loop.target} is not a loop")
-    mat = represent(rho, holonomy(connection, loop))
-    return sum(mat[i][i] for i in range(len(mat)))
+    return mat_trace(represent(rho, holonomy(connection, loop)))
 
 
 def associated_transport(connection: Connection1, path: EdgePath, rho: Representation) -> Matrix:

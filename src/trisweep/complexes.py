@@ -33,6 +33,9 @@ class SimplicialComplex(Record):
 
     Instances are immutable and safe to share between workers.  Build them
     with :meth:`build` or :func:`load_complex`, which add the derived edges.
+    The constructor refuses a triangle that is not three vertices or an
+    edge that is not two, in one C-level pass over each set's sizes; only
+    then are they sorted, to name the first, triangles before edges.
 
     Incidence queries read an index built on first use in one pass over the
     sorted triangles: each vertex and each edge maps to the faces that
@@ -45,6 +48,14 @@ class SimplicialComplex(Record):
     edges: frozenset[frozenset[str]]
     pure_dim2: bool = False
 
+    def __post_init__(self) -> None:
+        if set(map(len, self.triangles)) <= {3} and set(map(len, self.edges)) <= {2}:
+            return
+        for what, simplices, size in (("triangle", self.triangles, 3), ("edge", self.edges, 2)):
+            # read as text, since vertices given in code need not be strings and are named here all the same
+            if bad := [tuple(sorted(map(str, s))) for s in simplices if len(s) != size]:
+                raise ComplexError(f"{what} {{{','.join(min(bad))}}} needs {('two', 'three')[size - 2]} distinct vertices")
+
     @classmethod
     def build(
         cls,
@@ -55,34 +66,35 @@ class SimplicialComplex(Record):
     ) -> "SimplicialComplex":
         """A complex with every side of every triangle among its edges.
 
-        The triangles are checked in bulk, by one set of their sizes, and
-        walked in the given order only when that fails, to name the first
-        one that is not three distinct vertices; each edge is checked on
-        its own.  The sides are derived as the pairs of each triangle,
-        with no sort.  A simplex that is not a sequence of hashable
-        vertices is a ``ComplexError`` too.
+        The sides are derived as the pairs of each triangle, with no sort,
+        and the constructor checks the simplex sizes.  Only when it refuses
+        one are the given triangles, then the given edges, walked in the
+        given order, to name the first that is not three or two distinct
+        vertices.  A simplex that is not a sequence of hashable vertices is
+        a ``ComplexError`` too.
         """
         try:
             vs = frozenset(vertices)
             listed = list(map(tuple, triangles))
             tris = frozenset(map(frozenset, listed))
-            if not set(map(len, tris)) <= {3}:
-                for t in listed:
-                    if len(set(t)) != 3:
-                        raise ComplexError(f"bad triangle {quote(t)}: need three distinct vertices")
-            declared = [tuple(e) for e in edges]
-            for e in declared:
-                if len(e) != 2 or e[0] == e[1]:
-                    raise ComplexError(f"bad edge {quote(e)}: need two distinct vertices")
+            declared = list(map(tuple, edges))
             sides = map(frozenset, chain.from_iterable(map(combinations, tris, repeat(2))))
             return cls(vs, tris, frozenset(map(frozenset, declared)).union(sides), pure_dim2)
         except TypeError as exc:  # a simplex that is not a sequence, or a vertex that cannot be hashed
             raise ComplexError(f"bad simplicial data: {exc}") from exc
+        except ComplexError:
+            for t in listed:
+                if len(set(t)) != 3:
+                    raise ComplexError(f"bad triangle {quote(t)}: need three distinct vertices") from None
+            for e in declared:
+                if len(e) != 2 or e[0] == e[1]:
+                    raise ComplexError(f"bad edge {quote(e)}: need two distinct vertices") from None
+            raise
 
     # -- queries ---------------------------------------------------------
 
     def has_edge(self, a: str, b: str) -> bool:
-        return a != b and frozenset((a, b)) in self.edges
+        return frozenset((a, b)) in self.edges  # {a} is no edge: the constructor refuses one
 
     def has_face(self, a: str, b: str, c: str) -> bool:
         return frozenset((a, b, c)) in self.triangles
@@ -116,23 +128,24 @@ class SimplicialComplex(Record):
     def _neighbor_map(self) -> dict[str, tuple[str, ...]]:
         adj: dict[str, list[str]] = defaultdict(list)
         # the pairs come in sorted order, so each vertex's list is sorted as it is appended to
-        for a, b in self._edge_pairs:
+        for a, b in self.sorted_edges:
             adj[a].append(b)
             adj[b].append(a)
         return dict(zip(adj, map(tuple, adj.values())))
 
     @cached_property
     def _vertex_faces(self) -> dict[str, tuple[frozenset[str], ...]]:
-        return _faces_by_part(self.sorted_triangles_sets, lambda face: face)
+        buckets: dict = defaultdict(list)
+        for (a, b, c), face in zip(self.sorted_triangles, self.sorted_triangles_sets):
+            buckets[a].append(face)
+            buckets[b].append(face)
+            buckets[c].append(face)
+        return dict(zip(buckets, map(tuple, buckets.values())))
 
     @cached_property
     def _edge_faces(self) -> dict[frozenset[str], tuple[frozenset[str], ...]]:
-        faces = self.sorted_triangles_sets
-        if not set(map(len, faces)) <= {3}:
-            # a triangle of another size, which only the raw constructor lets through and validate_complex reports
-            return _faces_by_part(faces, lambda face: [face - {v} for v in face])
         buckets: dict = defaultdict(list)
-        for (a, b, c), face in zip(self.sorted_triangles, faces):
+        for (a, b, c), face in zip(self.sorted_triangles, self.sorted_triangles_sets):
             buckets[frozenset((a, b))].append(face)
             buckets[frozenset((a, c))].append(face)
             buckets[frozenset((b, c))].append(face)
@@ -145,18 +158,6 @@ class SimplicialComplex(Record):
     @cached_property
     def sorted_edges(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(map(tuple, map(sorted, self.edges))))
-
-    @cached_property
-    def _edge_pairs(self) -> tuple[tuple[str, str], ...]:
-        """``sorted_edges`` for what reads each edge as a pair of vertices.
-
-        An edge that is not two distinct vertices, which only the raw
-        constructor lets through, is refused with ``validate_complex``'s text.
-        """
-        if not set(map(len, self.edges)) <= {2}:
-            bad = next(e for e in self.sorted_edges if len(e) != 2)
-            raise ComplexError(_bad_edge_text(bad))
-        return self.sorted_edges
 
     @cached_property
     def sorted_triangles(self) -> tuple[tuple[str, str, str], ...]:
@@ -192,24 +193,6 @@ class SimplicialComplex(Record):
 
     def is_connected(self) -> bool:
         return {w for _v, w in self._spanning_tree}.union(self.sorted_vertices[:1]) == self.vertices
-
-
-def _faces_by_part(faces, parts) -> dict:
-    """Map each vertex or edge that ``parts(face)`` yields to its faces, in the given order."""
-    buckets: dict = {}
-    for face in faces:
-        for part in parts(face):
-            buckets.setdefault(part, []).append(face)
-    return {part: tuple(bucket) for part, bucket in buckets.items()}
-
-
-def _edge_subsets(tri: frozenset[str]) -> list[tuple[str, str]]:
-    a, b, c = sorted(tri)
-    return [(a, b), (a, c), (b, c)]
-
-
-def _bad_edge_text(e: tuple[str, ...]) -> str:
-    return f"edge {{{','.join(e)}}} needs two distinct vertices"
 
 
 # -- file format ---------------------------------------------------------
@@ -306,45 +289,37 @@ def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False
     """Check all invariants; an empty list means the complex is valid.
 
     Pure-dimension checks run when requested or when the complex declares
-    itself pure of dimension two.  The invariants are checked in bulk:
-    every triangle has three vertices and every edge two, every side of a
+    itself pure of dimension two.  The simplex sizes are the constructor's
+    to check.  The other invariants are checked in bulk: every side of a
     triangle is a declared edge and every edge's vertices are declared,
-    one set comparison each over the simplex sizes, the vertices, the
-    edges and the incidence index; for pure dimension two, every vertex
-    has faces (``faces_containing``) and every edge lies in a triangle.
-    Only when one fails are the triangles, edges and vertices scanned, in
-    sorted order, for the diagnostics.  A simplex of the wrong size, which
-    only the raw constructor lets through, is reported as such and is left
-    out of the side and pure-edge rules.
+    one set comparison each over the vertices, the edges and the
+    incidence index; for pure dimension two, every vertex has faces
+    (``faces_containing``) and every edge lies in a triangle.  Only when
+    one fails are the triangles, edges and vertices scanned, in sorted
+    order, for the diagnostics.
     """
     pure = require_pure_dim2 or complex.pure_dim2
     V, E, in_faces = complex.vertices, complex.edges, complex._edge_faces.keys()
     # a triangle's vertices lie on its sides, so declared sides with declared vertices declare them too
-    sized = set(map(len, complex.triangles)) <= {3} and set(map(len, E)) <= {2}
-    if sized and in_faces <= E and V.issuperset(chain.from_iterable(E)):
+    if in_faces <= E and V.issuperset(chain.from_iterable(E)):
         if not pure or (all(map(complex.faces_containing, V)) and E <= in_faces):
             return []
     out: list[Diagnostic] = []
     for t in complex.sorted_triangles:
         name = "{%s}" % ",".join(t)
         out += [Diagnostic("closure", name, f"triangle {name} references undeclared vertex {v}") for v in t if v not in V]
-        if len(t) != 3:
-            out.append(Diagnostic("size", name, f"triangle {name} needs three distinct vertices"))
-            continue
-        for pair in _edge_subsets(frozenset(t)):
+        for pair in combinations(t, 2):
             if frozenset(pair) not in E:
                 out.append(Diagnostic("closure", "{%s}" % ",".join(pair), f"edge {{{','.join(pair)}}} of triangle {name} is missing"))
     for e in complex.sorted_edges:
         name = "{%s}" % ",".join(e)
         out += [Diagnostic("closure", name, f"edge {name} references undeclared vertex {v}") for v in e if v not in V]
-        if len(e) != 2:
-            out.append(Diagnostic("size", name, _bad_edge_text(e)))
     if pure:
         for v in complex.sorted_vertices:
             if not complex.faces_containing(v):
                 out.append(Diagnostic("pure_dim2", v, f"vertex {v} not in any 2-simplex"))
         for e in complex.sorted_edges:
-            if len(e) == 2 and not complex.faces_containing_edge(*e):
+            if not complex.faces_containing_edge(*e):
                 out.append(Diagnostic("pure_dim2", "{%s}" % ",".join(e), f"edge {{{','.join(e)}}} not in any 2-simplex"))
     return out
 
@@ -409,7 +384,7 @@ def oriented_triangles(complex: SimplicialComplex, kind_filter: Optional[str] = 
     if kind_filter is not None and kind_filter not in KINDS:
         raise ComplexError(f"unknown cell kind {kind_filter!r}")
     loops = ((c, a, b, c) for p, q, r in complex.sorted_triangles for c, a, b in ((p, q, r), (q, r, p), (r, p, q)))
-    edges = (pair for u, w in complex._edge_pairs for pair in ((u, w), (w, u)))
+    edges = (pair for u, w in complex.sorted_edges for pair in ((u, w), (w, u)))
     vertices = ((v, v) for v in complex.sorted_vertices)
     families = ((complex.markings(), (False, True)), (loops, (False, True)), (edges, (False,)), (vertices, (False,)))
     return [

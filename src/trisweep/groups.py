@@ -706,20 +706,30 @@ def cyclic_character(group: GroupDescriptor, power: int = 1) -> Representation:
 
 
 def table_representation(group: GroupDescriptor, table: Mapping[str, Sequence[Sequence[Any]]]) -> Representation:
-    """Explicit matrix table over a finite backend, validated on all pairs."""
+    """Explicit matrix table over a finite backend, validated on all pairs.
+
+    Each entry must be a nonempty square matrix of numbers that
+    ``fractions.Fraction`` reads; any other entry is a ``GroupError``
+    naming its key.
+    """
     from fractions import Fraction  # here, so that importing the package does not load it
 
     elems = enumerate_elements(group)
     frozen: dict[str, Matrix] = {}
     for key, mat in table.items():
-        frozen[key] = tuple(tuple(Fraction(v) for v in row) for row in mat)
-    dims = {(len(m), len(m[0])) for m in frozen.values()}
-    if len(dims) != 1 or len(set(next(iter(dims)))) != 1:
+        try:
+            frozen[key] = m = tuple(tuple(Fraction(v) for v in row) for row in mat)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise GroupError(f"table entry {_quote(key)} is not a matrix of numbers: {exc}") from exc
+        if not m or set(map(len, m)) != {len(m)}:
+            raise GroupError(f"table entry {_quote(key)} is not a nonempty square matrix")
+    dims = set(map(len, frozen.values()))
+    if len(dims) != 1:
         raise GroupError("table matrices must share one square dimension")
     missing = [format_element(x) for x in elems if format_element(x) not in frozen]
     if missing:
         raise GroupError(f"table representation misses elements: {missing}")
-    n = next(iter(dims))[0]
+    n = dims.pop()
     if frozen[format_element(identity(group))] != mat_identity(n):
         raise GroupError("table must send the identity to the identity matrix")
     for x in elems:

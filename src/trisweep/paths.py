@@ -515,16 +515,17 @@ def load_scheme(text: str) -> SweepScheme:
 def dump_scheme(scheme: SweepScheme) -> str:
     """Serialize a scheme back to its JSON file format.
 
-    A cell's vertices are joined with ``.``, so a vertex name that holds
-    one could not be read back: it is a ``SchemeError`` naming the step
-    and the vertex.
+    A cell's vertices are joined with ``.``, so a vertex name that is
+    empty or holds one could not be read back: it is a ``SchemeError``
+    naming the step and the vertex.
     """
     steps = []
     for k, st in enumerate(scheme.steps):
         entry: dict = {"move": st.move, "position": st.position}
         if st.cell is not None:
-            if dotted := [v for v in st.cell if "." in v]:
-                raise SchemeError(f"step {k}: cell vertex {quote(dotted[0])} holds the cell name separator '.'", step_index=k)
+            if bad := [v for v in st.cell if not v or "." in v]:
+                why = "holds the cell name separator '.'" if bad[0] else "is empty"
+                raise SchemeError(f"step {k}: cell vertex {quote(bad[0])} {why}", step_index=k)
             entry["cell"] = cell_name(st.cell)
         steps.append(entry)
     obj = {"start": [[x, y] for x, y in scheme.start_path.steps], "steps": steps}

@@ -156,74 +156,67 @@ def test_validate_dangling_edge_under_pure_dim2():
 
 ABC = ts.SimplicialComplex.build("abc", [("a", "b", "c")])
 
-
-def size_fault(kind: str, names: str, need: str) -> ts.Diagnostic:
-    name = "{%s}" % ",".join(names)
-    return ts.Diagnostic("size", name, f"{kind} {name} needs {need} distinct vertices")
-
-
-# raw-constructor complexes over ABC with one simplex of the wrong size, and what validate_complex lists for them
+# raw-constructor fields over ABC with a simplex of the wrong size, and the constructor's refusal: the
+# first wrong-size simplex in sorted order, triangles before edges
 WRONG_SIZES = {
-    "one-vertex edge": (
-        ts.SimplicialComplex(ABC.vertices, ABC.triangles, ABC.edges | {frozenset("a")}),
-        [size_fault("edge", "a", "two")],
-    ),
-    "one undeclared vertex edge": (
-        ts.SimplicialComplex(ABC.vertices, ABC.triangles, ABC.edges | {frozenset("z")}),
-        [ts.Diagnostic("closure", "{z}", "edge {z} references undeclared vertex z"), size_fault("edge", "z", "two")],
-    ),
-    "three-vertex edge": (
-        ts.SimplicialComplex(ABC.vertices, ABC.triangles, ABC.edges | {frozenset("abc")}),
-        [size_fault("edge", "abc", "two")],
-    ),
-    "two-vertex triangle": (
-        ts.SimplicialComplex(ABC.vertices, ABC.triangles | {frozenset("ab")}, ABC.edges),
-        [size_fault("triangle", "ab", "three")],
-    ),
+    "one-vertex edge": ((ABC.vertices, ABC.triangles, ABC.edges | {frozenset("a")}), "edge {a} needs two distinct vertices"),
+    "one undeclared vertex edge": ((ABC.vertices, ABC.triangles, ABC.edges | {frozenset("z")}), "edge {z} needs two distinct vertices"),
+    "three-vertex edge": ((ABC.vertices, ABC.triangles, ABC.edges | {frozenset("abc")}), "edge {a,b,c} needs two distinct vertices"),
+    "two-vertex triangle": ((ABC.vertices, ABC.triangles | {frozenset("ab")}, ABC.edges), "triangle {a,b} needs three distinct vertices"),
     "four-vertex triangle": (
-        ts.SimplicialComplex(ABC.vertices | {"d"}, ABC.triangles | {frozenset("abcd")}, ABC.edges),
-        [size_fault("triangle", "abcd", "three")],
+        (ABC.vertices | {"d"}, ABC.triangles | {frozenset("abcd")}, ABC.edges),
+        "triangle {a,b,c,d} needs three distinct vertices",
     ),
+    "two one-vertex edges": ((ABC.vertices, ABC.triangles, ABC.edges | {frozenset("b"), frozenset("a")}), "edge {a} needs two distinct vertices"),
 }
 
 
 @pytest.mark.parametrize("pure", [False, True], ids=["plain", "pure"])
 @pytest.mark.parametrize("case", sorted(WRONG_SIZES))
 def test_validate_reports_a_simplex_of_the_wrong_size(case, pure):
-    K, expected = WRONG_SIZES[case]
-    assert ts.validate_complex(K, require_pure_dim2=pure) == expected
+    # the constructor refuses the fields, so validate_complex never meets the simplex, under either rule set
+    fields, refusal = WRONG_SIZES[case]
+    with pytest.raises(ComplexError) as info:
+        ts.validate_complex(ts.SimplicialComplex(*fields), require_pure_dim2=pure)
+    assert str(info.value) == refusal
 
 
 def test_validate_runs_the_other_rules_beside_a_simplex_of_the_wrong_size():
-    K = ts.SimplicialComplex(ABC.vertices | {"x"}, ABC.triangles | {frozenset("ab")}, ABC.edges | {frozenset("a"), frozenset("bx")})
-    assert ts.validate_complex(K, require_pure_dim2=True) == [
-        size_fault("triangle", "ab", "three"),
-        size_fault("edge", "a", "two"),
+    vertices, edges = ABC.vertices | {"x"}, ABC.edges | {frozenset("bx")}
+    with pytest.raises(ComplexError) as info:
+        ts.SimplicialComplex(vertices, ABC.triangles | {frozenset("ab")}, edges | {frozenset("a")})
+    assert str(info.value) == "triangle {a,b} needs three distinct vertices"
+    # without the wrong-size simplices, the other rules find what they found beside them
+    assert ts.validate_complex(ts.SimplicialComplex(vertices, ABC.triangles, edges), require_pure_dim2=True) == [
         ts.Diagnostic("pure_dim2", "x", "vertex x not in any 2-simplex"),
         ts.Diagnostic("pure_dim2", "{b,x}", "edge {b,x} not in any 2-simplex"),
     ]
 
 
-ONE_VERTEX_EDGE = ts.SimplicialComplex(frozenset("ab"), frozenset(), frozenset({frozenset("a"), frozenset("ab")}))
+ONE_VERTEX_EDGE = (frozenset("ab"), frozenset(), frozenset({frozenset("a"), frozenset("ab")}))
 
 
 @pytest.mark.parametrize(
-    "read",
+    "read, expected",
     [
-        lambda K: ts.Connection1.constant(ts.cyclic_group(2), K, ts.identity(ts.cyclic_group(2))),
-        lambda K: K.is_connected(),
-        lambda K: K.neighbors("a"),
-        lambda K: ts.oriented_triangles(K),
+        (lambda K: ts.Connection1.constant(ts.cyclic_group(2), K, ts.identity(ts.cyclic_group(2))).edge_values, ((("a", "b"), ts.identity(ts.cyclic_group(2))),)),
+        (lambda K: K.is_connected(), True),
+        (lambda K: K.neighbors("a"), ("b",)),
+        (
+            lambda K: [(t.kind, t.source, t.target) for t in ts.oriented_triangles(K)],
+            [("identity_edge", "a", "b"), ("identity_edge", "b", "a"), ("identity_vertex", "a", "a"), ("identity_vertex", "b", "b")],
+        ),
     ],
     ids=["constant", "is_connected", "neighbors", "oriented_triangles"],
 )
-def test_an_edge_without_two_vertices_is_refused_where_edges_are_read_as_pairs(read):
+def test_an_edge_without_two_vertices_is_refused_where_edges_are_read_as_pairs(read, expected):
+    # the constructor refuses the one-vertex edge before any reader can meet it
     with pytest.raises(ComplexError) as info:
-        read(ONE_VERTEX_EDGE)
+        read(ts.SimplicialComplex(*ONE_VERTEX_EDGE))
     assert str(info.value) == "edge {a} needs two distinct vertices"
-    # the size diagnostics still read every edge, sorted
-    assert ONE_VERTEX_EDGE.sorted_edges == (("a",), ("a", "b"))
-    assert ts.validate_complex(ONE_VERTEX_EDGE) == [size_fault("edge", "a", "two")]
+    # the reader reads the two-vertex edge that is left as a pair
+    vertices, triangles, edges = ONE_VERTEX_EDGE
+    assert read(ts.SimplicialComplex(vertices, triangles, edges - {frozenset("a")})) == expected
 
 
 def test_alpha_count_on_tetrahedron(tetra):

@@ -382,6 +382,23 @@ def test_table_representation_rejects_non_homomorphism():
         ts.table_representation(S3, bad)
 
 
+@pytest.mark.parametrize(
+    "order, table, refusal",
+    [
+        (1, {"0": []}, "table entry '0' is not a nonempty square matrix"),
+        (2, {"0": [[1, 0], [0, 1]], "1": [[0, 1], [1]]}, "table entry '1' is not a nonempty square matrix"),
+        (2, {"0": [[1]], "1": [["x"]]}, "table entry '1' is not a matrix of numbers: "),
+        (2, {"0": [[1]], "1": [[None]]}, "table entry '1' is not a matrix of numbers: "),
+        (1, {"0": 5}, "table entry '0' is not a matrix of numbers: "),
+    ],
+    ids=["empty", "ragged", "text-entry", "none-entry", "number-matrix"],
+)
+def test_table_representation_refuses_a_malformed_entry_by_its_key(order, table, refusal):
+    with pytest.raises(GroupError) as info:
+        ts.table_representation(ts.cyclic_group(order), table)
+    assert str(info.value).startswith(refusal)
+
+
 def test_represent_backend_mismatch():
     rho = ts.permutation_representation(S3)
     with pytest.raises(GroupError, match="backend"):

@@ -393,6 +393,17 @@ def test_dump_scheme_refuses_a_cell_vertex_that_holds_a_dot():
     assert info.value.step_index == 1
 
 
+def test_dump_scheme_refuses_an_empty_cell_vertex():
+    K = ts.SimplicialComplex.build(["", "b", "c"], [("", "b", "c")])
+    scheme = ts.SweepScheme(ts.EdgePath((("", "c"),)), (ts.HomotopyStep("alpha_expand", 0, ("", "b", "c")),))
+    assert ts.validate_scheme(scheme, K)[-1] == ts.EdgePath((("", "b"), ("b", "c")))
+    # the file would join the cell as .b.c, which reads back as a bad cell name
+    with pytest.raises(SchemeError) as info:
+        ts.dump_scheme(scheme)
+    assert str(info.value) == "step 0: cell vertex '' is empty"
+    assert info.value.step_index == 0
+
+
 def test_scheme_rejects_unknown_keys():
     with pytest.raises(SchemeError, match="unknown scheme keys"):
         ts.load_scheme('{"start": [["a","b"]], "steps": [], "zap": 1}')

@@ -429,18 +429,11 @@ FOREIGN = ts.cyclic_group(5)
 
 
 def scanned_diagnostics(K: ts.SimplicialComplex, pure: bool) -> list[ts.Diagnostic]:
-    """What ``validate_complex`` lists, each entry checked on its own against the raw fields.
-
-    A triangle without three vertices or an edge without two is reported
-    by size and takes no part in the side and pure-edge rules.
-    """
+    """What ``validate_complex`` lists, each entry checked on its own against the raw fields."""
     out = []
     for t in sorted(tuple(sorted(t)) for t in K.triangles):
         name = "{%s}" % ",".join(t)
         out += [ts.Diagnostic("closure", name, f"triangle {name} references undeclared vertex {v}") for v in t if v not in K.vertices]
-        if len(t) != 3:
-            out.append(ts.Diagnostic("size", name, f"triangle {name} needs three distinct vertices"))
-            continue
         for pair in itertools.combinations(t, 2):
             if frozenset(pair) not in K.edges:
                 pair_name = "{%s}" % ",".join(pair)
@@ -449,17 +442,24 @@ def scanned_diagnostics(K: ts.SimplicialComplex, pure: bool) -> list[ts.Diagnost
     for e in edges:
         name = "{%s}" % ",".join(e)
         out += [ts.Diagnostic("closure", name, f"edge {name} references undeclared vertex {v}") for v in e if v not in K.vertices]
-        if len(e) != 2:
-            out.append(ts.Diagnostic("size", name, f"edge {name} needs two distinct vertices"))
     if pure:
         for v in sorted(K.vertices):
             if not any(v in t for t in K.triangles):
                 out.append(ts.Diagnostic("pure_dim2", v, f"vertex {v} not in any 2-simplex"))
         for e in edges:
-            if len(e) == 2 and not any(frozenset(e) <= t for t in K.triangles if len(t) == 3):
+            if not any(frozenset(e) <= t for t in K.triangles):
                 name = "{%s}" % ",".join(e)
                 out.append(ts.Diagnostic("pure_dim2", name, f"edge {name} not in any 2-simplex"))
     return out
+
+
+def first_size_fault(triangles: set, edges: set) -> str | None:
+    """The constructor's refusal, each simplex checked on its own: the first of the wrong size in sorted order, triangles first."""
+    for what, simplices, size, count in (("triangle", triangles, 3, "three"), ("edge", edges, 2, "two")):
+        for s in sorted(tuple(sorted(s)) for s in simplices):
+            if len(s) != size:
+                return f"{what} {{{','.join(s)}}} needs {count} distinct vertices"
+    return None
 
 
 @given(seed=st.integers(0, 2**32 - 1), require_pure=st.booleans())
@@ -483,9 +483,16 @@ def test_validate_complex_lists_what_a_per_entry_scan_finds_on_damaged_surfaces(
         edges.add(frozenset((rng.choice([*K.sorted_vertices, "y"]),)))
     if rng.random() < 0.3:  # a two-vertex triangle on an edge
         triangles.add(frozenset(rng.choice(K.sorted_edges)))
-    damaged = ts.SimplicialComplex(frozenset(vertices), frozenset(triangles), frozenset(edges), rng.random() < 0.5)
-    expected = scanned_diagnostics(damaged, require_pure or damaged.pure_dim2)
-    assert ts.validate_complex(damaged, require_pure) == expected
+    fields = (frozenset(vertices), frozenset(triangles), frozenset(edges), rng.random() < 0.5)
+    refusal = first_size_fault(triangles, edges)
+    if refusal is not None:
+        with pytest.raises(ts.ComplexError) as info:
+            ts.SimplicialComplex(*fields)
+        assert str(info.value) == refusal
+    else:
+        damaged = ts.SimplicialComplex(*fields)
+        expected = scanned_diagnostics(damaged, require_pure or damaged.pure_dim2)
+        assert ts.validate_complex(damaged, require_pure) == expected
     assert ts.validate_complex(K, require_pure) == []
 
 
