@@ -204,10 +204,12 @@ def load_complex(text: str) -> SimplicialComplex:
     """Parse and validate the JSON complex format.
 
     Raises ``ComplexError`` on malformed JSON (with line and column), on a
-    duplicate vertex, and on closure violations such as a triangle naming
-    an undeclared vertex.  The vertices, triangles and edges are checked in
-    bulk, in C-level passes over the whole list; only when one fails is the
-    list walked entry by entry, to name the first bad entry in file order.
+    vertex name that is empty or holds whitespace or ``>`` (the separator
+    of a connection file's edge keys), on a duplicate vertex, and on
+    closure violations such as a triangle naming an undeclared vertex.
+    The vertices, triangles and edges are checked in bulk, in C-level
+    passes over the whole list; only when one fails is the list walked
+    entry by entry, to name the first bad entry in file order.
     """
     obj = decode_json(text, ComplexError, "parse error")
     if not isinstance(obj, dict):
@@ -218,12 +220,16 @@ def load_complex(text: str) -> SimplicialComplex:
     raw_vertices = obj.get("vertices", [])
     if not isinstance(raw_vertices, list) or not set(map(type, raw_vertices)) <= {str}:
         raise ComplexError('"vertices" must be a list of strings')
-    # str.split() splits at exactly the characters str.isspace() accepts, and drops empty names
-    if " ".join(raw_vertices).split() != raw_vertices or len(set(raw_vertices)) != len(raw_vertices):
+    # str.split() splits at exactly the characters str.isspace() accepts, and drops empty names;
+    # ">" separates the two vertices of a connection file's edge key
+    joined = " ".join(raw_vertices)
+    if joined.split() != raw_vertices or ">" in joined or len(set(raw_vertices)) != len(raw_vertices):
         seen: set[str] = set()
         for v in raw_vertices:
             if not v or any(ch.isspace() for ch in v):
                 raise ComplexError(f"bad vertex name {quote(v)}: must be nonempty without whitespace")
+            if ">" in v:
+                raise ComplexError(f"bad vertex name {quote(v)}: holds the edge key separator '>'")
             if v in seen:
                 raise ComplexError(f"duplicate vertex {quote(v)}")
             seen.add(v)

@@ -230,6 +230,8 @@ def _parse_cycles(text: str, degree: int) -> tuple[int, ...]:
 #   elements(g) -> every payload of a finite group, in a fixed order
 #   center(g) -> the payloads of the center of a finite group, in the order
 #     of elements(g), from a closed form: no element is multiplied
+# A product's payload is the tuple of its factors' payloads, and each of its
+# rules applies the factors' own rules to the components: it builds no element.
 
 _Backend = namedtuple(
     "_Backend",
@@ -441,45 +443,29 @@ _BACKENDS["dihedral"] = _Backend(
 )
 
 
-# A product payload is a tuple of factor elements.  Multiply, inverse and
-# center call each factor backend's rule on the component payloads; the
-# other rules go through the public operations.
-
 def _product_from_json(arg: Any) -> GroupDescriptor:
     if not isinstance(arg, list):
         raise GroupError('"product" takes a list of descriptors')
     return product_group(*(descriptor_from_json(f) for f in arg))
 
 
-def _product_normalise(g: GroupDescriptor, payload: Any) -> tuple[GroupElement, ...]:
+def _product_normalise(g: GroupDescriptor, payload: Any) -> tuple:
     items = tuple(payload)
     if len(items) != len(g.factors):
         raise GroupError(f"product element needs {len(g.factors)} components")
-    for item, factor in zip(items, g.factors):
-        if not isinstance(item, GroupElement) or item.group != factor:
-            raise GroupError("product component does not match its factor backend")
-    return items
+    # a component given as an element of its factor is already in normal form
+    return tuple([x.payload if isinstance(x, GroupElement) and x.group == f else _BACKENDS[f.kind].normalise(f, x)
+                  for f, x in zip(g.factors, items)])
 
 
-def _product_parse(g: GroupDescriptor, text: str) -> tuple[GroupElement, ...]:
+def _product_parse(g: GroupDescriptor, text: str) -> tuple:
     try:
         arr = json.loads(text)
     except (ValueError, RecursionError) as exc:  # a decode error, a huge integer, deep nesting
         raise GroupError(f"syntax error in product element {_quote(text)}") from exc
     if not isinstance(arr, list) or len(arr) != len(g.factors):
         raise GroupError(f"product element must be an array of {len(g.factors)} entries")
-    parts = []
-    for item, factor in zip(arr, g.factors):
-        parts.append(parse_element(item if isinstance(item, str) else json.dumps(item), factor))
-    return tuple(parts)
-
-
-def _product_multiply(g: GroupDescriptor, a: tuple, b: tuple) -> tuple[GroupElement, ...]:
-    return tuple([GroupElement(f, _BACKENDS[f.kind].multiply(f, x.payload, y.payload)) for f, x, y in zip(g.factors, a, b)])
-
-
-def _product_inverse(g: GroupDescriptor, a: tuple) -> tuple[GroupElement, ...]:
-    return tuple([GroupElement(f, _BACKENDS[f.kind].inverse(f, x.payload)) for f, x in zip(g.factors, a)])
+    return tuple([_BACKENDS[f.kind].parse(f, x if isinstance(x, str) else json.dumps(x)) for f, x in zip(g.factors, arr)])
 
 
 def _product_order(g: GroupDescriptor, cap: Optional[int]) -> Optional[int]:
@@ -492,15 +478,16 @@ _BACKENDS["product"] = _Backend(
     from_json=_product_from_json,
     to_json=lambda g: [descriptor_to_json(f) for f in g.factors],
     normalise=_product_normalise,
-    identity=lambda g: tuple(identity(f) for f in g.factors),
-    multiply=_product_multiply,
-    inverse=_product_inverse,
+    identity=lambda g: tuple([_BACKENDS[f.kind].identity(f) for f in g.factors]),
+    multiply=lambda g, a, b: tuple([_BACKENDS[f.kind].multiply(f, x, y) for f, x, y in zip(g.factors, a, b)]),
+    inverse=lambda g, a: tuple([_BACKENDS[f.kind].inverse(f, x) for f, x in zip(g.factors, a)]),
     parse=_product_parse,
-    format=lambda g, a: json.dumps([format_element(x) for x in a]),
+    format=lambda g, a: json.dumps([_BACKENDS[f.kind].format(f, x) for f, x in zip(g.factors, a)]),
     order=_product_order,
-    elements=lambda g: itertools.product(*(enumerate_elements(f) for f in g.factors)),
+    # called once the product's order passed the enumeration check, which bounds every factor's
+    elements=lambda g: itertools.product(*(_BACKENDS[f.kind].elements(f) for f in g.factors)),
     # Z(G x H) = Z(G) x Z(H), and the product of lists in order keeps the order of elements
-    center=lambda g: itertools.product(*([GroupElement(f, p) for p in _BACKENDS[f.kind].center(f)] for f in g.factors)),
+    center=lambda g: itertools.product(*(_BACKENDS[f.kind].center(f) for f in g.factors)),
 )
 
 
@@ -533,7 +520,13 @@ def descriptor_from_json(obj: Any) -> GroupDescriptor:
 
 
 def element(group: GroupDescriptor, payload: Any) -> GroupElement:
-    """Normalizing constructor; validates the payload for the backend."""
+    """Normalizing constructor; validates the payload for the backend.
+
+    A product takes a sequence with one component per factor, each given
+    as ``element`` takes a payload for that factor or as an element of
+    that factor; its ``payload`` is the tuple of the factors' payloads in
+    normal form.
+    """
     try:
         return GroupElement(group, _BACKENDS[group.kind].normalise(group, payload))
     except (ValueError, TypeError) as exc:
@@ -709,8 +702,8 @@ def table_representation(group: GroupDescriptor, table: Mapping[str, Sequence[Se
     """Explicit matrix table over a finite backend, validated on all pairs.
 
     Each entry must be a nonempty square matrix of numbers that
-    ``fractions.Fraction`` reads; any other entry is a ``GroupError``
-    naming its key.
+    ``fractions.Fraction`` reads, the matrix and each of its rows a list
+    or a tuple; any other entry is a ``GroupError`` naming its key.
     """
     from fractions import Fraction  # here, so that importing the package does not load it
 
@@ -718,6 +711,8 @@ def table_representation(group: GroupDescriptor, table: Mapping[str, Sequence[Se
     frozen: dict[str, Matrix] = {}
     for key, mat in table.items():
         try:
+            if not isinstance(mat, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in mat):
+                raise TypeError("a matrix and each of its rows must be a list or a tuple")
             frozen[key] = m = tuple(tuple(Fraction(v) for v in row) for row in mat)
         except (TypeError, ValueError, ArithmeticError) as exc:
             raise GroupError(f"table entry {_quote(key)} is not a matrix of numbers: {exc}") from exc

@@ -551,15 +551,14 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
         lk, rk = _parse_cell_key(left), _parse_cell_key(right)
         if len(lk) != 3 or len(rk) != 3:
             raise BundleError("cell relations apply to triangle cells only")
-        have_l, have_r = lk in alpha, rk in alpha
-        if have_l and have_r:
-            want = alpha[lk] if kind == "equal" else inverse(alpha[lk])
-            if alpha[rk] != want:
+        # inverse is an involution, so one map sends either side to the other
+        twin = inverse if kind == "inverse" else (lambda g: g)
+        if lk in alpha and rk in alpha:
+            if alpha[rk] != twin(alpha[lk]):
                 raise BundleError(f"cell relation {quote(rel)} violated by supplied values")
-        elif have_l:
-            alpha[rk] = alpha[lk] if kind == "equal" else inverse(alpha[lk])
-        elif have_r:
-            alpha[lk] = alpha[rk] if kind == "equal" else inverse(alpha[rk])
+        elif lk in alpha or rk in alpha:
+            src, dst = (lk, rk) if lk in alpha else (rk, lk)
+            alpha[dst] = twin(alpha[src])
         else:
             raise BundleError(f"cell relation {quote(rel)} references values that are not present")
 

@@ -90,7 +90,7 @@ def random_element(group: ts.GroupDescriptor, rng: random.Random, max_len: int =
     if group.kind == "dihedral":
         return ts.element(group, (rng.randrange(group.modulus), rng.randrange(2)))
     if group.kind == "product":
-        return ts.element(group, tuple(random_element(f, rng, max_len) for f in group.factors))
+        return ts.element(group, tuple(random_element(f, rng, max_len).payload for f in group.factors))
     raise AssertionError(group.kind)
 
 

@@ -124,8 +124,11 @@ def test_a_vertex_name_is_refused_for_exactly_the_characters_isspace_accepts():
     assert vertex_refusal([""]) == "bad vertex name '': must be nonempty without whitespace"
     good = [f"v{i}" for i in range(256)]
     assert vertex_refusal(good + ["x\u2029y"]) == "bad vertex name 'x\\u2029y': must be nonempty without whitespace"
+    # ">" separates the vertices of a connection file's edge key
+    separator = "bad vertex name 'a>b': holds the edge key separator '>'"
+    assert vertex_refusal(["a>b", "c", "d"]) == vertex_refusal(good + ["a>b"]) == separator
     # every other code point but the surrogates, which JSON escapes pair up, is accepted, in names of 4,096
-    others = "".join(chr(c) for c in range(sys.maxunicode + 1) if not (chr(c).isspace() or 0xD800 <= c <= 0xDFFF))
+    others = "".join(chr(c) for c in range(sys.maxunicode + 1) if not (chr(c).isspace() or chr(c) == ">" or 0xD800 <= c <= 0xDFFF))
     names = [others[i : i + 4096] for i in range(0, len(others), 4096)]
     assert ts.load_complex(json.dumps({"vertices": names})).vertices == frozenset(names)
 

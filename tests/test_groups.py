@@ -197,6 +197,32 @@ def test_product_parse_format():
     assert ts.parse_element(ts.format_element(a), Z2xS3) == a
 
 
+def test_a_product_payload_is_the_tuple_of_its_factors_payloads():
+    a = ts.parse_element('["1", "(1 2)"]', Z2xS3)
+    assert a.payload == (1, (2, 1, 3))
+    # element takes the factors' raw payloads and normalises each component
+    assert ts.element(Z2xS3, (3, [2, 1, 3])) == a
+    g, rng = nested_product(), random.Random(11)
+    for _ in range(20):
+        b = random_element(g, rng)
+        assert ts.element(g, b.payload) == b
+
+
+@pytest.mark.parametrize("factor", BACKENDS, ids=[g.kind for g in BACKENDS])
+def test_a_product_component_may_be_an_element_of_its_factor_and_of_no_other_group(factor):
+    # the benchmark's multiply probe builds product elements from factor elements
+    g, a = ts.product_group(factor, Z12), ts.identity(factor)
+    assert ts.element(g, (a, 5)) == ts.element(g, (a.payload, 5))
+    with pytest.raises(GroupError, match="^bad product element"):
+        ts.element(g, (ts.identity(ts.cyclic_group(7)), 5))
+
+
+@pytest.mark.parametrize("payload", [(1,), (1, (1, 2, 3), 0)], ids=["one", "three"])
+def test_a_product_payload_with_the_wrong_component_count_is_a_group_error(payload):
+    with pytest.raises(GroupError, match="product element needs 2 components"):
+        ts.element(Z2xS3, payload)
+
+
 # -- finite-group utilities -------------------------------------------------------
 
 def _perm_center_oracle(n: int) -> set[tuple[int, ...]]:
@@ -390,8 +416,11 @@ def test_table_representation_rejects_non_homomorphism():
         (2, {"0": [[1]], "1": [["x"]]}, "table entry '1' is not a matrix of numbers: "),
         (2, {"0": [[1]], "1": [[None]]}, "table entry '1' is not a matrix of numbers: "),
         (1, {"0": 5}, "table entry '0' is not a matrix of numbers: "),
+        (2, {"0": ["10", "01"], "1": ["01", "10"]}, "table entry '0' is not a matrix of numbers: "),
+        (1, {"0": [{"1": "x"}]}, "table entry '0' is not a matrix of numbers: "),
+        (1, {"0": "1"}, "table entry '0' is not a matrix of numbers: "),
     ],
-    ids=["empty", "ragged", "text-entry", "none-entry", "number-matrix"],
+    ids=["empty", "ragged", "text-entry", "none-entry", "number-matrix", "text-rows", "mapping-row", "text-matrix"],
 )
 def test_table_representation_refuses_a_malformed_entry_by_its_key(order, table, refusal):
     with pytest.raises(GroupError) as info:

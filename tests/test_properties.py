@@ -1,5 +1,6 @@
 """Property tests: group axioms, the free-group product, the conjugator
-search, the closed-form centers, the isomorphism search against
+search, the closed-form centers, the product operations against their
+factors' operations, the isomorphism search against
 propagation along a spanning tree, element text round trips, record
 equality, moves undone by their inverses, the abelian flux law of a
 whole scheme, complex and scheme file round trips, the gauge covariance
@@ -58,7 +59,7 @@ def elements(group: ts.GroupDescriptor) -> st.SearchStrategy:
     elif group.kind == "dihedral":
         payloads = st.tuples(st.integers(0, group.modulus - 1), st.integers(0, 1))
     else:
-        payloads = st.tuples(*(elements(f) for f in group.factors))
+        payloads = st.tuples(*(elements(f).map(lambda a: a.payload) for f in group.factors))
     return payloads.map(lambda p: ts.element(group, p))
 
 
@@ -120,16 +121,38 @@ def finite_groups(max_order: int) -> st.SearchStrategy:
     return st.one_of(options).filter(lambda G: ts.group_order(G) <= max_order)
 
 
-# one backend, or a product of two, up to order 200
-CENTER_GROUPS = st.one_of(
-    finite_groups(200),
-    finite_groups(100).flatmap(lambda G: finite_groups(200 // ts.group_order(G)).map(lambda H: ts.product_group(G, H))),
+# a product of two finite backends, up to order 200
+FINITE_PRODUCTS = finite_groups(100).flatmap(
+    lambda G: finite_groups(200 // ts.group_order(G)).map(lambda H: ts.product_group(G, H))
 )
+# one backend, or a product of two, up to order 200
+CENTER_GROUPS = st.one_of(finite_groups(200), FINITE_PRODUCTS)
 
 
 @given(CENTER_GROUPS)
 def test_the_closed_form_center_is_the_exhaustive_center(group):
     assert ts.center_obstruction_check(group) == ts.center(group)
+
+
+def components(a: ts.GroupElement) -> list[ts.GroupElement]:
+    """The factor elements of a product element, each built by its factor's ``element``."""
+    return [ts.element(f, p) for f, p in zip(a.group.factors, a.payload)]
+
+
+@given(data=st.data())
+def test_product_operations_are_the_factors_operations_component_by_component(data):
+    group = data.draw(FINITE_PRODUCTS)
+    factor_lists = [ts.enumerate_elements(f) for f in group.factors]
+    a_parts, b_parts = ([data.draw(st.sampled_from(elems)) for elems in factor_lists] for _ in range(2))
+    a, b = (ts.element(group, tuple(x.payload for x in parts)) for parts in (a_parts, b_parts))
+    assert components(a) == a_parts and components(b) == b_parts
+    assert components(ts.multiply(a, b)) == [ts.multiply(x, y) for x, y in zip(a_parts, b_parts)]
+    assert components(ts.inverse(a)) == [ts.inverse(x) for x in a_parts]
+    assert components(ts.identity(group)) == [ts.identity(f) for f in group.factors]
+    assert ts.format_element(a) == json.dumps([ts.format_element(x) for x in a_parts])
+    assert [components(x) for x in ts.enumerate_elements(group)] == [list(t) for t in itertools.product(*factor_lists)]
+    factor_centers = [ts.center_obstruction_check(f) for f in group.factors]
+    assert [components(z) for z in ts.center_obstruction_check(group)] == [list(t) for t in itertools.product(*factor_centers)]
 
 
 # cyclic, odd and even dihedral, S_3 and Z_3 x S_3
@@ -607,6 +630,8 @@ def per_entry_load_complex(text: str) -> ts.SimplicialComplex:
     for v in obj["vertices"]:
         if not v or any(ch.isspace() for ch in v):
             raise ts.ComplexError(f"bad vertex name {quote(v)}: must be nonempty without whitespace")
+        if ">" in v:
+            raise ts.ComplexError(f"bad vertex name {quote(v)}: holds the edge key separator '>'")
         if v in seen:
             raise ts.ComplexError(f"duplicate vertex {quote(v)}")
         seen.add(v)
@@ -673,7 +698,10 @@ def test_load_complex_reads_a_file_as_its_per_entry_loops_do(seed, count):
         "edges": [list(e) for e in rng.sample(K.sorted_edges, rng.randrange(6))],
     }
     faults = {
-        "vertices": [lambda: rng.choice(["", "a b", "a\tb", "x　y", "z\x1fz", 7, rng.choice(V)])],
+        "vertices": [
+            lambda: rng.choice(["", "a b", "a\tb", "x　y", "z\x1fz", 7, rng.choice(V)]),
+            lambda: rng.choice(["a>b", ">", f"{rng.choice(V)}>", "a >b"]),  # the edge key separator
+        ],
         "triangles": [
             lambda: list(rng.choice(K.sorted_edges)),
             lambda: [*rng.choice(K.sorted_triangles), rng.choice(V)],
