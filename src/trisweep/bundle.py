@@ -193,7 +193,7 @@ def _solve_gauge(group: GroupDescriptor, root: str, walk: Iterable[tuple], pinne
     Elements are built only for the loop pairs and for the gauge of that c,
     which holds every reached vertex that is not pinned.
     """
-    mul, inv = payload_rules(group)
+    mul, inv = payload_rules(group).multiply, payload_rules(group).inverse
     e = identity(group).payload
     F, G, F_inv, G_inv = {root: e}, {root: e}, {root: e}, {root: e}
     loops = []
@@ -241,7 +241,7 @@ def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]
         raise BundleError("isomorphism search needs a connected complex")
     if not K.vertices:
         return GaugeTransform(grp, ())
-    inv = payload_rules(grp)[1]
+    inv = payload_rules(grp).inverse
     fm, gm = f._map, g._map
 
     def value(m, a, b):  # an edge walked against its stored orientation carries the inverse

@@ -29,7 +29,7 @@ import math
 import re
 from collections import namedtuple
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._record import Record
 from .errors import GroupError, input_limit_text, quote as _quote
@@ -530,7 +530,7 @@ def element(group: GroupDescriptor, payload: Any) -> GroupElement:
     try:
         return GroupElement(group, _BACKENDS[group.kind].normalise(group, payload))
     except (ValueError, TypeError) as exc:
-        raise GroupError(f"bad {group.kind} element {payload!r}: {exc}") from exc
+        raise GroupError(f"bad {group.kind} element {_quote(payload)}: {exc}") from exc
 
 
 def identity(group: GroupDescriptor) -> GroupElement:
@@ -609,9 +609,13 @@ def enumerate_elements(group: GroupDescriptor) -> list[GroupElement]:
     return [GroupElement(group, p) for p in _enumerable(group).elements(group)]
 
 
-def payload_rules(group: GroupDescriptor) -> tuple[Callable, Callable]:
-    """The backend's ``multiply(group, a, b)`` and ``inverse(group, a)`` rules on payloads in normal form."""
-    return _BACKENDS[group.kind].multiply, _BACKENDS[group.kind].inverse
+def payload_rules(group: GroupDescriptor) -> _Backend:
+    """The group's backend: its rules on payloads in normal form, each taking the group first.
+
+    ``multiply(group, a, b)``, ``inverse(group, a)``, ``identity(group)``
+    and ``format(group, a)`` among them build no element.
+    """
+    return _BACKENDS[group.kind]
 
 
 def conjugators(pairs: Sequence[tuple[GroupElement, GroupElement]], candidates: Iterable[GroupElement]) -> Iterator[GroupElement]:

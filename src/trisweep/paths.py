@@ -198,10 +198,39 @@ class HomotopyStep(Record):
 
 
 class SweepScheme(Record):
-    """A start path together with a sequence of homotopy moves."""
+    """A start path together with a sequence of homotopy moves.
+
+    ``_replay`` replays the moves on the start path once per scheme
+    object, checking each against the path alone, and ``validate_scheme``
+    and ``run_scheme`` read it; they check the cells against their own
+    complex on every call.
+    """
 
     start_path: EdgePath
     steps: tuple[HomotopyStep, ...]
+
+    @cached_property
+    def _replay(self) -> tuple[list[tuple], tuple[Step, ...], Optional[str]]:
+        """One path delta per move that applies, the path after them, and why the next move does not apply.
+
+        The first delta ``(0, 0, steps)`` writes the start path, and each
+        move adds ``(i, j, produced)``: the window it consumes, steps i:j,
+        becomes ``produced``.  The message is None when every move applies.
+        """
+        steps, deltas = list(self.start_path.steps), [(0, 0, self.start_path.steps)]
+        for step in self.steps:
+            try:
+                consumed, produced = _path_window(steps, step)
+            except SchemeError as exc:
+                return deltas, tuple(steps), str(exc)
+            i, j = step.position, step.position + len(consumed)
+            steps[i:j] = produced
+            deltas.append((i, j, produced))
+        return deltas, tuple(steps), None
+
+    def __reduce__(self):
+        # the replay is derived from the fields, so a pickle holds the fields alone
+        return type(self), (self.start_path, self.steps)
 
 
 def _steps_text(steps: Sequence[Step]) -> str:
@@ -222,17 +251,16 @@ def cell_sides(cell: tuple[str, ...]) -> tuple[tuple[Step, ...], tuple[Step, ...
     return ((c, c),), ((c, a), (a, b), (b, c))
 
 
-def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
+def _path_window(steps: Sequence[Step], step: HomotopyStep) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
     """The steps a move consumes at ``step.position`` and the steps replacing them.
 
-    This is the one place that checks a move against the path, and it asks
-    ``complex.supports`` whether the complex carries the move's cell; a move
+    This is the one check of a move against a path's ``steps``; a move
     that does not apply raises ``SchemeError``.  Both windows run between
     the same two vertices, so a move keeps the path's endpoints.  A
     cancellation of the whole path produces the identity step at its
-    source.  ``path`` may also be a sweep, whose ``steps`` list a move rewrites in place.
+    source.
     """
-    steps, i, move, cell = path.steps, step.position, step.move, step.cell
+    i, move, cell = step.position, step.move, step.cell
     found = tuple(steps[i : i + MOVES[move]])
     if i > len(steps) or len(found) < MOVES[move]:
         raise SchemeError(f"position {i} out of range for {move} on a path of {len(steps)} steps")
@@ -254,10 +282,25 @@ def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step
         raise SchemeError("cannot drop the only step of an identity path")
     if len(consumed) == len(steps) and not produced:
         produced = ((v, v),)
+    return consumed, produced
+
+
+def _check_support(cell: Optional[tuple[str, ...]], complex) -> None:
+    """Raise ``SchemeError`` unless the move's cell, if any, is one ``complex.supports``."""
     if cell is not None and not complex.supports(cell):
         shape = "an edge" if len(cell) == 2 else "a triangle"
         raise SchemeError(f"cell not supported: {cell_name(cell)} is not {shape} of the complex")
-    return consumed, produced
+
+
+def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
+    """The window ``_path_window`` finds on the path, once the complex supports the move's cell.
+
+    The path is checked first, as a scheme's replay checks it, then the
+    cell, as ``_replayed_window`` checks it.
+    """
+    window = _path_window(path.steps, step)
+    _check_support(step.cell, complex)
+    return window
 
 
 def apply_move_path(path: EdgePath, step: HomotopyStep, complex) -> EdgePath:
@@ -271,69 +314,58 @@ def apply_move_path(path: EdgePath, step: HomotopyStep, complex) -> EdgePath:
     return EdgePath._trusted(path.steps[: step.position] + produced + path.steps[step.position + len(consumed) :])
 
 
-class _Sweep:
-    """The path, and the letters over it, that a running scheme rewrites in place, with one delta per move.
+def _states(deltas: list[tuple], item=None):
+    """After each delta ``(i, j, new)`` in turn, the list it leaves: items i:j of the one before become ``new``.
 
-    ``move_window`` reads its ``steps`` list as a path's steps, and
-    ``_spliced`` splices the lists and records the delta instead of
-    building a new path or section.  A sweep over a bare path keeps an
-    empty letter list.
+    The same list is yielded each time, so copy it to keep a state; each
+    item a delta writes goes through ``item`` when given.
     """
-
-    def __init__(self, path: EdgePath, letters: tuple = ()) -> None:
-        self.steps, self.letters = list(path.steps), list(letters)
-        self.deltas = [(0, 0, path.steps, 0, 0, letters)]
-
-    def _spliced(self, i: int, consumed: tuple, produced: tuple, lo: int, hi: int, new: tuple) -> None:
-        """The move window ``consumed`` at step i becomes ``produced``, and letters lo:hi become ``new``."""
-        j = i + len(consumed)
-        self.steps[i:j] = produced
-        self.letters[lo:hi] = new
-        self.deltas.append((i, j, produced, lo, hi, new))
+    out: list = []
+    for i, j, new in deltas:
+        out[i:j] = new if item is None else map(item, new)
+        yield out
 
 
-def _replay(deltas: list[tuple], step=None, letter=None):
-    """After each delta of a sweep, its step list and letter list.
-
-    The same two lists are yielded each time, so copy them to keep a
-    section; each step or letter a delta writes goes through ``step`` or
-    ``letter`` when given.
-    """
-    steps: list = []
-    letters: list = []
-    for i, j, new_steps, lo, hi, new_letters in deltas:
-        steps[i:j] = new_steps if step is None else map(step, new_steps)
-        letters[lo:hi] = new_letters if letter is None else map(letter, new_letters)
-        yield steps, letters
-
-
-def _sweep_scheme(sweep: _Sweep, scheme: SweepScheme, move, error: type[TrisweepError]) -> _Sweep:
-    """Apply every move of the scheme in order to the sweep, through ``move(sweep, step)``.
+def _sweep_scheme(scheme: SweepScheme, move, error: type[TrisweepError]) -> None:
+    """Call ``move(k, step)`` on every move of the scheme in order.
 
     This is the one loop that replays a scheme.  A move that raises
     ``error`` is named in the text ``step k: ...`` and in ``step_index``.
     """
     for idx, step in enumerate(scheme.steps):
         try:
-            move(sweep, step)
+            move(idx, step)
         except error as exc:
             raise error(f"step {idx}: {exc}", step_index=idx) from exc
-    return sweep
+
+
+def _replayed_window(scheme: SweepScheme, k: int, complex) -> tuple:
+    """Move k's path delta ``(i, j, produced)`` from the scheme's replay, once the complex supports its cell.
+
+    Where the replay stopped at move k, the move's window does not apply
+    on the path: that is its ``SchemeError``, raised before the cell is
+    checked, as ``move_window`` orders the two.
+    """
+    deltas, _final, failure = scheme._replay
+    if k + 1 == len(deltas):
+        raise SchemeError(failure)
+    _check_support(scheme.steps[k].cell, complex)
+    return deltas[k + 1]
 
 
 class _SweptPaths(Sequence):
-    """Every path of a validated scheme, start included: read-only, built from the deltas on first read.
+    """Every path of a validated scheme, start included: read-only, built from its replay on first read.
 
     It supports ``len``, indexing and iteration, and compares equal to a
     list of the same paths; the last path is kept, so ``[-1]`` builds no other.
     """
 
-    def __init__(self, sweep: _Sweep) -> None:
-        self._deltas, self._final = sweep.deltas, EdgePath._trusted(tuple(sweep.steps))
+    def __init__(self, scheme: SweepScheme) -> None:
+        self._deltas, self._final = scheme._replay[0], EdgePath._trusted(scheme._replay[1])
 
     @cached_property
     def _paths(self) -> list[EdgePath]:
-        return [EdgePath._trusted(tuple(steps)) for steps, _letters in _replay(self._deltas)]
+        return [EdgePath._trusted(tuple(steps)) for steps in _states(self._deltas)]
 
     def __len__(self) -> int:
         return len(self._deltas)
@@ -349,18 +381,16 @@ class _SweptPaths(Sequence):
 
 
 def validate_scheme(scheme: SweepScheme, complex) -> Sequence[EdgePath]:
-    """Replay a scheme on one step list and return every path it passes, start included.
+    """Check a scheme against a complex and return every path it passes, start included.
 
-    Raises ``SchemeError`` (with the step index) on an invalid move.  Every
-    path keeps the start path's endpoints, since each move does.  The
-    result is a read-only sequence whose paths are built on first read.
+    The scheme's replay checks the moves against the path once per scheme
+    object; each call checks each move's cell against ``complex``.  Raises
+    ``SchemeError`` (with the step index) on an invalid move.  Every path
+    keeps the start path's endpoints, since each move does.  The result is
+    a read-only sequence whose paths are built on first read.
     """
-
-    def move(sweep: _Sweep, step: HomotopyStep) -> None:
-        consumed, produced = move_window(sweep, step, complex)
-        sweep._spliced(step.position, consumed, produced, 0, 0, ())
-
-    return _SweptPaths(_sweep_scheme(_Sweep(scheme.start_path), scheme, move, SchemeError))
+    _sweep_scheme(scheme, lambda k, _step: _replayed_window(scheme, k, complex), SchemeError)
+    return _SweptPaths(scheme)
 
 
 def _candidate_moves(path: EdgePath, complex) -> Iterator[HomotopyStep]:

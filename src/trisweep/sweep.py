@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from contextlib import suppress
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain
 from operator import methodcaller
 from typing import Iterable, Mapping, Optional
@@ -49,6 +49,7 @@ from .groups import (
     inverse,
     multiply,
     parse_element,
+    payload_rules,
 )
 # apply_move_path is not called here; it stays importable from this module,
 # where the benchmark's tracer wraps it and its tests look it up
@@ -56,8 +57,8 @@ from .paths import (
     EdgePath,
     HomotopyStep,
     SweepScheme,
-    _replay,
-    _Sweep,
+    _replayed_window,
+    _states,
     _sweep_scheme,
     apply_move_path,
     cell_name,
@@ -193,14 +194,34 @@ class Section(Record):
         return section
 
 
+def _once_per_object(fn):
+    """``fn`` of one argument, called once per argument object.
+
+    The memo is keyed by id, cheaper than hashing; a trace's deltas keep
+    every payload alive while it is read, so no id is reused.
+    """
+    memo: dict = {}
+
+    def once(x):
+        got = memo.get(id(x))
+        if got is None:
+            got = memo[id(x)] = fn(x)
+        return got
+
+    return once
+
+
 class SweepTrace(Record):
     """Every section a scheme passes through, from the start section to ``final``.
 
-    One delta ``(i, j, steps, lo, hi, letters)`` per section turns the one
-    before (none, for the first) into it: steps i:j become ``steps`` and
-    letters lo:hi become ``letters``.  ``sections`` is built from the deltas
-    on first read.  The constructor records each section as a delta over
-    the whole of the one before, so a trace compares, hashes, prints and
+    It keeps the group and two lists of deltas ``(i, j, new)``, one each
+    per section: a path delta turns the steps of the section before (none,
+    for the first) into its steps, and a letter delta turns the letters
+    before into its letters, as payloads; entries i:j become ``new``.  A
+    run takes its path deltas from the scheme's replay.  ``sections`` is
+    built from the deltas on first read, with one element per payload
+    object.  The constructor records each section as a delta over the
+    whole of the one before, so a trace compares, hashes, prints and
     pickles as its scheme and sections however it was made.
     """
 
@@ -209,10 +230,13 @@ class SweepTrace(Record):
 
     def __post_init__(self) -> None:
         sizes = [0] + [len(s.letters) for s in self.sections]  # a section has one letter per step
-        object.__setattr__(self, "_deltas", [(0, n, s.path.steps, 0, n, s.letters) for n, s in zip(sizes, self.sections)])
+        group = self.sections[0].letters[0].group if self.sections else None
+        paths = [(0, n, s.path.steps) for n, s in zip(sizes, self.sections)]
+        letters = [(0, n, [l.payload for l in s.letters]) for n, s in zip(sizes, self.sections)]
+        object.__setattr__(self, "_deltas", (group, paths, letters))
 
     @classmethod
-    def _recorded(cls, scheme: SweepScheme, deltas: list[tuple], final: Section) -> "SweepTrace":
+    def _recorded(cls, scheme: SweepScheme, deltas: tuple, final: Section) -> "SweepTrace":
         trace = object.__new__(cls)
         # one update, not Record's one set per field: a trace's fields are read only a few times
         vars(trace).update(scheme=scheme, _deltas=deltas, final=final)
@@ -221,7 +245,9 @@ class SweepTrace(Record):
     # read only where the constructor did not store the field: on a recorded trace
     @cached_property
     def sections(self) -> tuple[Section, ...]:
-        return tuple(Section._trusted(s, l) for s, l in _replay(self._deltas))
+        group, paths, letters = self._deltas
+        element = _once_per_object(partial(GroupElement, group))
+        return tuple(Section._trusted(s, l) for s, l in zip(_states(paths), _states(letters, element)))
 
     # read only where _recorded did not store it: on a trace built from its sections
     @cached_property
@@ -251,76 +277,110 @@ def interior_vertices(path: EdgePath) -> frozenset[str]:
 
 # -- elementary moves on sections -----------------------------------------
 
+class _Sweep:
+    """The payload letters of a section that a run rewrites in place, with one letter delta per move.
+
+    It holds its group's payload rules, bound to the group.  Over a scheme,
+    each move's path window comes from the scheme's replay; a sweep over a
+    single section move has no scheme.
+    """
+
+    def __init__(self, start: Section, scheme: Optional[SweepScheme] = None) -> None:
+        group = start.letters[0].group
+        rules = payload_rules(group)
+        self.scheme, self.group, self.e = scheme, group, rules.identity(group)
+        self.mul, self.inv = partial(rules.multiply, group), partial(rules.inverse, group)
+        self.letters = [l.payload for l in start.letters]
+        self.deltas = [(0, 0, tuple(self.letters))]
+
+
 def apply_move_section(section: Section, step: HomotopyStep, connection: Connection2) -> Section:
     """Apply one homotopy move to a section, rewriting only the letters over its window.
 
-    ``move_window`` decides which steps the move replaces.  Over them, an
+    The move's window is the one ``move_window`` finds.  Over it, an
     expansion writes (w, phi) across a triangle and (e, w, phi) across a
     loop boundary, phi being the cell value; a merge writes the product of
     the window's letters times phi^-1; an insertion writes identities.  A
     drop keeps the ordered product of the letters: the window's product is
     folded into the following letter, into the preceding one at the end of
     the path, and is the only letter when the path collapses to an
-    identity path.
+    identity path.  Letters are written as payloads, through the backend's
+    rules.
 
-    The section's backend is checked against the connection's once; the
-    result is built unchecked, since the window keeps the path composable
-    and every letter written lives in that one backend.  ``run_scheme``
-    passes its ``_Sweep`` here, which splices the result into itself; a
-    plain section runs as a sweep of one move.
+    A sweep's first move checks the section's backend against the
+    connection's, before the window.  ``run_scheme`` passes its ``_Sweep``
+    here, whose first move is the scheme's: the move's path window comes
+    from the scheme's replay, its cell is checked against the connection's
+    complex, and the letters are spliced into the sweep.  A plain section
+    runs as a sweep of one move, and the result is built unchecked, since
+    the window keeps the path composable and every letter written lives in
+    the checked backend.
     """
-    sweep = section if isinstance(section, _Sweep) else _Sweep(section.path, section.letters)
-    letters = sweep.letters
-    group = letters[0].group
-    if group != connection.group:
+    sweep = section if isinstance(section, _Sweep) else _Sweep(section)
+    letters, group, mul = sweep.letters, sweep.group, sweep.mul
+    if len(sweep.deltas) == 1 and group is not connection.group and group != connection.group:
         section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (group, connection.group))
         raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
     try:
-        consumed, produced = move_window(sweep, step, connection.complex)
+        if sweep.scheme is None:
+            consumed, produced = move_window(section.path, step, connection.complex)
+            i, j = step.position, step.position + len(consumed)
+        else:
+            i, j, produced = _replayed_window(sweep.scheme, len(sweep.deltas) - 1, connection.complex)
     except SchemeError as exc:
         raise SweepError(str(exc)) from exc
-    lo = step.position
-    hi = lo + len(consumed)
+    lo, hi = i, j
     if step.move in ("x1_cancel", "deg_drop"):
         # widen the window by the letter its product folds into
         if hi < len(letters):
             hi += 1
         elif lo:
             lo -= 1
-        new = (reduce(multiply, letters[lo:hi]),)
-    elif not consumed:
-        new = (identity(group),) * len(produced)
+        new = (reduce(mul, letters[lo:hi]),)
+    elif i == j:
+        new = (sweep.e,) * len(produced)
     else:
         cell = step.cell
         phi = connection.alpha_value(*cell) if len(cell) == 3 else connection.beta_value(*cell[:3])
-        if phi.group != group:
+        if phi.group is not group and phi.group != group:
             raise SweepError(f"backend mismatch at cell {cell_name(cell)}")
         if len(produced) == 1:
-            new = (multiply(reduce(multiply, letters[lo:hi]), inverse(phi)),)
+            new = (mul(reduce(mul, letters[lo:hi]), sweep.inv(phi.payload)),)
         elif len(cell) == 3:
-            new = (letters[lo], phi)
+            new = (letters[lo], phi.payload)
         else:
-            new = (identity(group), letters[lo], phi)
-    sweep._spliced(step.position, consumed, produced, lo, hi, new)
-    return sweep if sweep is section else Section._trusted(sweep.steps, sweep.letters)
+            new = (sweep.e, letters[lo], phi.payload)
+    if sweep is section:
+        letters[lo:hi] = new
+        sweep.deltas.append((lo, hi, new))
+        return sweep
+    steps, elements = section.path.steps, section.letters
+    written = tuple(GroupElement(group, p) for p in new)
+    return Section._trusted(steps[:i] + produced + steps[j:], elements[:lo] + written + elements[hi:])
 
 
 def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> SweepTrace:
-    """Apply every move of the scheme in order to one step list and one letter list.
+    """Apply every move of the scheme in order to one letter list of payloads.
 
     ``paths._sweep_scheme`` is the loop, as for ``validate_scheme``, and
-    each move goes through ``apply_move_section``.  A move so costs its
-    window and a list splice, not a copy of the section.  The trace records
-    one delta per move and the final section.
+    each move goes through ``apply_move_section``, which takes the move's
+    path window from the scheme's replay: the path is checked once per
+    scheme object, each cell once per run.  A move so costs its letters
+    and a list splice, not a copy of the section.  The trace records one
+    letter delta per move, takes its path deltas from the replay, and
+    builds the final section once.
     """
     if start.path != scheme.start_path:
         raise SweepError("section path does not match the scheme start path")
+    sweep = _Sweep(start, scheme)
 
-    def move(sweep: _Sweep, step: HomotopyStep) -> None:
+    def move(_k: int, step: HomotopyStep) -> None:
         apply_move_section(sweep, step, connection)  # looked up on every move, so a wrapper set on the name sees each one
 
-    sweep = _sweep_scheme(_Sweep(start.path, start.letters), scheme, move, SweepError)
-    return SweepTrace._recorded(scheme, sweep.deltas, Section._trusted(sweep.steps, sweep.letters))
+    _sweep_scheme(scheme, move, SweepError)
+    paths, final, _failure = scheme._replay
+    letters = tuple(GroupElement(sweep.group, p) for p in sweep.letters)
+    return SweepTrace._recorded(scheme, (sweep.group, paths, sweep.deltas), Section._trusted(final, letters))
 
 
 # -- gauge action on sections ----------------------------------------------
@@ -587,18 +647,10 @@ def trace_to_json(trace: SweepTrace) -> list[dict]:
     texts, and each section gets shallow copies of both: the sections share
     their [x, y] lists, so treat the result as read-only.
     """
-    # A letter recurs as the same object (kept across a window, or a cell
-    # value), so each is formatted once.  The memo is keyed by id, cheaper
-    # than hashing; the trace keeps every letter alive, so no id is reused.
-    texts: dict[int, str] = {}
-
-    def fmt(letter: GroupElement) -> str:
-        text = texts.get(id(letter))
-        if text is None:
-            text = texts[id(letter)] = format_element(letter)
-        return text
-
-    return [{"path": steps[:], "letters": words[:]} for steps, words in _replay(trace._deltas, list, fmt)]
+    group, paths, letters = trace._deltas
+    # a payload recurs as the same object (kept across a window, or a cell value): each is formatted once
+    fmt = _once_per_object(lambda payload: payload_rules(group).format(group, payload))
+    return [{"path": steps[:], "letters": words[:]} for steps, words in zip(_states(paths, list), _states(letters, fmt))]
 
 
 def defect_report_to_json(report: DefectReport) -> dict:

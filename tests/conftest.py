@@ -16,6 +16,9 @@ else:
     # derandomized and without an example database: every run draws the same
     # examples, so the suite stays deterministic and writes no files
     settings.register_profile("tier1", derandomize=True, database=None, deadline=None, max_examples=60)
+    # the same rules with five times the examples, for a CI step that runs the property
+    # tests again with --hypothesis-profile=ci; a plain run keeps tier1
+    settings.register_profile("ci", settings.get_profile("tier1"), max_examples=300)
     settings.load_profile("tier1")
 
 

@@ -267,3 +267,37 @@ def test_a_final_only_run_takes_memory_linear_in_its_moves():
     # 640 and 2,560 moves; retaining every section made this about 15x
     small, large = final_only_peak(160), final_only_peak(640)
     assert large < 8 * small
+
+
+def test_a_schemes_stored_replay_depends_on_neither_the_complex_nor_its_earlier_use():
+    # the replay checks the moves against the path only, so a complex that lacks a cell
+    # refuses it on every run, and a scheme that was replayed stays the value it was
+    K = band_complex(6)
+    rng = random.Random(23)
+    start_path = random_walk(K, rng, 4)
+    scheme = random_scheme(K, start_path, rng, 30)
+    start = ts.Section(start_path, tuple(random_element(S3, rng) for _ in start_path.steps))
+    conn = random_connection2(K, S3, rng)
+    k = next(k for k, step in enumerate(scheme.steps) if step.cell is not None and len(step.cell) > 2)
+    lost = set(scheme.steps[k].cell)
+    lacking = ts.SimplicialComplex.build(K.vertices, [t for t in K.sorted_triangles if set(t) != lost], K.sorted_edges)
+    first_unsupported = next(j for j, step in enumerate(scheme.steps) if step.cell and not lacking.supports(step.cell))
+    other = random_connection2(lacking, S3, rng)
+
+    trace = ts.run_scheme(start, scheme, conn)
+    errors = []
+    for copy in (scheme, ts.SweepScheme(scheme.start_path, scheme.steps)):
+        with pytest.raises(SweepError) as on_run:
+            ts.run_scheme(start, copy, other)
+        with pytest.raises(ts.SchemeError) as on_paths:
+            ts.validate_scheme(copy, lacking)
+        errors.append([(str(e.value), e.value.step_index) for e in (on_run, on_paths)])
+    assert errors[0] == errors[1]
+    assert "cell not supported" in errors[0][0][0] and errors[0][0][1] == errors[0][1][1] == first_unsupported
+
+    fresh = ts.SweepScheme(scheme.start_path, scheme.steps)
+    assert scheme == fresh and hash(scheme) == hash(fresh) and repr(scheme) == repr(fresh)
+    assert pickle.dumps(scheme) == pickle.dumps(fresh)
+    back = pickle.loads(pickle.dumps(scheme))
+    assert back == scheme and ts.run_scheme(start, back, conn) == trace
+    assert ts.run_scheme(start, scheme, conn) == trace and list(ts.validate_scheme(back, K)) == [s.path for s in trace.sections]

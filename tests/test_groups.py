@@ -12,7 +12,7 @@ import pytest
 
 import trisweep as ts
 from conftest import compose_perms, perm_inverse, random_element
-from trisweep.errors import GroupError
+from trisweep.errors import GroupError, quote
 
 FREE_XY = ts.free_group(["x", "y"])
 Z12 = ts.cyclic_group(12)
@@ -533,6 +533,19 @@ def test_errors_quote_a_bounded_prefix_of_the_element(text, group):
     with pytest.raises(GroupError) as info:
         ts.parse_element(text, group)
     assert len(str(info.value)) <= 200
+
+
+@pytest.mark.parametrize(
+    "group, payload",
+    [(ts.cyclic_group(5), "x" * 100_000), (S3, ["x"] * 100_000), (S3, [[1]] * 100_000)],
+    ids=["cyclic-text", "symmetric-texts", "symmetric-lists"],
+)
+def test_element_quotes_a_bounded_prefix_of_the_payload(group, payload):
+    # the payload is quoted through errors.quote; the interpreter's own text after it stays short too
+    with pytest.raises(GroupError) as info:
+        ts.element(group, payload)
+    assert str(info.value).startswith(f"bad {group.kind} element {quote(payload)}: ")
+    assert len(str(info.value)) < 400
 
 
 def test_product_descriptors_nest_up_to_the_limit():

@@ -3,7 +3,8 @@ search, the closed-form centers, the product operations against their
 factors' operations, the isomorphism search against
 propagation along a spanning tree, element text round trips, record
 equality, moves undone by their inverses, the abelian flux law of a
-whole scheme, complex and scheme file round trips, the gauge covariance
+whole scheme, whole runs and validations against their moves one at a
+time, complex and scheme file round trips, the gauge covariance
 of the defects, the section gauge search against a brute-force search,
 the oriented cells of random complexes, the cell-support rule, and the
 set-level ingest checks and bulk file readers against per-entry scans."""
@@ -277,6 +278,100 @@ def test_dump_then_load_scheme_is_the_identity(seed):
     start = random_walk(TORUS, rng, rng.randrange(1, 6), stay_prob=0.2)
     scheme = random_scheme(TORUS, start, rng, rng.randrange(0, 20))
     assert ts.load_scheme(ts.dump_scheme(scheme)) == scheme
+
+
+def stepwise_run(start: ts.Section, scheme: ts.SweepScheme, conn: ts.Connection2):
+    """Every section of the scheme, by one ``apply_move_section`` on a plain section per move, or the failing step's error."""
+    sections = [start]
+    for k, step in enumerate(scheme.steps):
+        try:
+            sections.append(ts.apply_move_section(sections[-1], step, conn))
+        except ts.SweepError as exc:
+            return ts.SweepError, f"step {k}: {exc}", k
+    return sections
+
+
+def stepwise_paths(scheme: ts.SweepScheme, K: ts.SimplicialComplex):
+    """Every path of the scheme, by one ``apply_move_path`` per move, or the failing step's error."""
+    paths = [scheme.start_path]
+    for k, step in enumerate(scheme.steps):
+        try:
+            paths.append(ts.apply_move_path(paths[-1], step, K))
+        except ts.SchemeError as exc:
+            return ts.SchemeError, f"step {k}: {exc}", k
+    return paths
+
+
+def damage_one_step(rng: random.Random, start: ts.EdgePath, steps: list, conn: ts.Connection2, damage: str) -> ts.Connection2:
+    """Damage one move of ``steps`` in place, or its cell's value; returns the connection to run on."""
+    k = rng.randrange(len(steps))
+    step = steps[k]
+    if damage == "path":  # a shifted move may still apply: the outcomes must agree either way
+        steps[k] = ts.HomotopyStep(step.move, rng.choice([step.position + 1, step.position + 3, 1000]), step.cell)
+    elif damage == "unsupported":  # an expansion or insertion at a step of the path, on a cell the torus lacks
+        path = stepwise_paths(ts.SweepScheme(start, tuple(steps[:k])), TORUS)[-1]
+        i = rng.randrange(len(path))
+        a, b = path.steps[i]
+        if a != b and rng.random() < 0.5:
+            apex = rng.choice([v for v in TORUS.sorted_vertices if not TORUS.supports((a, v, b))])
+            steps[k] = ts.HomotopyStep("alpha_expand", i, (a, apex, b))
+        else:
+            far = rng.choice([v for v in TORUS.sorted_vertices if not TORUS.supports((a, v))])
+            steps[k] = ts.HomotopyStep("x1_insert", i, (a, far))
+    else:  # a cell value missing, or in another group
+        cells = [step.cell for step in steps if step.cell is not None and len(step.cell) > 2]
+        if not cells:
+            return conn
+        cell = rng.choice(cells)
+        key = cell if len(cell) == 3 else cell[1:]  # a loop cell c.a.b.c takes the value of a.b.c
+        alpha = dict(conn.alpha_values)
+        if damage == "missing":
+            del alpha[key]
+        else:
+            alpha[key] = ts.identity(Z12)
+        conn = ts.Connection2(conn.base, alpha)  # the unchecked constructor
+    return conn
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from([FREE, S4, D5, Z3xS3]),
+    damage=st.sampled_from([None, "path", "unsupported", "missing", "foreign"]),
+)
+def test_a_run_and_a_validation_are_their_moves_one_at_a_time(seed, group, damage):
+    # validate first on one copy of the scheme and run first on another, so that
+    # the second call of each reads the replay the first stored
+    rng = random.Random(seed)
+    conn = random_connection2(TORUS, group, rng)
+    start = random_section(TORUS, group, rng, rng.randrange(1, 5), stay_prob=0.2)
+    steps = list(random_scheme(TORUS, start.path, rng, rng.randrange(1, 12)).steps)
+    if damage is not None:
+        conn = damage_one_step(rng, start.path, steps, conn, damage)
+    expected_sections = stepwise_run(start, ts.SweepScheme(start.path, tuple(steps)), conn)
+    expected_paths = stepwise_paths(ts.SweepScheme(start.path, tuple(steps)), TORUS)
+
+    def check_run(scheme: ts.SweepScheme) -> None:
+        try:
+            trace = ts.run_scheme(start, scheme, conn)
+        except ts.TrisweepError as exc:
+            assert (type(exc), str(exc), exc.step_index) == expected_sections
+        else:
+            assert trace.final == expected_sections[-1]
+            assert ts.sweep.trace_to_json(trace) == [ts.sweep.section_to_json(s) for s in expected_sections]
+            assert list(trace.sections) == expected_sections
+
+    def check_validate(scheme: ts.SweepScheme) -> None:
+        try:
+            paths = ts.validate_scheme(scheme, TORUS)
+        except ts.TrisweepError as exc:
+            assert (type(exc), str(exc), exc.step_index) == expected_paths
+        else:
+            assert paths[-1] == expected_paths[-1] and list(paths) == expected_paths
+
+    for checks in ((check_validate, check_run), (check_run, check_validate)):
+        scheme = ts.SweepScheme(start.path, tuple(steps))
+        for check in checks + checks:
+            check(scheme)
 
 
 S3 = ts.symmetric_group(3)
