@@ -4,11 +4,11 @@ A complex stores vertices, unordered triangles and unordered edges; the
 edges always include every side of every triangle.  Oriented cells come in
 six kinds: the two triangle orientations over a marked edge, the two loop
 orientations at a marked basepoint, and the identity cells at an oriented
-edge or a vertex.  They are built from the cell sides that
-``paths.move_window`` checks (``paths.cell_sides``), and ``classify_cell``
-recognises a triangle or loop cell by checking its expand move through
-``move_window``.  ``SimplicialComplex.supports`` is the one rule for which
-cells a complex carries.
+edge or a vertex.  They are built from the two cell sides that a move
+swaps (``paths.cell_sides``), and ``classify_cell`` recognises a triangle
+or loop cell by its short side and its support.
+``SimplicialComplex.supports`` is the one rule for which cells a complex
+carries.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from itertools import chain, combinations, repeat
 from typing import Iterable, Iterator, Optional
 
 from ._record import Record
-from .errors import ComplexError, SchemeError, decode_json, quote
-from .paths import EdgePath, HomotopyStep, cell_name, cell_sides, move_window, reduce_x1
+from .errors import ComplexError, decode_json, quote
+from .paths import EdgePath, cell_name, cell_sides, reduce_x1
 
 VertexId = str
 
@@ -406,11 +406,10 @@ def classify_cell(source_path: EdgePath, target_path: EdgePath, complex: Simplic
     """Identify the elementary cell realizing the pair, reduced rel endpoints.
 
     The cell is the vertex chain of the longer reduced path.  Equal one-step
-    paths give an identity cell; otherwise the shorter path must be one
-    step that the cell's expand move, as ``move_window`` checks it against
-    the complex, turns into the longer one.  Returns None when no single
-    oriented triangle connects the two paths; composite homotopies are not
-    elementary.
+    paths give an identity cell; otherwise the shorter path must be the
+    cell's short side, one step, and the complex must support the cell.
+    Returns None when no single oriented triangle connects the two paths;
+    composite homotopies are not elementary.
     """
     if source_path.source != target_path.source or source_path.target != target_path.target:
         return None
@@ -424,10 +423,6 @@ def classify_cell(source_path: EdgePath, target_path: EdgePath, complex: Simplic
     if short == long:
         x, y = cell
         return OrientedTriangle._of(cell) if x == y or complex.has_edge(x, y) else None
-    if len(cell) not in (3, 4):
-        return None
-    try:
-        move_window(short, HomotopyStep("alpha_expand" if len(cell) == 3 else "beta_expand", 0, cell), complex)
-    except SchemeError:
+    if len(cell) not in (3, 4) or cell_sides(cell)[0] != short.steps or not complex.supports(cell):
         return None
     return OrientedTriangle._of(cell, star)

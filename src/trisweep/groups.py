@@ -318,9 +318,22 @@ _BACKENDS["cyclic"] = _Backend(
 )
 
 
+# Largest symmetric degree whose permutations are built: a payload holds one
+# integer per point, so the degree alone fixes what an element costs.
+SYMMETRIC_DEGREE_LIMIT = 10_000
+
+
+def _symmetric_degree(g: GroupDescriptor) -> int:
+    """The degree, once it is at most ``SYMMETRIC_DEGREE_LIMIT``; checked before any permutation is built."""
+    if g.degree > SYMMETRIC_DEGREE_LIMIT:
+        raise GroupError(f"symmetric degree {g.degree} is above the limit of {SYMMETRIC_DEGREE_LIMIT}")
+    return g.degree
+
+
 def _symmetric_normalise(g: GroupDescriptor, payload: Any) -> tuple[int, ...]:
+    degree = _symmetric_degree(g)
     images = tuple(int(v) for v in payload)
-    if sorted(images) != list(range(1, g.degree + 1)):
+    if sorted(images) != list(range(1, degree + 1)):
         raise GroupError(f"{_quote(images)} is not a permutation of 1..{g.degree}")
     return images
 
@@ -333,6 +346,7 @@ def _symmetric_inverse(g: GroupDescriptor, a: tuple[int, ...]) -> tuple[int, ...
 
 
 def _symmetric_parse(g: GroupDescriptor, text: str) -> tuple[int, ...]:
+    _symmetric_degree(g)
     body = text.strip()
     if body.startswith("["):
         try:
@@ -381,7 +395,7 @@ _BACKENDS["symmetric"] = _Backend(
     from_json=lambda arg: symmetric_group(_integer_arg("symmetric", arg)),
     to_json=lambda g: g.degree,
     normalise=_symmetric_normalise,
-    identity=lambda g: tuple(range(1, g.degree + 1)),
+    identity=lambda g: tuple(range(1, _symmetric_degree(g) + 1)),
     multiply=lambda g, a, b: tuple([a[j - 1] for j in b]),
     inverse=_symmetric_inverse,
     parse=_symmetric_parse,

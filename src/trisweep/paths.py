@@ -292,25 +292,17 @@ def _check_support(cell: Optional[tuple[str, ...]], complex) -> None:
         raise SchemeError(f"cell not supported: {cell_name(cell)} is not {shape} of the complex")
 
 
-def move_window(path: EdgePath, step: HomotopyStep, complex) -> tuple[tuple[Step, ...], tuple[Step, ...]]:
-    """The window ``_path_window`` finds on the path, once the complex supports the move's cell.
-
-    The path is checked first, as a scheme's replay checks it, then the
-    cell, as ``_replayed_window`` checks it.
-    """
-    window = _path_window(path.steps, step)
-    _check_support(step.cell, complex)
-    return window
-
-
 def apply_move_path(path: EdgePath, step: HomotopyStep, complex) -> EdgePath:
     """Apply one move to a bare path, checking it against the complex.
 
-    The window's two sides run between the same two vertices, and the
-    produced side starts where the path stands at the position, so the
-    spliced steps are composable and are not checked again.
+    The path is checked first, as a scheme's replay checks it, then the
+    cell, as ``_replayed_window`` checks it.  The window's two sides run
+    between the same two vertices, and the produced side starts where the
+    path stands at the position, so the spliced steps are composable and
+    are not checked again.
     """
-    consumed, produced = move_window(path, step, complex)
+    consumed, produced = _path_window(path.steps, step)
+    _check_support(step.cell, complex)
     return EdgePath._trusted(path.steps[: step.position] + produced + path.steps[step.position + len(consumed) :])
 
 
@@ -344,7 +336,7 @@ def _replayed_window(scheme: SweepScheme, k: int, complex) -> tuple:
 
     Where the replay stopped at move k, the move's window does not apply
     on the path: that is its ``SchemeError``, raised before the cell is
-    checked, as ``move_window`` orders the two.
+    checked, as ``apply_move_path`` orders the two.
     """
     deltas, _final, failure = scheme._replay
     if k + 1 == len(deltas):

@@ -62,7 +62,6 @@ from .paths import (
     _sweep_scheme,
     apply_move_path,
     cell_name,
-    move_window,
 )
 
 
@@ -171,7 +170,11 @@ class Connection2(Record):
 
 
 class Section(Record):
-    """A word of group elements over an edge-path, one letter per step."""
+    """A word of group elements over an edge-path, one letter per step.
+
+    A letter that is not a ``GroupElement`` is refused here, once, with a
+    ``SweepError`` that quotes it.
+    """
 
     path: EdgePath
     letters: tuple[GroupElement, ...]
@@ -181,8 +184,9 @@ class Section(Record):
             raise SweepError(
                 f"section has {len(self.letters)} letters over {len(self.path.steps)} steps"
             )
-        groups = {l.group for l in self.letters}
-        if len(groups) > 1:
+        if bad := [l for l in self.letters if not isinstance(l, GroupElement)]:
+            raise SweepError(f"section letter {quote(bad[0])} is not a group element")
+        if len({l.group for l in self.letters}) > 1:
             raise SweepError("section letters must share one backend")
 
     @classmethod
@@ -194,23 +198,6 @@ class Section(Record):
         return section
 
 
-def _once_per_object(fn):
-    """``fn`` of one argument, called once per argument object.
-
-    The memo is keyed by id, cheaper than hashing; a trace's deltas keep
-    every payload alive while it is read, so no id is reused.
-    """
-    memo: dict = {}
-
-    def once(x):
-        got = memo.get(id(x))
-        if got is None:
-            got = memo[id(x)] = fn(x)
-        return got
-
-    return once
-
-
 class SweepTrace(Record):
     """Every section a scheme passes through, from the start section to ``final``.
 
@@ -219,10 +206,10 @@ class SweepTrace(Record):
     for the first) into its steps, and a letter delta turns the letters
     before into its letters, as payloads; entries i:j become ``new``.  A
     run takes its path deltas from the scheme's replay.  ``sections`` is
-    built from the deltas on first read, with one element per payload
-    object.  The constructor records each section as a delta over the
-    whole of the one before, so a trace compares, hashes, prints and
-    pickles as its scheme and sections however it was made.
+    built from the deltas on first read.  The constructor records each
+    section as a delta over the whole of the one before, so a trace
+    compares, hashes, prints and pickles as its scheme and sections
+    however it was made.
     """
 
     scheme: SweepScheme
@@ -246,8 +233,7 @@ class SweepTrace(Record):
     @cached_property
     def sections(self) -> tuple[Section, ...]:
         group, paths, letters = self._deltas
-        element = _once_per_object(partial(GroupElement, group))
-        return tuple(Section._trusted(s, l) for s, l in zip(_states(paths), _states(letters, element)))
+        return tuple(Section._trusted(s, l) for s, l in zip(_states(paths), _states(letters, partial(GroupElement, group))))
 
     # read only where _recorded did not store it: on a trace built from its sections
     @cached_property
@@ -278,14 +264,14 @@ def interior_vertices(path: EdgePath) -> frozenset[str]:
 # -- elementary moves on sections -----------------------------------------
 
 class _Sweep:
-    """The payload letters of a section that a run rewrites in place, with one letter delta per move.
+    """The payload letters of a section that a scheme's moves rewrite in place, with one letter delta per move.
 
-    It holds its group's payload rules, bound to the group.  Over a scheme,
-    each move's path window comes from the scheme's replay; a sweep over a
-    single section move has no scheme.
+    Each move's path window comes from the scheme's replay; a single
+    section move runs as a sweep over a scheme of that one move.  It holds
+    its group's payload rules, bound to the group.
     """
 
-    def __init__(self, start: Section, scheme: Optional[SweepScheme] = None) -> None:
+    def __init__(self, start: Section, scheme: SweepScheme) -> None:
         group = start.letters[0].group
         rules = payload_rules(group)
         self.scheme, self.group, self.e = scheme, group, rules.identity(group)
@@ -293,15 +279,23 @@ class _Sweep:
         self.letters = [l.payload for l in start.letters]
         self.deltas = [(0, 0, tuple(self.letters))]
 
+    def section(self) -> Section:
+        """The section once every move of the scheme has run, built unchecked.
+
+        Each move's window keeps the path composable, and every letter
+        written lives in the checked backend.
+        """
+        return Section._trusted(self.scheme._replay[1], (GroupElement(self.group, p) for p in self.letters))
+
 
 def apply_move_section(section: Section, step: HomotopyStep, connection: Connection2) -> Section:
     """Apply one homotopy move to a section, rewriting only the letters over its window.
 
-    The move's window is the one ``move_window`` finds.  Over it, an
-    expansion writes (w, phi) across a triangle and (e, w, phi) across a
-    loop boundary, phi being the cell value; a merge writes the product of
-    the window's letters times phi^-1; an insertion writes identities.  A
-    drop keeps the ordered product of the letters: the window's product is
+    The move's window comes from a scheme's replay.  Over it, an expansion
+    writes (w, phi) across a triangle and (e, w, phi) across a loop
+    boundary, phi being the cell value; a merge writes the product of the
+    window's letters times phi^-1; an insertion writes identities.  A drop
+    keeps the ordered product of the letters: the window's product is
     folded into the following letter, into the preceding one at the end of
     the path, and is the only letter when the path collapses to an
     identity path.  Letters are written as payloads, through the backend's
@@ -309,24 +303,18 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
 
     A sweep's first move checks the section's backend against the
     connection's, before the window.  ``run_scheme`` passes its ``_Sweep``
-    here, whose first move is the scheme's: the move's path window comes
-    from the scheme's replay, its cell is checked against the connection's
-    complex, and the letters are spliced into the sweep.  A plain section
-    runs as a sweep of one move, and the result is built unchecked, since
-    the window keeps the path composable and every letter written lives in
-    the checked backend.
+    here, and the letters are spliced into it.  A plain section runs as a
+    sweep over the scheme of this one move, and the result is that sweep's
+    section.  Either way the move's path window comes from the scheme's
+    replay, and its cell is checked against the connection's complex.
     """
-    sweep = section if isinstance(section, _Sweep) else _Sweep(section)
+    sweep = section if isinstance(section, _Sweep) else _Sweep(section, SweepScheme(section.path, (step,)))
     letters, group, mul = sweep.letters, sweep.group, sweep.mul
     if len(sweep.deltas) == 1 and group is not connection.group and group != connection.group:
         section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (group, connection.group))
         raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
     try:
-        if sweep.scheme is None:
-            consumed, produced = move_window(section.path, step, connection.complex)
-            i, j = step.position, step.position + len(consumed)
-        else:
-            i, j, produced = _replayed_window(sweep.scheme, len(sweep.deltas) - 1, connection.complex)
+        i, j, produced = _replayed_window(sweep.scheme, len(sweep.deltas) - 1, connection.complex)
     except SchemeError as exc:
         raise SweepError(str(exc)) from exc
     lo, hi = i, j
@@ -350,13 +338,9 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
             new = (letters[lo], phi.payload)
         else:
             new = (sweep.e, letters[lo], phi.payload)
-    if sweep is section:
-        letters[lo:hi] = new
-        sweep.deltas.append((lo, hi, new))
-        return sweep
-    steps, elements = section.path.steps, section.letters
-    written = tuple(GroupElement(group, p) for p in new)
-    return Section._trusted(steps[:i] + produced + steps[j:], elements[:lo] + written + elements[hi:])
+    letters[lo:hi] = new
+    sweep.deltas.append((lo, hi, new))
+    return sweep if sweep is section else sweep.section()
 
 
 def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> SweepTrace:
@@ -378,9 +362,7 @@ def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> 
         apply_move_section(sweep, step, connection)  # looked up on every move, so a wrapper set on the name sees each one
 
     _sweep_scheme(scheme, move, SweepError)
-    paths, final, _failure = scheme._replay
-    letters = tuple(GroupElement(sweep.group, p) for p in sweep.letters)
-    return SweepTrace._recorded(scheme, (sweep.group, paths, sweep.deltas), Section._trusted(final, letters))
+    return SweepTrace._recorded(scheme, (sweep.group, scheme._replay[0], sweep.deltas), sweep.section())
 
 
 # -- gauge action on sections ----------------------------------------------
@@ -648,8 +630,16 @@ def trace_to_json(trace: SweepTrace) -> list[dict]:
     their [x, y] lists, so treat the result as read-only.
     """
     group, paths, letters = trace._deltas
-    # a payload recurs as the same object (kept across a window, or a cell value): each is formatted once
-    fmt = _once_per_object(lambda payload: payload_rules(group).format(group, payload))
+    rules, memo = payload_rules(group), {}
+
+    def fmt(payload) -> str:
+        # a payload recurs as the same object (kept across a window, or a cell value): each is formatted once,
+        # keyed by id, cheaper than hashing; the deltas keep every payload alive, so no id is reused
+        text = memo.get(id(payload))
+        if text is None:
+            text = memo[id(payload)] = rules.format(group, payload)
+        return text
+
     return [{"path": steps[:], "letters": words[:]} for steps, words in zip(_states(paths, list), _states(letters, fmt))]
 
 

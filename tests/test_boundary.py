@@ -14,7 +14,7 @@ import pytest
 
 import trisweep as ts
 from conftest import band_complex, product_of_letters, random_connection2, random_element, random_walk, torus_complex
-from trisweep.errors import PathError, SweepError
+from trisweep.errors import PathError, SweepError, quote
 from trisweep.paths import MOVES, _candidate_moves
 
 FREE = ts.free_group(["x", "y", "z"])
@@ -78,6 +78,15 @@ def test_public_constructors_still_reject_invalid_sections():
         ts.EdgePath((("a", "b"), ("c", "d")))
     with pytest.raises(PathError, match="empty"):
         ts.EdgePath(())
+
+
+@pytest.mark.parametrize("letter", [1, None, "x"])
+def test_a_section_refuses_a_letter_that_is_not_a_group_element(letter):
+    with pytest.raises(SweepError) as info:
+        ts.Section(ts.EdgePath.identity("a"), (letter,))
+    assert str(info.value) == f"section letter {quote(letter)} is not a group element"
+    with pytest.raises(SweepError, match="is not a group element"):
+        ts.Section(ts.EdgePath.from_vertices("a", "b", "c"), (ts.identity(S3), letter))
 
 
 def z5_section(path: ts.EdgePath) -> ts.Section:

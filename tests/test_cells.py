@@ -1,4 +1,4 @@
-"""Oriented cells, built from the two cell sides that ``move_window`` checks."""
+"""Oriented cells, built from the two cell sides that a move swaps."""
 
 from __future__ import annotations
 

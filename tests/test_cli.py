@@ -379,6 +379,18 @@ def _connection_text(group: str, huge_value: str, other_value: str) -> str:
     return f'{{"group": {group}, "edges": {{{edges}}}}}'
 
 
+def test_a_connection_over_a_huge_symmetric_degree_fails_fast(tmp_path: Path):
+    conn = tmp_path / "s30m.json"
+    conn.write_text(json.dumps({"group": {"symmetric": 30_000_000}, "edges": dict.fromkeys(TETRA_EDGES, "e")}))
+    began = time.monotonic()
+    proc = run_cli("holonomy", "--complex", "tetrahedron.json", "--connection", str(conn), "--path", "a,b,c,a")
+    elapsed = time.monotonic() - began
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: symmetric degree 30000000 is above the limit of 10000\n"
+    assert elapsed < 1.0
+
+
 HUGE_INTEGER_INPUTS = {
     "center": lambda d: ["center", f'{{"cyclic": {HUGE}}}'],
     "connection group": lambda d: [

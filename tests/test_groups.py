@@ -507,6 +507,24 @@ def test_huge_orders_are_refused_without_being_stated_in_full(group):
         ts.enumerate_elements(group)
 
 
+def test_a_symmetric_degree_above_the_limit_builds_no_permutation():
+    limit = ts.groups.SYMMETRIC_DEGREE_LIMIT
+    assert limit == 10_000
+    big = ts.symmetric_group(limit + 1)  # the descriptor itself holds one integer
+    message = rf"^symmetric degree {limit + 1} is above the limit of {limit}$"
+    for call in (
+        lambda: ts.identity(big),
+        lambda: ts.parse_element("e", big),
+        lambda: ts.element(big, range(1, limit + 2)),
+    ):
+        with pytest.raises(GroupError, match=message):
+            call()
+    at_limit = ts.symmetric_group(limit)
+    e = ts.identity(at_limit)
+    assert ts.parse_element("e", at_limit) == e == ts.element(at_limit, range(1, limit + 1))
+    assert ts.format_element(ts.parse_element(f"(1 {limit})", at_limit)) == f"(1 {limit})"
+
+
 def test_enumeration_limit_is_inclusive():
     group = ts.cyclic_group(ts.groups.ENUMERATION_LIMIT)
     assert len(ts.enumerate_elements(group)) == ts.groups.ENUMERATION_LIMIT

@@ -702,6 +702,55 @@ def test_center_obstruction_abelian_everything():
     assert ts.center_obstruction_check(Z6) == ts.enumerate_elements(Z6)
 
 
+def tetra_scheme(*moves: tuple) -> ts.SweepScheme:
+    """A scheme from the identity path at a, each move given as (move, position, cell name)."""
+    steps = tuple(ts.HomotopyStep(move, position, tuple(cell.split(".")) if cell else None) for move, position, cell in moves)
+    return ts.SweepScheme(ts.EdgePath.identity("a"), steps)
+
+
+# two sweeps of the whole tetrahedron from the identity at a: one blows the face
+# {a,b,c} up and crosses {b,c,d}, the other crosses {a,b,d} instead
+SWEEP_A = tetra_scheme(
+    ("beta_expand", 0, "a.b.c.a"), ("alpha_expand", 1, "b.d.c"), ("alpha_merge", 0, "a.b.d"),
+    ("alpha_merge", 0, "a.d.c"), ("x1_cancel", 0, None),
+)
+SWEEP_C = tetra_scheme(
+    ("beta_expand", 0, "a.b.c.a"), ("alpha_expand", 0, "a.d.b"), ("alpha_merge", 1, "d.b.c"),
+    ("alpha_merge", 0, "a.d.c"), ("x1_cancel", 0, None),
+)
+
+
+def runs_in_sorted_cyclic_order(marking: tuple[str, str, str]) -> bool:
+    first = sorted(marking)
+    return marking in {tuple(first[k:] + first[:k]) for k in range(3)}
+
+
+@pytest.mark.parametrize("oriented", [False, True], ids=["every-marking-z", "z-against-orientation-inverse"])
+@pytest.mark.parametrize(
+    "group",
+    [S3, D4, ts.dihedral_group(6), S4, ts.product_group(S3, ts.cyclic_group(2)), ts.cyclic_group(6)],
+    ids=["S3", "D4", "D6", "S4", "S3xZ2", "Z6"],
+)
+def test_the_sweeps_agree_from_every_start_letter_exactly_when_the_cell_value_is_central(tetra, group, oriented):
+    """The center obstruction through the sweep engine, on a trivial connective structure.
+
+    Every edge carries the identity and every marking the value z (or, under
+    the oriented rule, z against the sorted face's cyclic order gets z^-1):
+    the two sweeps of the tetrahedron end on equal words from every start
+    letter for exactly the z of the center.
+    """
+    base = ts.Connection1.constant(group, tetra, ts.identity(group))
+    elements = ts.enumerate_elements(group)
+    agreeing = []
+    for z in elements:
+        alpha = {m: z if not oriented or runs_in_sorted_cyclic_order(m) else ts.inverse(z) for m in tetra.markings()}
+        conn = ts.Connection2.build(base, alpha)
+        starts = (ts.Section(ts.EdgePath.identity("a"), (w,)) for w in elements)
+        if all(ts.compare_schemes(SWEEP_A, SWEEP_C, start, conn).verdict == "equal" for start in starts):
+            agreeing.append(z)
+    assert agreeing == ts.center_obstruction_check(group) == ts.center(group)
+
+
 # -- gauge solving on sections ------------------------------------------------------------
 
 def test_sections_gauge_equivalent_identity(tetra, symbolic_connection):
