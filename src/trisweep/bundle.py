@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from contextlib import suppress
 from functools import cached_property
-from itertools import starmap
-from operator import lt
 from typing import Collection, Iterable, Mapping, Optional
 
 from ._record import Record
@@ -93,18 +91,19 @@ class Connection1(Record):
     ) -> "Connection1":
         """Check that the values are one per edge of the complex, in the connection's backend.
 
-        The check is done in bulk when every key is a sorted pair: the keys'
-        edges must be exactly the complex's, and the set of the values'
-        descriptors at most the connection's.  Any other map is walked entry
-        by entry, which stores the inverse under a reversed key and names
-        the first fault.  A key that is not a tuple of two vertices is
-        refused, and a value that is not a ``GroupElement`` is a backend
-        mismatch.
+        The check is done in bulk when the keys are exactly the complex's
+        edges as sorted vertex pairs, plain tuples: one set comparison with
+        the pairs the complex indexes its edges by, which builds no set per
+        key.  Then the set of the values' descriptors need only be at most
+        the connection's.  Any other map is walked entry by entry, which
+        stores the inverse under a reversed key and names the first fault.
+        A key that is not a tuple of two vertices is refused, and a value
+        that is not a ``GroupElement`` is a backend mismatch.
         """
         keys = values.keys()
-        if set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {2} and set(map(frozenset, keys)) == complex.edges:
+        if keys == complex._edge_pairs and set(map(type, keys)) <= {tuple}:  # a tuple subclass goes to the loop
             with suppress(AttributeError):  # a value that is not an element: the loop below names it
-                if all(starmap(lt, keys)) and {g.group for g in values.values()} <= {group}:
+                if {g.group for g in values.values()} <= {group}:
                     return cls(group, complex, values)
         store: dict[tuple[str, str], GroupElement] = {}
         for key, g in values.items():
@@ -129,11 +128,10 @@ class Connection1(Record):
 
     @classmethod
     def constant(cls, group: GroupDescriptor, complex: SimplicialComplex, value: GroupElement) -> "Connection1":
-        """The same value on every edge, keyed by ``sorted_edges``: only its backend is checked."""
-        store = dict.fromkeys(complex.sorted_edges, value)
-        if value.group != group:  # build names the first edge, as for any map
-            return cls.build(group, complex, store)
-        return cls(group, complex, store)
+        """The same value on every edge, keyed by its sorted vertex pair: only its backend is checked."""
+        if value.group != group:  # build names the least edge, as it names the first of any map
+            return cls.build(group, complex, dict.fromkeys(complex.sorted_edges, value))
+        return cls(group, complex, dict.fromkeys(complex._edge_pairs, value))
 
     @cached_property
     def edge_values(self) -> tuple[tuple[tuple[str, str], GroupElement], ...]:

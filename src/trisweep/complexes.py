@@ -40,7 +40,11 @@ class SimplicialComplex(Record):
     Incidence queries read an index built on first use in one pass over the
     sorted triangles: each vertex and each edge maps to the faces that
     contain it, in sorted-triangle order, so ``faces_containing`` and
-    ``faces_containing_edge`` are dict lookups, not scans.
+    ``faces_containing_edge`` are dict lookups, not scans.  Every derived
+    edge structure is keyed by the edge's sorted vertex pair, a tuple, so
+    the ``edges`` field holds the only two-vertex sets: :meth:`build`
+    makes one per distinct edge.  An edge query looks the caller's pair
+    up in both orders and never compares the caller's names.
     """
 
     vertices: frozenset[str]
@@ -67,19 +71,20 @@ class SimplicialComplex(Record):
         """A complex with every side of every triangle among its edges.
 
         The sides are derived as the pairs of each triangle, with no sort,
-        and the constructor checks the simplex sizes.  Only when it refuses
-        one are the given triangles, then the given edges, walked in the
-        given order, to name the first that is not three or two distinct
-        vertices.  A simplex that is not a sequence of hashable vertices is
-        a ``ComplexError`` too.
+        and collected as tuples with the given edges; one frozenset is
+        built per distinct pair, and the constructor checks the simplex
+        sizes.  Only when it refuses one are the given triangles, then the
+        given edges, walked in the given order, to name the first that is
+        not three or two distinct vertices.  A simplex that is not a
+        sequence of hashable vertices is a ``ComplexError`` too.
         """
         try:
             vs = frozenset(vertices)
             listed = list(map(tuple, triangles))
             tris = frozenset(map(frozenset, listed))
             declared = list(map(tuple, edges))
-            sides = map(frozenset, chain.from_iterable(map(combinations, tris, repeat(2))))
-            return cls(vs, tris, frozenset(map(frozenset, declared)).union(sides), pure_dim2)
+            pairs = set(chain.from_iterable(map(combinations, tris, repeat(2)))).union(declared)
+            return cls(vs, tris, frozenset(map(frozenset, pairs)), pure_dim2)
         except TypeError as exc:  # a simplex that is not a sequence, or a vertex that cannot be hashed
             raise ComplexError(f"bad simplicial data: {exc}") from exc
         except ComplexError:
@@ -94,7 +99,7 @@ class SimplicialComplex(Record):
     # -- queries ---------------------------------------------------------
 
     def has_edge(self, a: str, b: str) -> bool:
-        return frozenset((a, b)) in self.edges  # {a} is no edge: the constructor refuses one
+        return (a, b) in self._edge_pairs or (b, a) in self._edge_pairs  # (a, a) is no edge: the constructor refuses {a}
 
     def has_face(self, a: str, b: str, c: str) -> bool:
         return frozenset((a, b, c)) in self.triangles
@@ -118,7 +123,7 @@ class SimplicialComplex(Record):
     def faces_containing_edge(self, a: str, b: str) -> tuple[frozenset[str], ...]:
         if a == b:
             return self.faces_containing(a)
-        return self._edge_faces.get(frozenset((a, b)), ())
+        return self._edge_faces.get((a, b)) or self._edge_faces.get((b, a), ())
 
     @cached_property
     def _marking_set(self) -> frozenset[tuple[str, str, str]]:
@@ -127,11 +132,11 @@ class SimplicialComplex(Record):
     @cached_property
     def _neighbor_map(self) -> dict[str, tuple[str, ...]]:
         adj: dict[str, list[str]] = defaultdict(list)
-        # the pairs come in sorted order, so each vertex's list is sorted as it is appended to
-        for a, b in self.sorted_edges:
+        for a, b in self._edge_pairs:
             adj[a].append(b)
             adj[b].append(a)
-        return dict(zip(adj, map(tuple, adj.values())))
+        # a few short sorts, one per vertex, cost less than sorting all the edges
+        return dict(zip(adj, map(tuple, map(sorted, adj.values()))))
 
     @cached_property
     def _vertex_faces(self) -> dict[str, tuple[frozenset[str], ...]]:
@@ -143,13 +148,19 @@ class SimplicialComplex(Record):
         return dict(zip(buckets, map(tuple, buckets.values())))
 
     @cached_property
-    def _edge_faces(self) -> dict[frozenset[str], tuple[frozenset[str], ...]]:
+    def _edge_faces(self) -> dict[tuple[str, str], tuple[frozenset[str], ...]]:
         buckets: dict = defaultdict(list)
+        # each triangle is sorted, so each of its sides comes out as a sorted pair
         for (a, b, c), face in zip(self.sorted_triangles, self.sorted_triangles_sets):
-            buckets[frozenset((a, b))].append(face)
-            buckets[frozenset((a, c))].append(face)
-            buckets[frozenset((b, c))].append(face)
+            buckets[a, b].append(face)
+            buckets[a, c].append(face)
+            buckets[b, c].append(face)
         return dict(zip(buckets, map(tuple, buckets.values())))
+
+    @cached_property
+    def _edge_pairs(self) -> frozenset[tuple[str, str]]:
+        # the one comparison sorted() makes of two items, so each pair is as sorted() orders it
+        return frozenset((b, a) if b < a else (a, b) for a, b in self.edges)
 
     @cached_property
     def sorted_vertices(self) -> tuple[str, ...]:
@@ -157,7 +168,7 @@ class SimplicialComplex(Record):
 
     @cached_property
     def sorted_edges(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(map(tuple, map(sorted, self.edges))))
+        return tuple(sorted(self._edge_pairs))
 
     @cached_property
     def sorted_triangles(self) -> tuple[tuple[str, str, str], ...]:
@@ -298,14 +309,15 @@ def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False
     itself pure of dimension two.  The simplex sizes are the constructor's
     to check.  The other invariants are checked in bulk: every side of a
     triangle is a declared edge and every edge's vertices are declared,
-    one set comparison each over the vertices, the edges and the
-    incidence index; for pure dimension two, every vertex has faces
-    (``faces_containing``) and every edge lies in a triangle.  Only when
-    one fails are the triangles, edges and vertices scanned, in sorted
-    order, for the diagnostics.
+    one set comparison each over the vertices, the edges' sorted pairs
+    and the incidence index, which is keyed by those pairs; for pure
+    dimension two, every vertex has faces (``faces_containing``) and
+    every edge lies in a triangle.  Only when one fails are the
+    triangles, edges and vertices scanned, in sorted order, for the
+    diagnostics.
     """
     pure = require_pure_dim2 or complex.pure_dim2
-    V, E, in_faces = complex.vertices, complex.edges, complex._edge_faces.keys()
+    V, E, in_faces = complex.vertices, complex._edge_pairs, complex._edge_faces.keys()
     # a triangle's vertices lie on its sides, so declared sides with declared vertices declare them too
     if in_faces <= E and V.issuperset(chain.from_iterable(E)):
         if not pure or (all(map(complex.faces_containing, V)) and E <= in_faces):
@@ -315,7 +327,7 @@ def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False
         name = "{%s}" % ",".join(t)
         out += [Diagnostic("closure", name, f"triangle {name} references undeclared vertex {v}") for v in t if v not in V]
         for pair in combinations(t, 2):
-            if frozenset(pair) not in E:
+            if pair not in E:  # the triangle is sorted, so each pair is too
                 out.append(Diagnostic("closure", "{%s}" % ",".join(pair), f"edge {{{','.join(pair)}}} of triangle {name} is missing"))
     for e in complex.sorted_edges:
         name = "{%s}" % ",".join(e)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import math
 import random
 
@@ -89,6 +90,22 @@ def test_connection1_build_refuses_a_key_that_is_not_a_pair_of_vertices(tetra, k
     with pytest.raises(BundleError) as info:
         ts.Connection1.build(Z12, tetra, values)
     assert str(info.value) == f"edge key {key!r} is not a pair of vertices"
+
+
+def test_connection1_build_refuses_a_key_whose_vertices_do_not_compare(tetra):
+    values = {e: ts.identity(Z12) for e in tetra.sorted_edges}
+    values[("a", 1)] = ts.identity(Z12)
+    with pytest.raises(BundleError) as info:
+        ts.Connection1.build(Z12, tetra, values)
+    assert str(info.value) == "(a,1) is not an edge of the complex"
+
+
+def test_connection1_build_refuses_keys_of_a_tuple_subclass(tetra):
+    Pair = collections.namedtuple("Pair", "source target")
+    values = {Pair(*e): ts.identity(Z12) for e in tetra.sorted_edges}
+    with pytest.raises(BundleError) as info:
+        ts.Connection1.build(Z12, tetra, values)
+    assert str(info.value) == f"edge key {Pair('a', 'b')!r} is not a pair of vertices"
 
 
 def test_duplicate_edge_assignment_rejected(tetra):

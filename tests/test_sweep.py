@@ -751,6 +751,11 @@ def test_the_sweeps_agree_from_every_start_letter_exactly_when_the_cell_value_is
     assert agreeing == ts.center_obstruction_check(group) == ts.center(group)
 
 
+@pytest.mark.parametrize("name, scheme", [("sphere_a.json", SWEEP_A), ("sphere_c.json", SWEEP_C)], ids=["A", "C"])
+def test_the_bundled_sphere_sweeps_are_the_sweeps_built_in_code(name, scheme):
+    assert ts.load_scheme(ts.data_path(name).read_text()) == scheme
+
+
 # -- gauge solving on sections ------------------------------------------------------------
 
 def test_sections_gauge_equivalent_identity(tetra, symbolic_connection):
