@@ -25,8 +25,7 @@ import warnings
 from contextlib import suppress
 from functools import cached_property, partial, reduce
 from itertools import chain
-from operator import methodcaller
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from ._record import Record
 from .bundle import Connection1, GaugeTransform, _solve_gauge
@@ -504,14 +503,15 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
     When the declared group is free, every name in the letter texts
     ``words`` that is not ``e`` or a generator joins its generators, in
     sorted order, so that a word over fresh generators parses.  Each
-    distinct element text is parsed once per call.  A cell key is looked
-    up among the names of the complex's markings first, so a triangle
-    cell's key is the complex's own marking tuple; only a key not found
-    there is split by ``_parse_cell_key``, which refuses a malformed one.
+    distinct element text is parsed once per call.
 
-    The edge keys, the cell keys and the values are each checked in bulk,
-    in C-level passes; only when one of these fails is that block read
-    entry by entry, so that the first fault in file order is named.
+    The edge and cell blocks are read alike: each key is looked up by name
+    among the complex's own tuples (an edge "a>b" among its sorted vertex
+    pairs, a cell "a.c.b" among its markings), so a found key is the
+    complex's tuple.  When every key is found, the new value texts are
+    parsed in bulk; a key not found, or a bad value, makes the block be
+    read entry by entry, each key split by ``_parse_edge_key`` or
+    ``_parse_cell_key``, so that the first fault in file order is named.
     """
     obj = decode_json(text, BundleError, "connection parse error")
     if not isinstance(obj, dict):
@@ -536,50 +536,33 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
             parsed[value] = parse_element(value, group)  # which refuses a non-string
         return parsed[value]
 
-    def parse_values(block: dict) -> list[GroupElement]:
-        """The block's values as elements, each new text parsed once; ``parse`` names a bad one in file order."""
-        try:
-            new = set(block.values()) - parsed.keys()
-            if set(map(type, new)) <= {str}:
-                for text in new:
-                    parsed[text] = parse_element(text, group)
-                return list(map(parsed.__getitem__, block.values()))
-        except (TypeError, GroupError):  # an unhashable value, or a bad text
-            pass
-        return list(map(parse, block.values()))
+    def read(block: dict, keys: Collection[tuple[str, ...]], sep: str, parse_key) -> dict:
+        """The block as {key tuple: element}: a key that names one of ``keys`` by its ``sep``-joined vertices is that tuple."""
+        # vertices given in code need not be strings, and then no key is named
+        names = dict(zip(map(sep.join, keys), keys)) if set(map(type, complex.vertices)) <= {str} else {}
+        if names and sep in "".join(complex.vertices):  # a name that splits into other parts is left to parse_key
+            names = {name: key for name, key in names.items() if name.count(sep) == len(key) - 1}
+        found = list(map(names.get, block))
+        if None not in found:
+            try:
+                new = set(block.values()) - parsed.keys()
+                if set(map(type, new)) <= {str}:
+                    parsed.update({value: parse_element(value, group) for value in new})
+                    return dict(zip(found, map(parsed.__getitem__, block.values())))
+            except (TypeError, GroupError):  # an unhashable value, or a bad text
+                pass
+        return {names.get(k) or parse_key(k): parse(v) for k, v in block.items()}
 
-    split = list(map(methodcaller("split", ">"), edges))
-    # exactly the keys _parse_edge_key accepts: one ">" between two nonempty names
-    if set(map(len, split)) <= {2} and "" not in chain.from_iterable(split):
-        edge_values = dict(zip(map(tuple, split), parse_values(edges)))
-    else:
-        edge_values = {_parse_edge_key(k): parse(v) for k, v in edges.items()}
-    base = Connection1.build(group, complex, edge_values)
+    base = Connection1.build(group, complex, read(edges, complex._edge_pairs, ">", _parse_edge_key))
     if "cells" not in obj and "cell_relations" not in obj:
         return base
 
     cells = obj.get("cells", {})
     if not isinstance(cells, dict):
         raise BundleError('"cells" must be an object')
-    alpha: dict[tuple[str, str, str], GroupElement] = {}
-    beta: dict[tuple[str, str, str], GroupElement] = {}
-    # a key that names a marking maps to the complex's own tuple; the name of a marking whose vertex names
-    # hold a dot splits into other parts, so those markings are left out and _parse_cell_key reads the key
-    markings = complex._markings
-    named = dict(zip(map(".".join, markings), markings))  # each marking's cell_name
-    if "." in "".join(complex.vertices):
-        named = {name: m for name, m in named.items() if name.count(".") == 2}
-    found = list(map(named.get, cells))
-    if None not in found:
-        alpha.update(zip(found, parse_values(cells)))
-    else:
-        for key, val in cells.items():
-            parts = named.get(key) or _parse_cell_key(key)
-            g = parse(val)
-            if len(parts) == 3:
-                alpha[parts] = g
-            else:
-                beta[parts[:3]] = g
+    alpha: dict[tuple[str, ...], GroupElement] = read(cells, complex._markings, ".", _parse_cell_key)
+    # a loop cell c.a.b.c is keyed by its four parts, which only the entry-by-entry read gives
+    beta = {k[:3]: alpha.pop(k) for k in [k for k in alpha if len(k) == 4]} if 4 in set(map(len, alpha)) else {}
 
     relations = obj.get("cell_relations", [])
     if not isinstance(relations, list):

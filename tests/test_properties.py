@@ -35,6 +35,7 @@ from conftest import (  # noqa: E402
     tree_propagation_search,
 )
 from test_boundary import random_scheme  # noqa: E402
+from test_sweep import SWEEP_A, SWEEP_C, runs_in_sorted_cyclic_order  # noqa: E402
 from trisweep.errors import quote  # noqa: E402
 from trisweep.groups import _reduce_free  # noqa: E402
 from trisweep.paths import _candidate_moves  # noqa: E402
@@ -133,6 +134,23 @@ CENTER_GROUPS = st.one_of(finite_groups(200), FINITE_PRODUCTS)
 @given(CENTER_GROUPS)
 def test_the_closed_form_center_is_the_exhaustive_center(group):
     assert ts.center_obstruction_check(group) == ts.center(group)
+
+
+@given(group=CENTER_GROUPS, oriented=st.booleans(), data=st.data())
+def test_the_sweeps_agree_from_every_start_letter_exactly_when_a_drawn_cell_value_is_central(tetra, group, oriented, data):
+    """The center obstruction through the sweep engine, on the tetrahedron's trivial connective structure.
+
+    Every edge carries the identity and every marking z (or, under the oriented
+    rule, z against the sorted face's cyclic order gets z^-1); z is drawn from
+    the center half the time, so that both verdicts are drawn often.
+    """
+    elements = ts.enumerate_elements(group)
+    z = data.draw(st.one_of(st.sampled_from(ts.center(group)), st.sampled_from(elements)))
+    alpha = {m: z if not oriented or runs_in_sorted_cyclic_order(m) else ts.inverse(z) for m in tetra.markings()}
+    conn = ts.Connection2.build(ts.Connection1.constant(group, tetra, ts.identity(group)), alpha)
+    starts = (ts.Section(ts.EdgePath.identity("a"), (w,)) for w in elements)
+    agree = all(ts.compare_schemes(SWEEP_A, SWEEP_C, start, conn).verdict == "equal" for start in starts)
+    assert agree == (z in ts.center_obstruction_check(group))
 
 
 def components(a: ts.GroupElement) -> list[ts.GroupElement]:
@@ -823,8 +841,9 @@ def test_load_complex_reads_a_file_as_its_per_entry_loops_do(seed, count):
 def test_load_connection_reads_a_file_as_its_per_entry_loops_do(seed, count):
     rng = random.Random(seed)
     K = torus_complex(rng.choice([3, 4]))
-    if rng.random() < 0.3:  # a vertex name that holds a dot
-        dotted = {v: v.replace("_", ".") for v in rng.sample(K.sorted_vertices, 2)}
+    if rng.random() < 0.4:  # a vertex name that holds a dot, or a ">" as a complex built in code may
+        sep = rng.choice(".>")
+        dotted = {v: v.replace("_", sep) for v in rng.sample(K.sorted_vertices, 2)}
         triangles = [[dotted.get(v, v) for v in t] for t in K.sorted_triangles]
         K = ts.SimplicialComplex.build({v for t in triangles for v in t}, triangles)
     V = K.sorted_vertices

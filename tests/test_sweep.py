@@ -199,6 +199,14 @@ def test_a_valid_connection_file_is_read_in_bulk(monkeypatch):
     assert sorted(parsed) == sorted(set(edges.values()) | set(cells.values()))
 
 
+def test_a_complex_with_vertices_that_are_not_strings_names_no_cell_key():
+    K = ts.SimplicialComplex.build([1])
+    text = lambda cells: json.dumps({"group": {"cyclic": 2}, "edges": {}, "cells": cells})  # noqa: E731
+    with pytest.raises(SweepError, match=r"^cell a\.b\.c is not supported by a triangle of the complex$"):
+        ts.load_connection(text({"a.b.c": "0"}), K)
+    assert ts.load_connection(text({}), K) == ts.Connection2.build(ts.Connection1.build(ts.cyclic_group(2), K, {}), {})
+
+
 @pytest.mark.parametrize("bad", ["t^2", 3, ["r"]], ids=["bad-text", "number", "array"])
 @pytest.mark.parametrize("block", ["edges", "cells"])
 def test_a_repeated_bad_value_fails_as_parse_element_does(tetra, block, bad):
