@@ -66,10 +66,13 @@ class Connection1(Record):
     """A total assignment of group elements to the edges of a complex.
 
     Values are stored once per unordered edge, keyed by the sorted vertex
-    pair; querying the opposite orientation returns the inverse.  The map
-    is kept as :meth:`build` checked it, unsorted; the sorted
-    ``edge_values`` pairs are derived on first read.  The constructor,
-    which checks nothing, takes a map or (key, value) pairs.
+    pair.  :meth:`value` looks the caller's pair up as given, then
+    reversed, and returns the inverse of a reversed hit; it never compares
+    the caller's names, so a pair that is no edge, even of names that do
+    not compare, is a ``BundleError``.  The map is kept as :meth:`build`
+    checked it, unsorted; the sorted ``edge_values`` pairs are derived on
+    first read.  The constructor, which checks nothing, takes a map or
+    (key, value) pairs.
     """
 
     group: GroupDescriptor
@@ -140,14 +143,13 @@ class Connection1(Record):
     def value(self, a: str, b: str) -> GroupElement:
         if a == b:
             return identity(self.group)
-        if a < b:
-            stored = self._map.get((a, b))
-        else:
-            stored = self._map.get((b, a))
-            stored = inverse(stored) if stored is not None else None
+        stored = self._map.get((a, b))
+        if stored is not None:
+            return stored
+        stored = self._map.get((b, a))  # the pair in the other order, so no name is compared
         if stored is None:
             raise BundleError(f"({a},{b}) is not an edge of the complex")
-        return stored
+        return inverse(stored)
 
 
 def holonomy(connection: Connection1, path: EdgePath) -> GroupElement:

@@ -37,14 +37,15 @@ class SimplicialComplex(Record):
     edge that is not two, in one C-level pass over each set's sizes; only
     then are they sorted, to name the first, triangles before edges.
 
-    Incidence queries read an index built on first use in one pass over the
-    sorted triangles: each vertex and each edge maps to the faces that
-    contain it, in sorted-triangle order, so ``faces_containing`` and
-    ``faces_containing_edge`` are dict lookups, not scans.  Every derived
-    edge structure is keyed by the edge's sorted vertex pair, a tuple, so
-    the ``edges`` field holds the only two-vertex sets: :meth:`build`
-    makes one per distinct edge.  An edge query looks the caller's pair
-    up in both orders and never compares the caller's names.
+    Incidence queries read one index built on first use in one pass over
+    the sorted triangles: each vertex maps to the faces that contain it,
+    in sorted-triangle order.  ``faces_containing`` is a dict lookup, and
+    ``faces_containing_edge(a, b)`` keeps those of ``a``'s faces that
+    hold ``b``, in the same order; on a surface a vertex lies in a handful
+    of faces.  Every derived edge structure is keyed by the edge's sorted
+    vertex pair, a tuple, so the ``edges`` field holds the only two-vertex
+    sets: :meth:`build` makes one per distinct edge.  No query compares
+    the caller's names: ``has_edge`` looks the pair up in both orders.
     """
 
     vertices: frozenset[str]
@@ -121,9 +122,8 @@ class SimplicialComplex(Record):
         return self._vertex_faces.get(v, ())
 
     def faces_containing_edge(self, a: str, b: str) -> tuple[frozenset[str], ...]:
-        if a == b:
-            return self.faces_containing(a)
-        return self._edge_faces.get((a, b)) or self._edge_faces.get((b, a), ())
+        # a vertex lies in a handful of faces, so filtering them answers an edge query with no index of its own
+        return tuple([face for face in self._vertex_faces.get(a, ()) if b in face])
 
     @cached_property
     def _marking_set(self) -> frozenset[tuple[str, str, str]]:
@@ -141,20 +141,10 @@ class SimplicialComplex(Record):
     @cached_property
     def _vertex_faces(self) -> dict[str, tuple[frozenset[str], ...]]:
         buckets: dict = defaultdict(list)
-        for (a, b, c), face in zip(self.sorted_triangles, self.sorted_triangles_sets):
+        for (a, b, c), face in zip(self.sorted_triangles, map(frozenset, self.sorted_triangles)):
             buckets[a].append(face)
             buckets[b].append(face)
             buckets[c].append(face)
-        return dict(zip(buckets, map(tuple, buckets.values())))
-
-    @cached_property
-    def _edge_faces(self) -> dict[tuple[str, str], tuple[frozenset[str], ...]]:
-        buckets: dict = defaultdict(list)
-        # each triangle is sorted, so each of its sides comes out as a sorted pair
-        for (a, b, c), face in zip(self.sorted_triangles, self.sorted_triangles_sets):
-            buckets[a, b].append(face)
-            buckets[a, c].append(face)
-            buckets[b, c].append(face)
         return dict(zip(buckets, map(tuple, buckets.values())))
 
     @cached_property
@@ -173,10 +163,6 @@ class SimplicialComplex(Record):
     @cached_property
     def sorted_triangles(self) -> tuple[tuple[str, str, str], ...]:
         return tuple(sorted(map(tuple, map(sorted, self.triangles))))
-
-    @cached_property
-    def sorted_triangles_sets(self) -> tuple[frozenset[str], ...]:
-        return tuple(map(frozenset, self.sorted_triangles))
 
     def markings(self) -> Iterator[tuple[str, str, str]]:
         """The six markings (source, apex, target) of each face, faces in sorted order."""
@@ -310,14 +296,16 @@ def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False
     to check.  The other invariants are checked in bulk: every side of a
     triangle is a declared edge and every edge's vertices are declared,
     one set comparison each over the vertices, the edges' sorted pairs
-    and the incidence index, which is keyed by those pairs; for pure
-    dimension two, every vertex has faces (``faces_containing``) and
-    every edge lies in a triangle.  Only when one fails are the
-    triangles, edges and vertices scanned, in sorted order, for the
-    diagnostics.
+    and the set of the sorted triangles' sides, which are sorted pairs
+    too; for pure dimension two, every vertex has faces
+    (``faces_containing``) and every edge lies in a triangle.  Only when
+    one fails are the triangles, edges and vertices scanned, in sorted
+    order, for the diagnostics.
     """
     pure = require_pure_dim2 or complex.pure_dim2
-    V, E, in_faces = complex.vertices, complex._edge_pairs, complex._edge_faces.keys()
+    V, E = complex.vertices, complex._edge_pairs
+    # each triangle is sorted, so each of its sides comes out as a sorted pair
+    in_faces = set(chain.from_iterable(map(combinations, complex.sorted_triangles, repeat(2))))
     # a triangle's vertices lie on its sides, so declared sides with declared vertices declare them too
     if in_faces <= E and V.issuperset(chain.from_iterable(E)):
         if not pure or (all(map(complex.faces_containing, V)) and E <= in_faces):

@@ -100,6 +100,23 @@ def test_connection1_build_refuses_a_key_whose_vertices_do_not_compare(tetra):
     assert str(info.value) == "(a,1) is not an edge of the complex"
 
 
+def test_connection1_value_refuses_a_pair_whose_vertices_do_not_compare(tetra):
+    conn = ts.Connection1.constant(ts.cyclic_group(3), tetra, ts.element(ts.cyclic_group(3), 1))
+    for a, b in (("a", 1), (1, "a")):
+        with pytest.raises(BundleError) as info:
+            conn.value(a, b)
+        assert str(info.value) == f"({a},{b}) is not an edge of the complex"
+    with pytest.raises(BundleError) as info:
+        ts.holonomy(conn, ts.EdgePath((("a", 1), (1, "a"))))
+    assert str(info.value) == "(a,1) is not an edge of the complex"
+
+
+def test_connection1_value_reads_an_unsorted_key_of_the_unchecked_constructor_as_stored(tetra):
+    raw = ts.Connection1(Z12, tetra, {("b", "a"): ts.element(Z12, 5)})
+    assert raw.value("b", "a") == ts.element(Z12, 5)
+    assert raw.value("a", "b") == ts.element(Z12, 7)
+
+
 def test_connection1_build_refuses_keys_of_a_tuple_subclass(tetra):
     Pair = collections.namedtuple("Pair", "source target")
     values = {Pair(*e): ts.identity(Z12) for e in tetra.sorted_edges}

@@ -339,12 +339,12 @@ def test_dump_complex_round_trips(tetra):
 # -- the incidence index against the triangle scans it replaced ----------------------
 
 def scan_faces_containing(K: ts.SimplicialComplex, v: str) -> tuple[frozenset[str], ...]:
-    return tuple(t for t in K.sorted_triangles_sets if v in t)
+    return tuple(t for t in map(frozenset, K.sorted_triangles) if v in t)
 
 
 def scan_faces_containing_edge(K: ts.SimplicialComplex, a: str, b: str) -> tuple[frozenset[str], ...]:
     e = frozenset((a, b))
-    return tuple(t for t in K.sorted_triangles_sets if e <= t)
+    return tuple(t for t in map(frozenset, K.sorted_triangles) if e <= t)
 
 
 def scan_validate_complex(K: ts.SimplicialComplex, require_pure_dim2: bool = False) -> list:
@@ -392,6 +392,10 @@ def index_test_complexes() -> list[ts.SimplicialComplex]:
         # the raw constructor derives nothing: some sides of the faces are missing
         some_edges = rng.sample(sorted(torus.edges, key=sorted), len(torus.edges) // 2)
         out.append(ts.SimplicialComplex(torus.vertices, frozenset(map(frozenset, kept)), frozenset(some_edges)))
+    # a cone: the apex lies in 40 faces, so an edge query filters a long face list; one declared edge lies in no face
+    rim = [f"r{k:02d}" for k in range(40)]
+    fan = [("apex", rim[k], rim[k - 1]) for k in range(40)]
+    out.append(ts.SimplicialComplex.build(["apex", *rim], fan, [("r00", "r20")]))
     return out
 
 
