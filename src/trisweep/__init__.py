@@ -102,7 +102,7 @@ __version__ = "0.1.0"
 
 
 def data_path(name: str):
-    """Handle on a bundled example file, e.g. ``data_path("tetrahedron.json")``."""
-    from importlib import resources  # here, so that importing the package does not load it
+    """Path of a bundled example file, e.g. ``data_path("tetrahedron.json")``."""
+    from pathlib import Path  # here, so that importing the package does not load it
 
-    return resources.files(__name__).joinpath("examples", name)
+    return Path(__file__).parent / "examples" / name

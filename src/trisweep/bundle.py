@@ -97,16 +97,17 @@ class Connection1(Record):
         The check is done in bulk when the keys are exactly the complex's
         edges as sorted vertex pairs, plain tuples: one set comparison with
         the pairs the complex indexes its edges by, which builds no set per
-        key.  Then the set of the values' descriptors need only be at most
-        the connection's.  Any other map is walked entry by entry, which
-        stores the inverse under a reversed key and names the first fault.
+        key.  Then each value's backend is compared with the connection's,
+        by identity first, so that no descriptor is hashed.  Any other map
+        is walked entry by entry, which stores the inverse under a reversed
+        key and names the first fault.
         A key that is not a tuple of two vertices is refused, and a value
         that is not a ``GroupElement`` is a backend mismatch.
         """
         keys = values.keys()
         if keys == complex._edge_pairs and set(map(type, keys)) <= {tuple}:  # a tuple subclass goes to the loop
             with suppress(AttributeError):  # a value that is not an element: the loop below names it
-                if {g.group for g in values.values()} <= {group}:
+                if all(g.group is group or g.group == group for g in values.values()):
                     return cls(group, complex, values)
         store: dict[tuple[str, str], GroupElement] = {}
         for key, g in values.items():

@@ -17,6 +17,7 @@ import re
 import sys
 from pathlib import Path
 
+from . import data_path
 from .complexes import load_complex, validate_complex
 from .errors import TrisweepError, decode_json
 from .groups import (
@@ -44,11 +45,8 @@ def _read_text(path: str) -> str:
     p = Path(path)
     if p.exists():
         return p.read_text(encoding="utf-8")
-    if "/" not in path and "\\" not in path:
-        # the bundled examples, read without importlib.resources, which data_path loads
-        bundled = Path(__file__).parent / "examples" / path
-        if bundled.is_file():
-            return bundled.read_text(encoding="utf-8")
+    if "/" not in path and "\\" not in path and (bundled := data_path(path)).is_file():
+        return bundled.read_text(encoding="utf-8")
     raise FileNotFoundError(f"no such file: {path}")
 
 
@@ -71,12 +69,6 @@ def _emit(args, result, lines, code: int = 0) -> int:
     return code
 
 
-def _load_connection_for_word(args, complex):
-    """Load the connection, extending a free backend with the fresh generators of a --word."""
-    word_texts = _split_word(args.word) if args.word else []
-    return load_connection(_read_text(args.connection), complex, word_texts), word_texts
-
-
 def _split_word(word: str) -> list[str]:
     """Letters of a --word, split at commas outside product arrays and cycles."""
     letters = []
@@ -94,19 +86,23 @@ def _split_word(word: str) -> list[str]:
     return letters
 
 
-def _initial_section(connection, path: EdgePath, word_texts) -> Section:
+def _sweep_inputs(args, path: EdgePath) -> tuple[Section, Connection2]:
+    """The start section over ``path`` and the connection of a sweeping subcommand.
+
+    The connection is loaded with the --word's letters, so that a free
+    backend gains the word's fresh generators.  The section's letters are
+    the word's, or one identity per step of ``path`` when there is no word.
+    A connection without cells is refused last, so a bad word is named first.
+    """
+    complex = load_complex(_read_text(args.complex))
+    word_texts = _split_word(args.word) if args.word else []
+    connection = load_connection(_read_text(args.connection), complex, word_texts)
     group = connection.group
-    if word_texts:
-        letters = tuple(parse_element(t, group) for t in word_texts)
-    else:
-        letters = tuple(identity(group) for _ in path.steps)
-    return Section(path, letters)
-
-
-def _as_connection2(connection) -> Connection2:
-    if isinstance(connection, Connection2):
-        return connection
-    raise TrisweepError('this command needs a connection file with a "cells" block')
+    letters = [parse_element(t, group) for t in word_texts] or [identity(group)] * len(path.steps)
+    start = Section(path, tuple(letters))
+    if not isinstance(connection, Connection2):
+        raise TrisweepError('this command needs a connection file with a "cells" block')
+    return start, connection
 
 
 # -- subcommands -----------------------------------------------------------
@@ -130,11 +126,9 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    complex = load_complex(_read_text(args.complex))
-    connection, word_texts = _load_connection_for_word(args, complex)
     scheme = load_scheme(_read_text(args.scheme))
-    start = _initial_section(connection, scheme.start_path, word_texts)
-    sections = trace_to_json(run_scheme(start, scheme, _as_connection2(connection)))
+    start, connection = _sweep_inputs(args, scheme.start_path)
+    sections = trace_to_json(run_scheme(start, scheme, connection))
     lines = [f"{_fmt_path(s['path'])} -> ({', '.join(s['letters'])})" for s in sections]
     return _emit(args, sections, lines)
 
@@ -142,12 +136,9 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     if len(args.scheme) != 2:
         raise TrisweepError("compare needs exactly two --scheme files")
-    complex = load_complex(_read_text(args.complex))
-    connection, word_texts = _load_connection_for_word(args, complex)
-    scheme1 = load_scheme(_read_text(args.scheme[0]))
-    scheme2 = load_scheme(_read_text(args.scheme[1]))
-    start = _initial_section(connection, scheme1.start_path, word_texts)
-    comparison = compare_schemes(scheme1, scheme2, start, _as_connection2(connection))
+    scheme1, scheme2 = (load_scheme(_read_text(name)) for name in args.scheme)
+    start, connection = _sweep_inputs(args, scheme1.start_path)
+    comparison = compare_schemes(scheme1, scheme2, start, connection)
     quotient = [format_element(q) for q in comparison.quotient]
     gauge = None if comparison.gauge is None else {v: format_element(g) for v, g in comparison.gauge.values}
     lines = [comparison.verdict, f"quotient: ({', '.join(quotient)})"]
@@ -156,12 +147,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    complex = load_complex(_read_text(args.complex))
-    connection, word_texts = _load_connection_for_word(args, complex)
     a, b, c, d = args.vertices
-    path = EdgePath(((a, b), (b, d)))
-    start = _initial_section(connection, path, word_texts)
-    report = defect_report_to_json(curvature_square(a, b, c, d, start, _as_connection2(connection)))
+    start, connection = _sweep_inputs(args, EdgePath(((a, b), (b, d))))
+    report = defect_report_to_json(curvature_square(a, b, c, d, start, connection))
     lines = [f"path: {_fmt_path(report['path'])}", f"defects: ({', '.join(report['defects'])})"]
     return _emit(args, report, lines)
 
@@ -172,57 +160,37 @@ def cmd_center(args) -> int:
     return _emit(args, {"center": elements}, elements)
 
 
-def _add_common(sub) -> None:
+def _subcommand(subs, name: str, func, help: str, *files: str) -> argparse.ArgumentParser:
+    """Declare subcommand ``name``: a required ``--<file>`` option per input file, ``--format`` and ``--seed``.
+
+    Returns the subparser, for the subcommand's own arguments.
+    """
+    sub = subs.add_parser(name, help=help)
+    for option in files:
+        sub.add_argument(f"--{option}", required=True)
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--seed", type=int, default=0, help="reserved for randomized subcommands")
+    sub.set_defaults(func=func)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="trisweep", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="check a complex file")
-    p.add_argument("--complex", required=True)
+    p = _subcommand(subs, "validate", cmd_validate, "check a complex file", "complex")
     p.add_argument("--require-pure-dim2", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = subs.add_parser("holonomy", help="transport along a path")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--connection", required=True)
+    p = _subcommand(subs, "holonomy", cmd_holonomy, "transport along a path", "complex", "connection")
     p.add_argument("--path", required=True, help="vertex chain, e.g. a,b,d,a")
-    _add_common(p)
-    p.set_defaults(func=cmd_holonomy)
-
-    p = subs.add_parser("sweep", help="run a sweep scheme on an initial word")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--connection", required=True)
-    p.add_argument("--scheme", required=True)
+    p = _subcommand(subs, "sweep", cmd_sweep, "run a sweep scheme on an initial word", "complex", "connection", "scheme")
     p.add_argument("--word", help="comma-separated letters over the start path")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("compare", help="run two schemes and compare the final words")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--connection", required=True)
+    p = _subcommand(subs, "compare", cmd_compare, "run two schemes and compare the final words", "complex", "connection")
     p.add_argument("--scheme", action="append", required=True, help="give twice: first and second scheme")
     p.add_argument("--word")
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
-
-    p = subs.add_parser("curvature", help="four-move square around two faces")
-    p.add_argument("--complex", required=True)
-    p.add_argument("--connection", required=True)
-    p.add_argument("vertices", nargs=4, metavar=("a", "b", "c", "d"))
+    p = _subcommand(subs, "curvature", cmd_curvature, "four-move square around two faces", "complex", "connection")
+    p.add_argument("vertices", nargs=4, metavar="VERTEX", help="vertices a b c d of the faces {a,b,c} and {b,c,d}")
     p.add_argument("--word", help="letters over (ab,bd); defaults to identities")
-    _add_common(p)
-    p.set_defaults(func=cmd_curvature)
-
-    p = subs.add_parser("center", help="admissible cell values for a trivial connective structure")
+    p = _subcommand(subs, "center", cmd_center, "admissible cell values for a trivial connective structure")
     p.add_argument("group", help='group descriptor JSON, e.g. {"symmetric":3}')
-    _add_common(p)
-    p.set_defaults(func=cmd_center)
-
     return parser
 
 

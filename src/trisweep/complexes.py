@@ -23,8 +23,6 @@ from ._record import Record
 from .errors import ComplexError, decode_json, quote
 from .paths import EdgePath, cell_name, cell_sides, reduce_x1
 
-VertexId = str
-
 KINDS = ("alpha", "alpha_star", "beta", "beta_star", "identity_edge", "identity_vertex")
 
 

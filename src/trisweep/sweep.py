@@ -101,18 +101,19 @@ class Connection2(Record):
         """Check every cell's support and every value's backend, then keep the maps as given.
 
         The checks are two set inclusions, of the alpha and beta keys in
-        the complex's markings, and one of the values' backends in the
-        connection's.  Only when one fails are the cells walked, alpha
-        before beta in insertion order, to raise a ``SweepError`` naming
-        the first key that is not a triple of vertex names, unsupported
-        cell or mismatched value; a value that is not a ``GroupElement`` is
-        a backend mismatch.
+        the complex's markings, and one pass over the values that compares
+        each backend with the connection's, by identity first, so that no
+        descriptor is hashed.  Only when one fails are the cells walked,
+        alpha before beta in insertion order, to raise a ``SweepError``
+        naming the first key that is not a triple of vertex names,
+        unsupported cell or mismatched value; a value that is not a
+        ``GroupElement`` is a backend mismatch.
         """
-        K, beta = base.complex, beta or {}
+        K, G, beta = base.complex, base.group, beta or {}
         marked = K._marking_set
         if alpha.keys() <= marked and beta.keys() <= marked:
             with suppress(AttributeError):  # a value that is not an element: the loop below names it
-                if {g.group for g in chain(alpha.values(), beta.values())} <= {base.group}:
+                if all(g.group is G or g.group == G for g in chain(alpha.values(), beta.values())):
                     return cls(base, alpha, beta)
         # the loop names the first fault; a key must be a triple before it is read as a cell, so a pair is
         # never read as an edge cell; an alpha key is its cell, and a beta key (c, a, b) names the loop c.a.b.c

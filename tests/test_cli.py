@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import trisweep as ts
+from trisweep import cli
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess[str]:
@@ -581,3 +582,56 @@ def test_a_non_string_vertex_in_a_triangle_or_edge_is_an_error(tmp_path: Path, t
     assert proc.stdout == ""
     assert proc.stderr.startswith(refusal) and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+# each subcommand's shortest valid command line, as its required inputs (an option with its value, or a
+# positional with its values) and the fields they parse to besides command, func, format and seed
+SUBCOMMANDS = {
+    "validate": ([["--complex", "k"]], {"complex": "k", "require_pure_dim2": False}),
+    "holonomy": (
+        [["--complex", "k"], ["--connection", "n"], ["--path", "a,b"]],
+        {"complex": "k", "connection": "n", "path": "a,b"},
+    ),
+    "sweep": (
+        [["--complex", "k"], ["--connection", "n"], ["--scheme", "s"]],
+        {"complex": "k", "connection": "n", "scheme": "s", "word": None},
+    ),
+    "compare": (
+        [["--complex", "k"], ["--connection", "n"], ["--scheme", "s"]],
+        {"complex": "k", "connection": "n", "scheme": ["s"], "word": None},
+    ),
+    "curvature": (
+        [["--complex", "k"], ["--connection", "n"], ["a", "b", "c", "d"]],
+        {"complex": "k", "connection": "n", "vertices": ["a", "b", "c", "d"], "word": None},
+    ),
+    "center": ([['{"cyclic": 2}']], {"group": '{"cyclic": 2}'}),
+}
+
+# --help exits 0; a command line missing one required input, or with three vertices for curvature, exits 2
+USAGE_LINES = [([name, "--help"], 0) for name in SUBCOMMANDS] + [
+    ([name, *itertools.chain(*inputs[:k], *inputs[k + 1:])], 2)
+    for name, (inputs, _) in SUBCOMMANDS.items()
+    for k in range(len(inputs))
+] + [(["curvature", "--complex", "k", "--connection", "n", "a", "b", "c"], 2)]
+
+
+@pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+def test_each_subcommand_parses_its_shortest_command_line(name):
+    inputs, fields = SUBCOMMANDS[name]
+    args = cli.build_parser().parse_args([name, *itertools.chain(*inputs)])
+    assert vars(args) == {"command": name, "func": getattr(cli, f"cmd_{name}"), "format": "text", "seed": 0, **fields}
+
+
+@pytest.mark.parametrize("argv, code", USAGE_LINES, ids=[" ".join(argv) for argv, _ in USAGE_LINES])
+def test_help_exits_0_and_a_missing_input_exits_2(argv, code, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(argv)
+    assert info.value.code == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).startswith(f"usage: trisweep {argv[0]} ")
+
+
+def test_no_usage_line_ends_in_a_traceback():
+    for argv, code in USAGE_LINES:
+        proc = run_cli(*argv)
+        assert (proc.returncode, "Traceback" in proc.stderr) == (code, False), (argv, proc.stderr[-300:])

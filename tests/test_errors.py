@@ -82,3 +82,164 @@ def test_every_domain_error_has_one_shape(error):
     assert (placed.line, placed.column, placed.step_index) == (3, 4, 5)
     with pytest.raises(TypeError):  # the positions are keyword-only
         error("message", 3)
+
+
+TETRA = ts.load_complex(ts.data_path("tetrahedron.json").read_text())
+SYMBOLIC = ts.load_connection(ts.data_path("tetrahedron_symbolic.json").read_text(), TETRA)
+Z2, Z3, S3 = ts.cyclic_group(2), ts.cyclic_group(3), ts.symmetric_group(3)
+Z2_EDGES = '{"group": {"cyclic": 2}, "edges": {"a>b": "0", "a>c": "0", "a>d": "0", "b>c": "0", "b>d": "0", "c>d": "0"}'
+ACB = ts.EdgePath.from_vertices("a", "c", "b")
+EMPTY = ts.SweepScheme(ACB, ())
+MERGE = ts.SweepScheme(ACB, (ts.HomotopyStep("alpha_merge", 0, ("a", "c", "b")),))
+
+
+def identity_section(*vertices: str, group=SYMBOLIC.group) -> ts.Section:
+    path = ts.EdgePath.from_vertices(*vertices)
+    return ts.Section(path, tuple(ts.identity(group) for _ in path.steps))
+
+
+# (call, error class, the whole message) of refusals that no other in-process test reaches
+REFUSALS = {
+    # paths
+    "no vertices": (lambda: ts.EdgePath.from_vertices(), PathError, "at least one vertex is required"),
+    "negative position": (lambda: ts.HomotopyStep("alpha_merge", -1, ("a", "c", "b")), SchemeError, "negative position -1"),
+    "cell on a degenerate move": (
+        lambda: ts.HomotopyStep("deg_insert", 0, ("a", "b", "c")), SchemeError, "move deg_insert takes no cell"
+    ),
+    "open loop cell": (
+        lambda: ts.HomotopyStep("beta_expand", 0, ("a", "b", "c", "d")),
+        SchemeError,
+        "loop cell a.b.c.d must start and end at the same vertex",
+    ),
+    "scheme without steps": (
+        lambda: ts.load_scheme('{"start": [["a", "b"]]}'), SchemeError, 'scheme file needs "start" and "steps"'
+    ),
+    "scheme with a broken start": (
+        lambda: ts.load_scheme('{"start": [["a", "b"], ["c", "d"]], "steps": []}'),
+        SchemeError,
+        "bad start path: steps (a,b) and (c,d) are not composable",
+    ),
+    # complexes
+    "pure_dim2 not a boolean": (
+        lambda: ts.load_complex('{"vertices": ["a"], "pure_dim2": 1}'), ComplexError, '"pure_dim2" must be a boolean'
+    ),
+    "unknown cell kind": (lambda: ts.oriented_triangles(TETRA, "gamma"), ComplexError, "unknown cell kind 'gamma'"),
+    # sweep
+    "connection without edges": (
+        lambda: ts.load_connection('{"group": {"cyclic": 2}}', TETRA),
+        BundleError,
+        'connection file needs "group" and "edges"',
+    ),
+    "cells not an object": (
+        lambda: ts.load_connection(Z2_EDGES + ', "cells": []}', TETRA), BundleError, '"cells" must be an object'
+    ),
+    "cell relations not a list": (
+        lambda: ts.load_connection(Z2_EDGES + ', "cell_relations": {}}', TETRA),
+        BundleError,
+        '"cell_relations" must be a list',
+    ),
+    "section off the scheme's start": (
+        lambda: ts.run_scheme(identity_section("a", "b"), EMPTY, SYMBOLIC),
+        SweepError,
+        "section path does not match the scheme start path",
+    ),
+    "schemes from different paths": (
+        lambda: ts.compare_schemes(EMPTY, ts.SweepScheme(ts.EdgePath.from_vertices("a", "b"), ()),
+                                   identity_section("a", "c", "b"), SYMBOLIC),
+        SweepError,
+        "schemes start on different paths",
+    ),
+    "schemes to different paths": (
+        lambda: ts.compare_schemes(EMPTY, MERGE, identity_section("a", "c", "b"), SYMBOLIC),
+        SweepError,
+        "endpoint mismatch: schemes end on different paths",
+    ),
+    "curvature square off its path": (
+        lambda: ts.curvature_square("a", "b", "c", "d", identity_section("a", "c", "b"), SYMBOLIC),
+        SweepError,
+        "curvature square needs a section over (a>b,b>d)",
+    ),
+    "gauge search over different paths": (
+        lambda: ts.sections_gauge_equivalent(identity_section("a", "b"), identity_section("a", "c", "b"), {"c"}),
+        SweepError,
+        "sections live over different paths",
+    ),
+    "gauge search over different backends": (
+        lambda: ts.sections_gauge_equivalent(identity_section("a", "b"), identity_section("a", "b", group=Z2), set()),
+        GroupError,
+        "backend mismatch between the two sections",
+    ),
+    "two-holonomy over different paths": (
+        lambda: ts.two_holonomy(identity_section("a", "b"), identity_section("a", "c", "b")),
+        SweepError,
+        "sections live over different paths",
+    ),
+    "two-holonomy over different backends": (
+        lambda: ts.two_holonomy(identity_section("a", "b"), identity_section("a", "b", group=Z2)),
+        GroupError,
+        "backend mismatch between the two sections",
+    ),
+    # groups
+    "repeated generator": (lambda: ts.free_group(["x", "x"]), GroupError, "generator names must be distinct"),
+    "generator named e": (lambda: ts.free_group(["e"]), GroupError, "bad generator name 'e'"),
+    "cyclic of order 0": (lambda: ts.cyclic_group(0), GroupError, "cyclic modulus must be >= 1"),
+    "symmetric of degree 0": (lambda: ts.symmetric_group(0), GroupError, "symmetric degree must be >= 1"),
+    "dihedral of order 0": (lambda: ts.dihedral_group(0), GroupError, "dihedral order parameter must be >= 1"),
+    "empty product": (lambda: ts.product_group(), GroupError, "product needs at least one factor"),
+    "one-line syntax": (
+        lambda: ts.parse_element("[1,2", S3), GroupError, "syntax error in one-line permutation '[1,2'"
+    ),
+    "one-line length": (lambda: ts.parse_element("[1,2]", S3), GroupError, "one-line form must list 3 integers"),
+    "product length": (
+        lambda: ts.parse_element('["0"]', ts.product_group(Z2, Z3)),
+        GroupError,
+        "product element must be an array of 2 entries",
+    ),
+    "matrix product shapes": (lambda: ts.mat_mul(((1,),), ((1,), (2,))), GroupError, "matrix dimension mismatch"),
+    "permutation representation of Z_2": (
+        lambda: ts.permutation_representation(Z2), GroupError, "permutation representation needs the symmetric backend"
+    ),
+    "cyclic character of S_3": (lambda: ts.cyclic_character(S3), GroupError, "cyclic character needs the cyclic backend"),
+    "table of two dimensions": (
+        lambda: ts.table_representation(Z2, {"0": [[1]], "1": [[1, 0], [0, 1]]}),
+        GroupError,
+        "table matrices must share one square dimension",
+    ),
+    "table missing an element": (
+        lambda: ts.table_representation(Z2, {"0": [[1]]}), GroupError, "table representation misses elements: ['1']"
+    ),
+    "table moving the identity": (
+        lambda: ts.table_representation(Z2, {"0": [[2]], "1": [[1]]}),
+        GroupError,
+        "table must send the identity to the identity matrix",
+    ),
+    "represented element of another group": (
+        lambda: ts.represent(ts.cyclic_character(Z3), ts.identity(Z2)),
+        GroupError,
+        "backend mismatch: element does not live in the represented group",
+    ),
+    # bundle
+    "gauge of another backend": (
+        lambda: ts.gauge_transform(SYMBOLIC.base, ts.GaugeTransform.build(Z2, {})),
+        BundleError,
+        "backend mismatch between gauge and connection",
+    ),
+    "isomorphism across backends": (
+        lambda: ts.find_isomorphism(ts.Connection1.constant(Z2, TETRA, ts.identity(Z2)),
+                                    ts.Connection1.constant(Z3, TETRA, ts.identity(Z3))),
+        BundleError,
+        "connections must share a backend and a complex",
+    ),
+    "constant of a foreign value": (
+        lambda: ts.Connection1.constant(Z2, TETRA, ts.identity(Z3)), BundleError, "backend mismatch at edge (a,b)"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_each_refusal_names_its_fault(case):
+    call, error, text = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == text
