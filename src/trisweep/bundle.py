@@ -21,7 +21,6 @@ from .groups import (
     GroupElement,
     Matrix,
     Representation,
-    conjugators,
     enumerate_elements,
     identity,
     inverse,
@@ -177,61 +176,68 @@ def gauge_transform(connection: Connection1, gauge: GaugeTransform) -> Connectio
 
 
 def _solve_gauge(group: GroupDescriptor, root: str, walk: Iterable[tuple], pinned: Collection[str]) -> Optional[GaugeTransform]:
-    """The gauge n with n_a^-1 * f * n_b == g on every payload step (a, b, f, g) of the walk, or None.
+    """The gauge n with f * n_b == n_a * g on every payload step (a, b, f, g) of the walk, or None.
 
     Each step starts at the root or at a vertex an earlier step reached,
     and every pinned vertex is reached.
     Fixing the root value c fixes the whole gauge: with F_v and G_v the
     products of f and of g along the steps that first reach v, it is
-    n_v = F_v^-1 * c * G_v.  Every later step (a, b) holds iff the loop
-    values x = F_a f F_b^-1 and y = G_a g G_b^-1 satisfy c^-1 * x * c == y.
-    So the transports and their inverses are computed once per vertex and
-    the loop values once per step, on payloads through the backend's rules
-    (``groups.payload_rules``).  A pinned vertex v keeps the identity,
-    which forces c = F_v * G_v^-1; with none pinned, c is the first
-    element, in enumeration order, that ``groups.conjugators`` yields for
-    the loop pairs, and over an infinite group only the identity is tried.
-    Elements are built only for the loop pairs and for the gauge of that c,
-    which holds every reached vertex that is not pinned.
+    n_v = F_v^-1 * c * G_v, and a step that first reaches a vertex holds
+    for every c.  One pass over the walk records F_v, F_v^-1 and G_v and
+    keeps every other step, a step back onto a reached vertex, as a
+    closing step; no closing step is skipped, since one may cross an edge
+    the walk already took with other letters.  A pinned vertex v keeps the
+    identity, which forces c = F_v * G_v^-1; with none pinned, the
+    candidates are the group's elements in enumeration order, and over an
+    infinite group only the identity.  Each candidate's gauge is computed
+    on demand, vertex by vertex, and checked on the closing steps in walk
+    order up to the first that fails; the first candidate they all pass
+    gives the gauge, of every reached vertex that is not pinned.  All of it
+    runs on payloads through the backend's rules
+    (``groups.payload_rules``), and elements are built only for that gauge.
     """
-    mul, inv = payload_rules(group).multiply, payload_rules(group).inverse
-    e = identity(group).payload
-    F, G, F_inv, G_inv = {root: e}, {root: e}, {root: e}, {root: e}
-    loops = []
+    rules = payload_rules(group)
+    mul, inv, e = rules.multiply, rules.inverse, rules.identity(group)
+    F, F_inv, G = {root: e}, {root: e}, {root: e}
+    closing = []
     for a, b, f, g in walk:
-        if b not in F:
-            F[b] = x = mul(group, F[a], f)
-            G[b] = y = mul(group, G[a], g)
-            F_inv[b], G_inv[b] = inv(group, x), inv(group, y)
+        if b in F:
+            closing.append((a, b, f, g))
         else:
-            x = mul(group, mul(group, F[a], f), F_inv[b])
-            y = mul(group, mul(group, G[a], g), G_inv[b])
-            if x != e or y != e:  # x = y = e holds for every c, as on every tree edge
-                loops.append((GroupElement(group, x), GroupElement(group, y)))
-    forced = {mul(group, F[v], G_inv[v]) for v in pinned}
+            F[b] = x = mul(group, F[a], f)
+            F_inv[b], G[b] = inv(group, x), mul(group, G[a], g)
+    forced = {mul(group, F[v], inv(group, G[v])) for v in pinned}
     if len(forced) > 1:
         return None
     if forced:
-        candidates = [GroupElement(group, forced.pop())]
+        candidates = forced
     else:
-        candidates = enumerate_elements(group) if is_finite(group) else [identity(group)]
-    c = next(conjugators(loops, candidates), None)
-    if c is None:
-        return None
-    # every value lies in the group, so GaugeTransform.build's check is skipped
-    gauge = {v: GroupElement(group, mul(group, mul(group, F_inv[v], c.payload), G[v])) for v in F if v not in pinned}
-    return GaugeTransform(group, tuple(sorted(gauge.items())))
+        candidates = [c.payload for c in enumerate_elements(group)] if is_finite(group) else [e]
+    for c in candidates:
+        n = {}
+
+        def gauge(v):  # n_v for this candidate, each computed once
+            if v not in n:
+                n[v] = mul(group, mul(group, F_inv[v], c), G[v])
+            return n[v]
+
+        if all(mul(group, f, gauge(b)) == mul(group, gauge(a), g) for a, b, f, g in closing):
+            # every value lies in the group, so GaugeTransform.build's check is skipped
+            return GaugeTransform(group, tuple(sorted((v, GroupElement(group, gauge(v))) for v in F if v not in pinned)))
+    return None
 
 
 def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]:
     """Search for a gauge carrying f to g, or None.
 
     The gauge solver walks the complex's spanning tree from its least
-    vertex and then every edge, with the stored values of f and g (an edge
-    walked against its stored orientation carries the inverse), and pins
-    no vertex: the root value is the first element, in enumeration order,
-    for which the gauge it fixes carries f to g.  Needs a finite backend
-    and a connected complex.
+    vertex, then every edge off the tree, with the stored values of f and
+    g (an edge walked against its stored orientation carries the inverse),
+    and pins no vertex.  A tree edge is not walked again: it carries the
+    values that fixed the gauge at its far end, so it holds for every root
+    value.  The root value is the first element, in enumeration order,
+    whose gauge carries f to g on every edge off the tree.  Needs a finite
+    backend and a connected complex.
     """
     if f.group != g.group or f.complex != g.complex:
         raise BundleError("connections must share a backend and a complex")
@@ -250,7 +256,8 @@ def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]
 
     try:
         walk = [(v, w, value(fm, v, w), value(gm, v, w)) for v, w in K._spanning_tree]
-        walk += [(a, b, fm[a, b].payload, gm[a, b].payload) for a, b in K.sorted_edges]
+        tree = {(v, w) if v < w else (w, v) for v, w in K._spanning_tree}
+        walk += [(a, b, fm[a, b].payload, gm[a, b].payload) for a, b in K.sorted_edges if (a, b) not in tree]
     except KeyError as exc:  # only the unchecked constructor leaves an edge without a value
         raise BundleError(f"connection has no value on edge ({exc.args[0][0]},{exc.args[0][1]})") from None
     return _solve_gauge(grp, K.sorted_vertices[0], walk, ())

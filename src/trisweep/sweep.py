@@ -384,16 +384,17 @@ def sections_gauge_equivalent(
     A section is an edge connection on its path's steps, so this is
     ``find_isomorphism``'s question, asked through the same gauge solver:
     it walks the path's steps with the letters of s and t, and the path's
-    vertices outside ``movable`` keep the identity.  A pinned vertex
-    forces the gauge, so the group is enumerated only when every vertex of
-    the path is movable; over an infinite group the root then takes the
-    identity.  The solver checks every step, so the gauge it finds is
-    returned without twisting s again.
+    vertices outside ``movable`` keep the identity.  Every step that
+    returns to a vertex the path already visited is checked, even one that
+    crosses an edge the path took before.  A pinned vertex forces the root
+    value, so only that candidate is tried; the group is enumerated only
+    when every vertex of the path is movable, and over an infinite group
+    the root then takes the identity.  A candidate's gauge holds on every
+    step once it passes the checks, so it is returned without twisting s
+    again.
     """
     if s.path != t.path:
         raise SweepError("sections live over different paths")
-    if not s.letters or not t.letters:
-        raise SweepError("sections must carry letters")
     group = s.letters[0].group
     if t.letters[0].group != group:
         raise GroupError("backend mismatch between the two sections")
@@ -403,6 +404,16 @@ def sections_gauge_equivalent(
 
 
 # -- two-holonomy and scheme comparison --------------------------------------
+
+def _quotients(group: GroupDescriptor, u: Iterable[GroupElement], v: Iterable[GroupElement]) -> tuple[GroupElement, ...]:
+    """The letterwise quotients a^-1 * b of two words whose letters the caller knows to live in ``group``.
+
+    Each is computed on payloads through the backend's rules, so it builds
+    one element per letter and compares no descriptors.
+    """
+    rules = payload_rules(group)
+    return tuple(GroupElement(group, rules.multiply(group, rules.inverse(group, a.payload), b.payload)) for a, b in zip(u, v))
+
 
 def two_holonomy(initial: Section, final: Section) -> DefectReport:
     """Letterwise defects of the final section against the initial one.
@@ -418,7 +429,7 @@ def two_holonomy(initial: Section, final: Section) -> DefectReport:
     if final.letters[0].group != group:
         raise GroupError("backend mismatch between the two sections")
     gauge = GaugeTransform.build(group, {v: identity(group) for v in sorted(interior_vertices(initial.path))})
-    defects = tuple(multiply(inverse(a), b) for a, b in zip(initial.letters, final.letters))
+    defects = _quotients(group, initial.letters, final.letters)
     return DefectReport(initial.path, defects, gauge)
 
 
@@ -444,7 +455,7 @@ def compare_schemes(
     f2 = run_scheme(start, scheme2, connection).final
     if f1.path != f2.path:
         raise SweepError("endpoint mismatch: schemes end on different paths")
-    quotient = tuple(multiply(inverse(a), b) for a, b in zip(f1.letters, f2.letters))
+    quotient = _quotients(f1.letters[0].group, f1.letters, f2.letters)
     if f1 == f2:
         return SchemeComparison("equal", quotient)
     gauge = sections_gauge_equivalent(f1, f2, interior_vertices(f1.path))

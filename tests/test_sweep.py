@@ -810,6 +810,18 @@ def test_sections_gauge_equivalent_finite_backend_loop(tetra):
         assert ts.twist_section(s, found) == t
 
 
+def test_sections_gauge_equivalent_checks_a_step_back_across_an_edge_already_walked():
+    # the step b->a closes on the edge that first reached b, with other letters, so it must be checked
+    path = ts.EdgePath.from_vertices("a", "b", "a")
+    t12, t13 = (ts.parse_element(x, S3) for x in ("(1 2)", "(1 3)"))
+    s = ts.Section(path, (t12, t12))
+    assert ts.sections_gauge_equivalent(s, ts.Section(path, (t12, ts.identity(S3))), movable={"a", "b"}) is None
+    t = ts.Section(path, (t13, t13))
+    found = ts.sections_gauge_equivalent(s, t, movable={"a", "b"})
+    assert found is not None
+    assert ts.twist_section(s, found) == t
+
+
 def test_sections_gauge_equivalent_solves_a_free_group_gauge_forced_by_the_pinned_target():
     F = ts.free_group(["x", "y"])
     x, y = ts.parse_element("x", F), ts.parse_element("y", F)
