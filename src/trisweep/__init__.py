@@ -47,7 +47,6 @@ from .groups import (
     center,
     center_obstruction_check,
     conjugate,
-    conjugators,
     cyclic_character,
     cyclic_group,
     descriptor_from_json,

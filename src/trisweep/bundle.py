@@ -188,8 +188,10 @@ def _solve_gauge(group: GroupDescriptor, root: str, walk: Iterable[tuple], pinne
     closing step; no closing step is skipped, since one may cross an edge
     the walk already took with other letters.  A pinned vertex v keeps the
     identity, which forces c = F_v * G_v^-1; with none pinned, the
-    candidates are the group's elements in enumeration order, and over an
-    infinite group only the identity.  Each candidate's gauge is computed
+    candidates are the group's elements in enumeration order.  The call is
+    then a whole-group operation: ``enumerate_elements`` refuses an
+    infinite group, or one above ``ENUMERATION_LIMIT``, with a
+    ``GroupError``, and no root is guessed.  Each candidate's gauge is computed
     on demand, vertex by vertex, and checked on the closing steps in walk
     order up to the first that fails; the first candidate they all pass
     gives the gauge, of every reached vertex that is not pinned.  All of it
@@ -209,11 +211,7 @@ def _solve_gauge(group: GroupDescriptor, root: str, walk: Iterable[tuple], pinne
     forced = {mul(group, F[v], inv(group, G[v])) for v in pinned}
     if len(forced) > 1:
         return None
-    if forced:
-        candidates = forced
-    else:
-        candidates = [c.payload for c in enumerate_elements(group)] if is_finite(group) else [e]
-    for c in candidates:
+    for c in forced or [c.payload for c in enumerate_elements(group)]:
         n = {}
 
         def gauge(v):  # n_v for this candidate, each computed once

@@ -2,7 +2,8 @@
 
 Subcommands: validate, holonomy, sweep, compare, curvature, center.
 Exit codes: 0 on success, 1 on a domain failure (diagnostics, invalid
-moves, bad file content), 2 on usage or I/O problems.
+moves, bad file content), 2 on usage or I/O problems.  A failure prints
+one ``error:`` line on stderr, and a warning one ``warning:`` line.
 
 Bare file names that do not exist in the working directory fall back to
 the bundled examples shipped with the package, so
@@ -15,6 +16,7 @@ import argparse
 import json
 import re
 import sys
+import warnings
 from pathlib import Path
 
 from . import data_path
@@ -196,14 +198,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except TrisweepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():  # restores the caller's warning display on the way out
+        # each warning is one plain line, with no source location
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except TrisweepError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

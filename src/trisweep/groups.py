@@ -29,7 +29,7 @@ import math
 import re
 from collections import namedtuple
 from functools import cached_property
-from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from ._record import Record
 from .errors import GroupError, input_limit_text, quote as _quote
@@ -630,23 +630,6 @@ def payload_rules(group: GroupDescriptor) -> _Backend:
     and ``format(group, a)`` among them build no element.
     """
     return _BACKENDS[group.kind]
-
-
-def conjugators(pairs: Sequence[tuple[GroupElement, GroupElement]], candidates: Iterable[GroupElement]) -> Iterator[GroupElement]:
-    """Each candidate c, in candidate order, with c^-1 * x * c == y for every pair (x, y).
-
-    The test is x * c == c * y on the payloads, which are in normal form,
-    through the backend's multiply rule looked up once per candidate: the
-    products build no element and compare no descriptors.
-    """
-    groups = {x.group for pair in pairs for x in pair}
-    payloads = [(x.payload, y.payload) for x, y in pairs]
-    for c in candidates:
-        g, p, mul = c.group, c.payload, _BACKENDS[c.group.kind].multiply
-        if groups and groups != {g}:
-            raise GroupError("backend mismatch: elements live in different groups")
-        if all(mul(g, x, p) == mul(g, p, y) for x, y in payloads):
-            yield c
 
 
 def center_obstruction_check(group: GroupDescriptor) -> list[GroupElement]:

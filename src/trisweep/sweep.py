@@ -206,21 +206,22 @@ class SweepTrace(Record):
     for the first) into its steps, and a letter delta turns the letters
     before into its letters, as payloads; entries i:j become ``new``.  A
     run takes its path deltas from the scheme's replay.  ``sections`` is
-    built from the deltas on first read.  The constructor records each
-    section as a delta over the whole of the one before, so a trace
-    compares, hashes, prints and pickles as its scheme and sections
-    however it was made.
+    built from the deltas on first read.  The constructor refuses a trace
+    with no sections, and records each section as a delta over the whole
+    of the one before, so a trace compares, hashes, prints and pickles as
+    its scheme and sections however it was made.
     """
 
     scheme: SweepScheme
     sections: tuple[Section, ...]
 
     def __post_init__(self) -> None:
+        if not self.sections:
+            raise SweepError("a trace needs at least one section")
         sizes = [0] + [len(s.letters) for s in self.sections]  # a section has one letter per step
-        group = self.sections[0].letters[0].group if self.sections else None
         paths = [(0, n, s.path.steps) for n, s in zip(sizes, self.sections)]
         letters = [(0, n, [l.payload for l in s.letters]) for n, s in zip(sizes, self.sections)]
-        object.__setattr__(self, "_deltas", (group, paths, letters))
+        object.__setattr__(self, "_deltas", (self.sections[0].letters[0].group, paths, letters))
 
     @classmethod
     def _recorded(cls, scheme: SweepScheme, deltas: tuple, final: Section) -> "SweepTrace":
@@ -376,6 +377,15 @@ def twist_section(section: Section, gauge: GaugeTransform) -> Section:
     return Section(section.path, letters)
 
 
+def _common_group(s: Section, t: Section) -> GroupDescriptor:
+    """The backend of two sections over one path: another path is a ``SweepError``, another backend a ``GroupError``."""
+    if s.path != t.path:
+        raise SweepError("sections live over different paths")
+    if t.letters[0].group != s.letters[0].group:
+        raise GroupError("backend mismatch between the two sections")
+    return s.letters[0].group
+
+
 def sections_gauge_equivalent(
     s: Section, t: Section, movable: frozenset[str] | set[str]
 ) -> Optional[GaugeTransform]:
@@ -387,17 +397,13 @@ def sections_gauge_equivalent(
     vertices outside ``movable`` keep the identity.  Every step that
     returns to a vertex the path already visited is checked, even one that
     crosses an edge the path took before.  A pinned vertex forces the root
-    value, so only that candidate is tried; the group is enumerated only
-    when every vertex of the path is movable, and over an infinite group
-    the root then takes the identity.  A candidate's gauge holds on every
-    step once it passes the checks, so it is returned without twisting s
-    again.
+    value, so only that candidate is tried.  When every vertex of the path
+    is movable, the call is a whole-group operation: the group is
+    enumerated, and an infinite group, or one above ``ENUMERATION_LIMIT``,
+    is a ``GroupError``.  A candidate's gauge holds on every step once it
+    passes the checks, so it is returned without twisting s again.
     """
-    if s.path != t.path:
-        raise SweepError("sections live over different paths")
-    group = s.letters[0].group
-    if t.letters[0].group != group:
-        raise GroupError("backend mismatch between the two sections")
+    group = _common_group(s, t)
     chain = s.path.vertices
     walk = [(p, q, sl.payload, tl.payload) for (p, q), sl, tl in zip(s.path.steps, s.letters, t.letters)]
     return _solve_gauge(group, chain[0], walk, set(chain).difference(movable))
@@ -423,11 +429,7 @@ def two_holonomy(initial: Section, final: Section) -> DefectReport:
     letters directly; the gauge is reported so alternative choices can be
     recomputed by re-twisting.
     """
-    if initial.path != final.path:
-        raise SweepError("sections live over different paths")
-    group = initial.letters[0].group
-    if final.letters[0].group != group:
-        raise GroupError("backend mismatch between the two sections")
+    group = _common_group(initial, final)
     gauge = GaugeTransform.build(group, {v: identity(group) for v in sorted(interior_vertices(initial.path))})
     defects = _quotients(group, initial.letters, final.letters)
     return DefectReport(initial.path, defects, gauge)

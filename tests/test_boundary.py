@@ -227,6 +227,11 @@ def test_a_recorded_trace_equals_one_built_from_its_sections_before_either_is_re
     assert ts.sweep.trace_to_json(empty) == [ts.sweep.section_to_json(start)]
 
 
+def test_a_trace_with_no_sections_is_refused(scheme1):
+    with pytest.raises(SweepError, match="a trace needs at least one section"):
+        ts.SweepTrace(scheme1, ())
+
+
 def test_trace_json_shares_step_lists_between_sections():
     # the result is read-only: a step no move touches is the same list in every section
     K = band_complex(6)

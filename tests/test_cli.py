@@ -93,6 +93,21 @@ def test_holonomy_modular_loop(tmp_path: Path):
     assert reverse.stdout == "10\n"
 
 
+def test_load_time_warning_is_one_plain_line(tmp_path: Path):
+    edges = {f"{x}>{y}": "e" for x, y in itertools.combinations("abcd", 2)}
+    conn = tmp_path / "loop_cell.json"
+    # the loop cell's value is given, not derived from the triangle cell a.b.c
+    conn.write_text(json.dumps({"group": {"free": ["p", "q"]}, "edges": edges, "cells": {"a.b.c": "p", "c.a.b.c": "q"}}))
+    warning = "warning: independent loop-cell value for c.a.b.c; it will not be derived from a triangle cell\n"
+    ok = run_cli("holonomy", "--complex", "tetrahedron.json", "--connection", str(conn), "--path", "a,b,c,a")
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "e\n", warning)
+    # the warning comes before the error of a later step
+    bad = run_cli("holonomy", "--complex", "tetrahedron.json", "--connection", str(conn), "--path", "a,z")
+    assert bad.returncode == 1 and bad.stdout == ""
+    assert bad.stderr.startswith(warning) and bad.stderr.count("\n") == 2
+    assert bad.stderr.splitlines()[1].startswith("error: ")
+
+
 def test_sweep_scheme1_golden_text():
     proc = run_cli(
         "sweep",

@@ -491,6 +491,44 @@ def test_whole_group_operations_stop_at_the_enumeration_limit(group):
             call()
 
 
+# each whole-group call, given the group, a section s, its twist t and a constant connection f,
+# with the error it refuses an infinite group by
+INFINITE_GROUP_REFUSALS = {
+    "enumerate_elements": (lambda group, s, t, f: ts.enumerate_elements(group), GroupError),
+    "center": (lambda group, s, t, f: ts.center(group), GroupError),
+    "center_obstruction_check": (lambda group, s, t, f: ts.center_obstruction_check(group), GroupError),
+    "table_representation": (lambda group, s, t, f: ts.table_representation(group, {}), GroupError),
+    # with both path vertices movable nothing pins the root value, so it is searched for
+    "sections_gauge_equivalent": (
+        lambda group, s, t, f: ts.sections_gauge_equivalent(s, t, movable={"a", "b"}),
+        GroupError,
+    ),
+    "find_isomorphism": (lambda group, s, t, f: ts.find_isomorphism(f, f), ts.BundleError),
+}
+
+
+@pytest.mark.parametrize("operation", list(INFINITE_GROUP_REFUSALS))
+@pytest.mark.parametrize(
+    "group, x, y",
+    [
+        (FREE_XY, (("x", 1),), (("y", 1),)),
+        (ts.product_group(ts.cyclic_group(3), ts.free_group(["x"])), (1, (("x", 1),)), (0, (("x", 1),))),
+    ],
+    ids=["free(x,y)", "Z_3xfree(x)"],
+)
+def test_whole_group_operations_refuse_an_infinite_group(group, x, y, operation):
+    K = ts.SimplicialComplex.build("ab", edges=[("a", "b")])
+    e = ts.identity(group)
+    f = ts.Connection1.constant(group, K, e)
+    # the letters (x, e) over a->b->a twisted by n_a = y: a gauge exists, and over free(x, y)
+    # only a root value other than the identity finds it, so no root may be guessed
+    s = ts.Section(ts.EdgePath.from_vertices("a", "b", "a"), (ts.element(group, x), e))
+    t = ts.twist_section(s, ts.GaugeTransform.build(group, {"a": ts.element(group, y)}))
+    call, error = INFINITE_GROUP_REFUSALS[operation]
+    with pytest.raises(error, match="infinite backend"):
+        call(group, s, t, f)
+
+
 @pytest.mark.parametrize(
     "group",
     [

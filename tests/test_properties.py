@@ -85,32 +85,6 @@ def test_free_multiply_equals_the_reduction_of_the_joined_words(data):
     assert ts.multiply(a, b).payload == _reduce_free(a.payload + b.payload)
 
 
-@pytest.mark.parametrize("kind", ["cyclic", "symmetric", "dihedral", "product"])
-@given(data=st.data())
-def test_conjugators_is_the_brute_force_search(kind, data):
-    group = BACKENDS[kind]
-    candidates = data.draw(st.permutations(ts.enumerate_elements(group)))
-    pairs = []
-    for _ in range(data.draw(st.integers(0, 3))):
-        x = data.draw(elements(group))
-        # a conjugate of x has a solution; any other element may have none
-        y = ts.conjugate(x, data.draw(elements(group))) if data.draw(st.booleans()) else data.draw(elements(group))
-        pairs.append((x, y))
-    want = [c for c in candidates if all(ts.conjugate(x, c) == y for x, y in pairs)]
-    assert list(ts.conjugators(pairs, candidates)) == want
-
-
-@pytest.mark.parametrize("kind", ["cyclic", "symmetric", "dihedral", "product"])
-def test_conjugators_of_no_pairs_or_of_unsolvable_pairs(kind):
-    group = BACKENDS[kind]
-    elems = ts.enumerate_elements(group)
-    e = ts.identity(group)
-    assert list(ts.conjugators([], elems)) == elems
-    assert list(ts.conjugators([(e, elems[1])], elems)) == []
-    with pytest.raises(ts.GroupError, match="backend mismatch"):
-        list(ts.conjugators([(e, e)], [ts.identity(FREE)]))
-
-
 def finite_groups(max_order: int) -> st.SearchStrategy:
     """Every finite backend, of order at most ``max_order``: the free group on no generators among them."""
     options = [
