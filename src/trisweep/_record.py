@@ -17,6 +17,11 @@ class Record:
     ``__eq__``, ``__hash__`` or ``__init__``.  Instances keep their fields
     in ``__dict__``, so ``functools.cached_property`` works on them and
     they pickle without help.
+
+    ``_trusted`` is the one way in that checks nothing.  It is for values
+    the package builds from parts that are already checked, such as the
+    steps of a path a move rewrote, and never for a value given at an input
+    boundary: a file, or an argument given in code.
     """
 
     __slots__ = ()
@@ -40,6 +45,18 @@ class Record:
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         self.__post_init__()
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of the leading fields' values, already known to be valid: no ``__post_init__`` runs.
+
+        A field left out stays unset, for a ``cached_property`` of its name
+        to fill on first read.
+        """
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(record, name, value)
+        return record
 
     def __post_init__(self) -> None:
         pass

@@ -74,38 +74,46 @@ class GroupDescriptor(Record):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+# Each factory below checks its arguments, whether they come from a file,
+# through its backend's from_json rule, or from code.
+
 def free_group(generators: Iterable[str]) -> GroupDescriptor:
     gens = tuple(generators)
+    for g in gens:  # a name is a string before it is hashed or matched
+        if not isinstance(g, str) or not _NAME_RE.fullmatch(g) or g == "e":
+            raise GroupError(f"bad generator name {_quote(g)}")
     if len(set(gens)) != len(gens):
         raise GroupError("generator names must be distinct")
-    for g in gens:
-        if not _NAME_RE.fullmatch(g) or g == "e":
-            raise GroupError(f"bad generator name {_quote(g)}")
     return GroupDescriptor("free", generators=gens)
 
 
-def cyclic_group(n: int) -> GroupDescriptor:
+def _parameter(kind: str, n: Any, name: str) -> int:
+    """The parameter ``n`` of a ``kind`` group: an ``int`` that is not a ``bool``, and at least 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise GroupError(f'"{kind}" takes an integer parameter')
     if n < 1:
-        raise GroupError("cyclic modulus must be >= 1")
-    return GroupDescriptor("cyclic", modulus=n)
+        raise GroupError(f"{name} must be >= 1")
+    return n
+
+
+def cyclic_group(n: int) -> GroupDescriptor:
+    return GroupDescriptor("cyclic", modulus=_parameter("cyclic", n, "cyclic modulus"))
 
 
 def symmetric_group(n: int) -> GroupDescriptor:
-    if n < 1:
-        raise GroupError("symmetric degree must be >= 1")
-    return GroupDescriptor("symmetric", degree=n)
+    return GroupDescriptor("symmetric", degree=_parameter("symmetric", n, "symmetric degree"))
 
 
 def dihedral_group(n: int) -> GroupDescriptor:
-    if n < 1:
-        raise GroupError("dihedral order parameter must be >= 1")
-    return GroupDescriptor("dihedral", modulus=n)
+    return GroupDescriptor("dihedral", modulus=_parameter("dihedral", n, "dihedral order parameter"))
 
 
 def product_group(*factors: GroupDescriptor) -> GroupDescriptor:
     if not factors:
         raise GroupError("product needs at least one factor")
-    return GroupDescriptor("product", factors=tuple(factors))
+    if bad := [f for f in factors if not isinstance(f, GroupDescriptor)]:
+        raise GroupError(f"product factor {_quote(bad[0])} is not a group descriptor")
+    return GroupDescriptor("product", factors=factors)
 
 
 class GroupElement(Record):
@@ -249,14 +257,8 @@ class _Backends(dict):
 _BACKENDS = _Backends()
 
 
-def _integer_arg(kind: str, arg: Any) -> int:
-    if not isinstance(arg, int) or isinstance(arg, bool):
-        raise GroupError(f'"{kind}" takes an integer parameter')
-    return arg
-
-
 def _free_from_json(arg: Any) -> GroupDescriptor:
-    if not isinstance(arg, list) or not all(isinstance(g, str) for g in arg):
+    if not isinstance(arg, list):  # free_group checks the names
         raise GroupError('"free" takes a list of generator names')
     return free_group(arg)
 
@@ -304,7 +306,7 @@ def _cyclic_parse(g: GroupDescriptor, text: str) -> int:
 
 
 _BACKENDS["cyclic"] = _Backend(
-    from_json=lambda arg: cyclic_group(_integer_arg("cyclic", arg)),
+    from_json=cyclic_group,
     to_json=lambda g: g.modulus,
     normalise=lambda g, payload: int(payload) % g.modulus,
     identity=lambda g: 0,
@@ -392,7 +394,7 @@ def _symmetric_format(g: GroupDescriptor, a: tuple[int, ...]) -> str:
 
 
 _BACKENDS["symmetric"] = _Backend(
-    from_json=lambda arg: symmetric_group(_integer_arg("symmetric", arg)),
+    from_json=symmetric_group,
     to_json=lambda g: g.degree,
     normalise=_symmetric_normalise,
     identity=lambda g: tuple(range(1, _symmetric_degree(g) + 1)),
@@ -441,7 +443,7 @@ def _dihedral_format(g: GroupDescriptor, a: tuple[int, int]) -> str:
 
 
 _BACKENDS["dihedral"] = _Backend(
-    from_json=lambda arg: dihedral_group(_integer_arg("dihedral", arg)),
+    from_json=dihedral_group,
     to_json=lambda g: g.modulus,
     normalise=_dihedral_normalise,
     identity=lambda g: (0, 0),

@@ -47,23 +47,18 @@ _MISMATCH = {"x1_cancel": "an opposite pair", "deg_drop": "degenerate"}
 
 
 class EdgePath(Record):
-    """A nonempty composable sequence of ordered vertex pairs."""
+    """A nonempty composable sequence of ordered vertex pairs, kept as a tuple of tuples."""
 
     steps: tuple[Step, ...]
 
     def __post_init__(self) -> None:
+        # None, like an empty sequence, is the empty path refused below
+        object.__setattr__(self, "steps", tuple(map(tuple, self.steps or ())))
         if not self.steps:
             raise PathError("empty edge-path is not allowed; use an identity path")
         for (x, y), (x2, _y2) in zip(self.steps, self.steps[1:]):
             if y != x2:
                 raise PathError(f"steps ({x},{y}) and ({x2},{_y2}) are not composable")
-
-    @classmethod
-    def _trusted(cls, steps: tuple[Step, ...]) -> "EdgePath":
-        """Build from steps already known to be nonempty and composable, unchecked."""
-        path = object.__new__(cls)
-        object.__setattr__(path, "steps", steps)
-        return path
 
     @classmethod
     def from_vertices(cls, *chain: str) -> "EdgePath":
@@ -72,11 +67,11 @@ class EdgePath(Record):
             raise PathError("at least one vertex is required")
         if len(chain) == 1:
             return cls.identity(chain[0])
-        return cls(tuple(zip(chain, chain[1:])))
+        return cls._trusted(tuple(zip(chain, chain[1:])))
 
     @classmethod
     def identity(cls, vertex: str) -> "EdgePath":
-        return cls(((vertex, vertex),))
+        return cls._trusted(((vertex, vertex),))
 
     @property
     def source(self) -> str:
@@ -111,10 +106,11 @@ class EdgePath(Record):
 
 
 def _drop_removable_degenerates(steps: Sequence[Step], source: str) -> EdgePath:
+    # a degenerate step (x, x) joins two steps through x, so the rest stay composable
     kept = tuple(s for s in steps if s[0] != s[1])
     if not kept:
         return EdgePath.identity(source)
-    return EdgePath(kept)
+    return EdgePath._trusted(kept)
 
 
 def compose_paths(p: EdgePath, q: EdgePath) -> EdgePath:
@@ -128,7 +124,7 @@ def compose_paths(p: EdgePath, q: EdgePath) -> EdgePath:
 
 def invert_path(p: EdgePath) -> EdgePath:
     """Reverse the step order and each step."""
-    return EdgePath(tuple((y, x) for x, y in reversed(p.steps)))
+    return EdgePath._trusted(tuple((y, x) for x, y in reversed(p.steps)))
 
 
 def reduce_x1(p: EdgePath) -> EdgePath:
@@ -148,7 +144,7 @@ def reduce_x1(p: EdgePath) -> EdgePath:
             stack.append(step)
     if not stack:
         return EdgePath.identity(p.source)
-    return EdgePath(tuple(stack))
+    return EdgePath._trusted(tuple(stack))
 
 
 def x1_homotopic(p: EdgePath, q: EdgePath) -> bool:
@@ -179,7 +175,7 @@ class HomotopyStep(Record):
         object.__setattr__(self, "move", move)
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "cell", cell)
-        if move not in MOVES:
+        if not isinstance(move, str) or move not in MOVES:
             raise SchemeError(f"unknown move {move!r}")
         if type(position) is not int:  # refuses a bool, and any other int subclass, too
             raise SchemeError(f"position {position!r} is not an integer")

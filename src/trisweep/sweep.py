@@ -170,7 +170,7 @@ class Connection2(Record):
 
 
 class Section(Record):
-    """A word of group elements over an edge-path, one letter per step.
+    """A word of group elements over an edge-path, one letter per step, kept as a tuple.
 
     A letter that is not a ``GroupElement`` is refused here, once, with a
     ``SweepError`` that quotes it.
@@ -180,6 +180,7 @@ class Section(Record):
     letters: tuple[GroupElement, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "letters", tuple(self.letters))
         if len(self.letters) != len(self.path.steps):
             raise SweepError(
                 f"section has {len(self.letters)} letters over {len(self.path.steps)} steps"
@@ -188,14 +189,6 @@ class Section(Record):
             raise SweepError(f"section letter {quote(bad[0])} is not a group element")
         if len({l.group for l in self.letters}) > 1:
             raise SweepError("section letters must share one backend")
-
-    @classmethod
-    def _trusted(cls, steps: Iterable, letters: Iterable) -> "Section":
-        """Build from the steps and letters of a move result already known to be valid, copied, unchecked."""
-        section = object.__new__(cls)
-        object.__setattr__(section, "path", EdgePath._trusted(tuple(steps)))
-        object.__setattr__(section, "letters", tuple(letters))
-        return section
 
 
 class SweepTrace(Record):
@@ -207,9 +200,10 @@ class SweepTrace(Record):
     before into its letters, as payloads; entries i:j become ``new``.  A
     run takes its path deltas from the scheme's replay.  ``sections`` is
     built from the deltas on first read.  The constructor refuses a trace
-    with no sections, and records each section as a delta over the whole
-    of the one before, so a trace compares, hashes, prints and pickles as
-    its scheme and sections however it was made.
+    with no sections or with sections in more than one backend, and
+    records each section as a delta over the whole of the one before, so
+    a trace compares, hashes, prints and pickles as its scheme and
+    sections however it was made.
     """
 
     scheme: SweepScheme
@@ -218,6 +212,8 @@ class SweepTrace(Record):
     def __post_init__(self) -> None:
         if not self.sections:
             raise SweepError("a trace needs at least one section")
+        if len({s.letters[0].group for s in self.sections}) > 1:
+            raise SweepError("trace sections must share one backend")
         sizes = [0] + [len(s.letters) for s in self.sections]  # a section has one letter per step
         paths = [(0, n, s.path.steps) for n, s in zip(sizes, self.sections)]
         letters = [(0, n, [l.payload for l in s.letters]) for n, s in zip(sizes, self.sections)]
@@ -225,16 +221,17 @@ class SweepTrace(Record):
 
     @classmethod
     def _recorded(cls, scheme: SweepScheme, deltas: tuple, final: Section) -> "SweepTrace":
-        trace = object.__new__(cls)
-        # one update, not Record's one set per field: a trace's fields are read only a few times
-        vars(trace).update(scheme=scheme, _deltas=deltas, final=final)
+        trace = cls._trusted(scheme)
+        # one update, not one set per attribute: a trace's attributes are read only a few times
+        vars(trace).update(_deltas=deltas, final=final)
         return trace
 
     # read only where the constructor did not store the field: on a recorded trace
     @cached_property
     def sections(self) -> tuple[Section, ...]:
         group, paths, letters = self._deltas
-        return tuple(Section._trusted(s, l) for s, l in zip(_states(paths), _states(letters, partial(GroupElement, group))))
+        states = zip(_states(paths), _states(letters, partial(GroupElement, group)))
+        return tuple(Section._trusted(EdgePath._trusted(tuple(s)), tuple(l)) for s, l in states)
 
     # read only where _recorded did not store it: on a trace built from its sections
     @cached_property
@@ -286,7 +283,7 @@ class _Sweep:
         Each move's window keeps the path composable, and every letter
         written lives in the checked backend.
         """
-        return Section._trusted(self.scheme._replay[1], (GroupElement(self.group, p) for p in self.letters))
+        return Section._trusted(EdgePath._trusted(self.scheme._replay[1]), tuple([GroupElement(self.group, p) for p in self.letters]))
 
 
 def apply_move_section(section: Section, step: HomotopyStep, connection: Connection2) -> Section:
@@ -369,12 +366,16 @@ def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> 
 # -- gauge action on sections ----------------------------------------------
 
 def twist_section(section: Section, gauge: GaugeTransform) -> Section:
-    """Twist each letter over (p, q) into n_p^-1 * letter * n_q."""
+    """Twist each letter over (p, q) into n_p^-1 * letter * n_q.
+
+    ``multiply`` refuses a gauge value of another backend, so the twisted
+    letters share the section's backend and the section is built unchecked.
+    """
     letters = tuple(
         multiply(multiply(inverse(gauge.get(p)), l), gauge.get(q))
         for (p, q), l in zip(section.path.steps, section.letters)
     )
-    return Section(section.path, letters)
+    return Section._trusted(section.path, letters)
 
 
 def _common_group(s: Section, t: Section) -> GroupDescriptor:

@@ -232,6 +232,31 @@ def test_a_trace_with_no_sections_is_refused(scheme1):
         ts.SweepTrace(scheme1, ())
 
 
+def test_a_trace_of_sections_in_two_backends_is_refused():
+    # a trace formats every letter by one backend's rules: those of its first section
+    path = ts.EdgePath.from_vertices("a", "b")
+    z5, s3 = ts.Section(path, (ts.element(Z5, 1),)), ts.Section(path, (ts.parse_element("(1 2)", S3),))
+    with pytest.raises(SweepError) as info:
+        ts.SweepTrace(ts.SweepScheme(path, ()), (z5, s3))
+    assert str(info.value) == "trace sections must share one backend"
+
+
+def test_paths_and_sections_keep_their_sequences_as_tuples():
+    x = ts.element(Z5, 1)
+    steps, letters = [["a", "b"]], [x]
+    path = ts.EdgePath(steps)
+    section = ts.Section(path, letters)
+    # what the caller does to its lists afterwards reaches neither value
+    steps[0][1] = "z"
+    steps.append(["z", "c"])
+    letters.append(x)
+    assert path.steps == (("a", "b"),) and section.letters == (x,)
+    same_path = ts.EdgePath((("a", "b"),))
+    same_section = ts.Section(same_path, (x,))
+    assert path == same_path and hash(path) == hash(same_path)
+    assert section == same_section and hash(section) == hash(same_section)
+
+
 def test_trace_json_shares_step_lists_between_sections():
     # the result is read-only: a step no move touches is the same list in every section
     K = band_complex(6)

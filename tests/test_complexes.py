@@ -145,6 +145,11 @@ def test_validate_isolated_vertex():
     assert "vertex x not in any 2-simplex" in diags[0].message
 
 
+def test_a_diagnostic_prints_as_its_message():
+    (diag,) = ts.validate_complex(ts.SimplicialComplex.build("abcx", [("a", "b", "c")]), require_pure_dim2=True)
+    assert str(diag) == diag.message == "vertex x not in any 2-simplex"
+
+
 def test_validate_undeclared_triangle_vertex():
     K = ts.SimplicialComplex.build("ab", [("a", "b", "c")])
     diags = ts.validate_complex(K)

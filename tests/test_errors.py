@@ -103,6 +103,7 @@ REFUSALS = {
     # paths
     "no vertices": (lambda: ts.EdgePath.from_vertices(), PathError, "at least one vertex is required"),
     "negative position": (lambda: ts.HomotopyStep("alpha_merge", -1, ("a", "c", "b")), SchemeError, "negative position -1"),
+    "move not a string": (lambda: ts.HomotopyStep(["x"], 0), SchemeError, "unknown move ['x']"),
     "cell on a degenerate move": (
         lambda: ts.HomotopyStep("deg_insert", 0, ("a", "b", "c")), SchemeError, "move deg_insert takes no cell"
     ),
@@ -182,6 +183,13 @@ REFUSALS = {
     # groups
     "repeated generator": (lambda: ts.free_group(["x", "x"]), GroupError, "generator names must be distinct"),
     "generator named e": (lambda: ts.free_group(["e"]), GroupError, "bad generator name 'e'"),
+    "generator name a list": (lambda: ts.free_group([["x"]]), GroupError, "bad generator name ['x']"),
+    "generator name an integer": (lambda: ts.free_group([1]), GroupError, "bad generator name 1"),
+    "cyclic of a string": (lambda: ts.cyclic_group("3"), GroupError, '"cyclic" takes an integer parameter'),
+    "cyclic of a boolean": (lambda: ts.cyclic_group(True), GroupError, '"cyclic" takes an integer parameter'),
+    "symmetric of None": (lambda: ts.symmetric_group(None), GroupError, '"symmetric" takes an integer parameter'),
+    "dihedral of a float": (lambda: ts.dihedral_group(2.5), GroupError, '"dihedral" takes an integer parameter'),
+    "product of a number": (lambda: ts.product_group(3), GroupError, "product factor 3 is not a group descriptor"),
     "cyclic of order 0": (lambda: ts.cyclic_group(0), GroupError, "cyclic modulus must be >= 1"),
     "symmetric of degree 0": (lambda: ts.symmetric_group(0), GroupError, "symmetric degree must be >= 1"),
     "dihedral of order 0": (lambda: ts.dihedral_group(0), GroupError, "dihedral order parameter must be >= 1"),

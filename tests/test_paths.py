@@ -184,6 +184,11 @@ def test_validate_scheme_first_sweep(tetra, scheme1):
     ]
 
 
+def test_validated_paths_print_as_their_list(tetra, scheme1):
+    paths = ts.validate_scheme(scheme1, tetra)
+    assert repr(paths) == repr([P("a", "c", "b"), P("a", "b"), P("a", "d", "b"), P("a", "d", "c", "b"), P("a", "c", "b")])
+
+
 def test_validate_empty_scheme(tetra):
     scheme = ts.SweepScheme(P("a", "b"), ())
     assert ts.validate_scheme(scheme, tetra) == [P("a", "b")]

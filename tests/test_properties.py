@@ -1,5 +1,6 @@
-"""Property tests: group axioms, the free-group product, the conjugator
-search, the closed-form centers, the product operations against their
+"""Property tests: group axioms, the element methods against the module
+operations over the finite backends, the free-group product, the
+closed-form centers, the product operations against their
 factors' operations, the isomorphism search against
 propagation along a spanning tree, element text round trips, record
 equality, moves undone by their inverses, the abelian flux law of a
@@ -74,6 +75,15 @@ def test_group_axioms(kind, data):
     assert ts.multiply(ts.multiply(a, b), c) == ts.multiply(a, ts.multiply(b, c))
     assert ts.multiply(e, a) == a == ts.multiply(a, e)
     assert ts.multiply(a, ts.inverse(a)) == e == ts.multiply(ts.inverse(a), a)
+
+
+@pytest.mark.parametrize("kind", sorted(set(BACKENDS) - {"free"}))
+@given(data=st.data())
+def test_element_methods_are_the_module_operations(kind, data):
+    a, b = (data.draw(elements(BACKENDS[kind])) for _ in range(2))
+    assert a * b == ts.multiply(a, b)
+    assert a.inverse() == ts.inverse(a)
+    assert str(a) == ts.format_element(a)
 
 
 @given(data=st.data())

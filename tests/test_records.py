@@ -9,6 +9,7 @@ another process.
 
 from __future__ import annotations
 
+import ast
 import os
 import pickle
 import subprocess
@@ -116,6 +117,20 @@ CASES = [
     ),
 ]
 IDS = [cls.__name__ for cls, *_rest in CASES]
+
+
+def test_only_the_record_base_builds_a_record_unchecked():
+    # Record._trusted is the one way to build a record that skips its checks
+    modules = sorted((Path(__file__).resolve().parents[1] / "src" / "trisweep").rglob("*.py"))
+    assert len(modules) > 5
+    callers = {
+        path.name
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    }
+    assert callers == {"_record.py"}
 
 
 def test_every_record_class_is_covered():
