@@ -18,10 +18,14 @@ class Record:
     in ``__dict__``, so ``functools.cached_property`` works on them and
     they pickle without help.
 
-    ``_trusted`` is the one way in that checks nothing.  It is for values
-    the package builds from parts that are already checked, such as the
-    steps of a path a move rewrote, and never for a value given at an input
-    boundary: a file, or an argument given in code.
+    ``_trusted`` is the one way in that skips the constructor's checks,
+    for every record but the two built elsewhere by design:
+    ``GroupElement``, whose constructor is the hot path of every product,
+    is checked by ``element`` and ``parse_element``, and
+    ``GroupDescriptor`` by its factories.  ``_trusted`` is for values the
+    package builds from parts that are already checked, such as the steps
+    of a path a move rewrote or a flat connection, and never for a value
+    given at an input boundary: a file, or an argument given in code.
     """
 
     __slots__ = ()

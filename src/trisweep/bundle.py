@@ -36,18 +36,27 @@ from .paths import EdgePath
 class GaugeTransform(Record):
     """A choice of group element per vertex; unlisted vertices act as identity.
 
-    ``build`` checks that every value is an element of the group; the
-    constructor checks nothing.
+    The constructor takes (vertex, value) pairs and refuses an entry that
+    is not a pair, a vertex listed twice, and a value that is not an
+    element of the group, naming its vertex.  ``build`` takes a map and
+    lists its pairs sorted by vertex.
     """
 
     group: GroupDescriptor
     values: tuple[tuple[str, GroupElement], ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
+        for entry in self.values:
+            if type(entry) is not tuple or len(entry) != 2:
+                raise BundleError(f"gauge entry {quote(entry)} is not a (vertex, value) pair")
+            if not isinstance(entry[1], GroupElement) or entry[1].group != self.group:
+                raise BundleError(f"backend mismatch in gauge value at vertex {entry[0]}")
+        if len(self._map) != len(self.values):
+            raise BundleError("gauge transform lists a vertex twice")
+
     @classmethod
     def build(cls, group: GroupDescriptor, values: Mapping[str, GroupElement]) -> "GaugeTransform":
-        for v, g in values.items():
-            if not isinstance(g, GroupElement) or g.group != group:
-                raise BundleError(f"backend mismatch in gauge value at vertex {v}")
         return cls(group, tuple(sorted(values.items())))
 
     @cached_property
@@ -55,7 +64,7 @@ class GaugeTransform(Record):
         return dict(self.values)
 
     def get(self, vertex: str) -> GroupElement:
-        return self._map.get(vertex, identity(self.group))
+        return self._map.get(vertex) or identity(self.group)  # an element is never false
 
     def vertices(self) -> tuple[str, ...]:
         return tuple(v for v, _g in self.values)
@@ -68,10 +77,21 @@ class Connection1(Record):
     pair.  :meth:`value` looks the caller's pair up as given, then
     reversed, and returns the inverse of a reversed hit; it never compares
     the caller's names, so a pair that is no edge, even of names that do
-    not compare, is a ``BundleError``.  The map is kept as :meth:`build`
-    checked it, unsorted; the sorted ``edge_values`` pairs are derived on
-    first read.  The constructor, which checks nothing, takes a map or
-    (key, value) pairs.
+    not compare, is a ``BundleError``.  The sorted ``edge_values`` pairs
+    are derived on first read.
+
+    The constructor takes a map or (key, value) pairs, makes a dict of
+    them, and checks that the values are one per edge of the complex, in
+    the connection's backend.  The check is done in bulk when the keys are
+    exactly the complex's edges as sorted vertex pairs, plain tuples: one
+    set comparison with the pairs the complex indexes its edges by, which
+    builds no set per key.  Then each value's backend is compared with the
+    connection's, by identity first, so that no descriptor is hashed, and
+    the dict is kept as given, unsorted.  Any other map is walked entry by
+    entry, which stores the inverse under a reversed key and names the
+    first fault.  A key that is not a tuple of two vertices is refused,
+    and a value that is not a ``GroupElement`` is a backend mismatch.
+    :meth:`build` is the constructor under its older name.
     """
 
     group: GroupDescriptor
@@ -79,35 +99,13 @@ class Connection1(Record):
     _map: Mapping[tuple[str, str], GroupElement]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_map", dict(self._map))
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.complex, frozenset(self._map.items())))
-
-    @classmethod
-    def build(
-        cls,
-        group: GroupDescriptor,
-        complex: SimplicialComplex,
-        values: Mapping[tuple[str, str], GroupElement],
-    ) -> "Connection1":
-        """Check that the values are one per edge of the complex, in the connection's backend.
-
-        The check is done in bulk when the keys are exactly the complex's
-        edges as sorted vertex pairs, plain tuples: one set comparison with
-        the pairs the complex indexes its edges by, which builds no set per
-        key.  Then each value's backend is compared with the connection's,
-        by identity first, so that no descriptor is hashed.  Any other map
-        is walked entry by entry, which stores the inverse under a reversed
-        key and names the first fault.
-        A key that is not a tuple of two vertices is refused, and a value
-        that is not a ``GroupElement`` is a backend mismatch.
-        """
+        group, complex, values = self.group, self.complex, dict(self._map)
+        object.__setattr__(self, "_map", values)
         keys = values.keys()
         if keys == complex._edge_pairs and set(map(type, keys)) <= {tuple}:  # a tuple subclass goes to the loop
             with suppress(AttributeError):  # a value that is not an element: the loop below names it
                 if all(g.group is group or g.group == group for g in values.values()):
-                    return cls(group, complex, values)
+                    return
         store: dict[tuple[str, str], GroupElement] = {}
         for key, g in values.items():
             if type(key) is not tuple or len(key) != 2:
@@ -127,14 +125,21 @@ class Connection1(Record):
         if len(store) != len(complex.edges):  # each stored key is a distinct edge of the complex
             missing = [e for e in complex.sorted_edges if e not in store]
             raise BundleError(f"connection is partial: missing edges {missing}")
-        return cls(group, complex, store)
+        object.__setattr__(self, "_map", store)
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.complex, frozenset(self._map.items())))
+
+    @classmethod
+    def build(cls, group: GroupDescriptor, complex: SimplicialComplex, values: Mapping[tuple[str, str], GroupElement]) -> "Connection1":
+        return cls(group, complex, values)
 
     @classmethod
     def constant(cls, group: GroupDescriptor, complex: SimplicialComplex, value: GroupElement) -> "Connection1":
         """The same value on every edge, keyed by its sorted vertex pair: only its backend is checked."""
-        if value.group != group:  # build names the least edge, as it names the first of any map
-            return cls.build(group, complex, dict.fromkeys(complex.sorted_edges, value))
-        return cls(group, complex, dict.fromkeys(complex._edge_pairs, value))
+        if isinstance(value, GroupElement) and value.group == group:
+            return cls._trusted(group, complex, dict.fromkeys(complex._edge_pairs, value))
+        return cls(group, complex, dict.fromkeys(complex.sorted_edges, value))  # refused, naming the least edge
 
     @cached_property
     def edge_values(self) -> tuple[tuple[tuple[str, str], GroupElement], ...]:
@@ -164,8 +169,7 @@ def gauge_transform(connection: Connection1, gauge: GaugeTransform) -> Connectio
     """Twist every edge value: the new value over (a, b) is n_a^-1 * f_ab * n_b."""
     if gauge.group != connection.group:
         raise BundleError("backend mismatch between gauge and connection")
-    present = set(gauge.vertices())
-    missing = [v for v in connection.complex.sorted_vertices if v not in present]
+    missing = [v for v in connection.complex.sorted_vertices if v not in gauge._map]
     if missing:
         raise BundleError(f"missing vertex in gauge transform: {missing}")
     new = {
@@ -220,8 +224,8 @@ def _solve_gauge(group: GroupDescriptor, root: str, walk: Iterable[tuple], pinne
             return n[v]
 
         if all(mul(group, f, gauge(b)) == mul(group, gauge(a), g) for a, b, f, g in closing):
-            # every value lies in the group, so GaugeTransform.build's check is skipped
-            return GaugeTransform(group, tuple(sorted((v, GroupElement(group, gauge(v))) for v in F if v not in pinned)))
+            # every value lies in the group and each vertex is listed once
+            return GaugeTransform._trusted(group, tuple(sorted((v, GroupElement(group, gauge(v))) for v in F if v not in pinned)))
     return None
 
 
@@ -235,7 +239,9 @@ def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]
     values that fixed the gauge at its far end, so it holds for every root
     value.  The root value is the first element, in enumeration order,
     whose gauge carries f to g on every edge off the tree.  Needs a finite
-    backend and a connected complex.
+    backend and a connected complex.  Each connection holds a value under
+    every edge's sorted vertex pair, as its constructor checked, so the
+    stored values are read directly.
     """
     if f.group != g.group or f.complex != g.complex:
         raise BundleError("connections must share a backend and a complex")
@@ -245,19 +251,16 @@ def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]
     if not K.is_connected():
         raise BundleError("isomorphism search needs a connected complex")
     if not K.vertices:
-        return GaugeTransform(grp, ())
+        return GaugeTransform._trusted(grp, ())
     inv = payload_rules(grp).inverse
     fm, gm = f._map, g._map
 
     def value(m, a, b):  # an edge walked against its stored orientation carries the inverse
         return m[a, b].payload if a < b else inv(grp, m[b, a].payload)
 
-    try:
-        walk = [(v, w, value(fm, v, w), value(gm, v, w)) for v, w in K._spanning_tree]
-        tree = {(v, w) if v < w else (w, v) for v, w in K._spanning_tree}
-        walk += [(a, b, fm[a, b].payload, gm[a, b].payload) for a, b in K.sorted_edges if (a, b) not in tree]
-    except KeyError as exc:  # only the unchecked constructor leaves an edge without a value
-        raise BundleError(f"connection has no value on edge ({exc.args[0][0]},{exc.args[0][1]})") from None
+    walk = [(v, w, value(fm, v, w), value(gm, v, w)) for v, w in K._spanning_tree]
+    tree = {(v, w) if v < w else (w, v) for v, w in K._spanning_tree}
+    walk += [(a, b, fm[a, b].payload, gm[a, b].payload) for a, b in K.sorted_edges if (a, b) not in tree]
     return _solve_gauge(grp, K.sorted_vertices[0], walk, ())
 
 

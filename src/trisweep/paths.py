@@ -47,13 +47,21 @@ _MISMATCH = {"x1_cancel": "an opposite pair", "deg_drop": "degenerate"}
 
 
 class EdgePath(Record):
-    """A nonempty composable sequence of ordered vertex pairs, kept as a tuple of tuples."""
+    """A nonempty composable sequence of ordered vertex pairs, kept as a tuple of tuples.
+
+    The constructor refuses steps that are not pairs, an empty sequence
+    and steps that do not compose, each with a ``PathError``.
+    """
 
     steps: tuple[Step, ...]
 
     def __post_init__(self) -> None:
-        # None, like an empty sequence, is the empty path refused below
-        object.__setattr__(self, "steps", tuple(map(tuple, self.steps or ())))
+        try:  # None, like an empty sequence, is the empty path refused below
+            object.__setattr__(self, "steps", tuple(map(tuple, self.steps or ())))
+        except TypeError:  # the steps, or one of them, cannot be iterated
+            raise PathError(f"edge-path steps {quote(self.steps)} are not pairs of vertices") from None
+        if set(map(len, self.steps)) - {2}:
+            raise PathError(f"step {quote(next(s for s in self.steps if len(s) != 2))} is not a pair of vertices")
         if not self.steps:
             raise PathError("empty edge-path is not allowed; use an identity path")
         for (x, y), (x2, _y2) in zip(self.steps, self.steps[1:]):

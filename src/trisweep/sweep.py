@@ -73,11 +73,19 @@ class Connection2(Record):
     identified them at load time.  Loop-cell (beta) values are derived
     from the matching alpha entry unless supplied explicitly.
 
-    Both cell maps are kept as :meth:`build` checked them, in insertion
-    order, and connections with the same values compare equal whatever
-    that order; the sorted ``alpha_values`` and ``beta_values`` pairs are
-    derived on first read.  The constructor, which checks nothing, takes
-    maps or (key, value) pairs.
+    The constructor takes maps or (key, value) pairs, makes a dict of
+    each, and checks every cell's support and every value's backend: two
+    set inclusions, of the alpha and beta keys in the complex's markings,
+    and one pass over the values that compares each backend with the
+    connection's, by identity first, so that no descriptor is hashed.
+    Only when one fails are the cells walked, alpha before beta in
+    insertion order, to raise a ``SweepError`` naming the first key that
+    is not a triple of vertex names, unsupported cell or mismatched value;
+    a value that is not a ``GroupElement`` is a backend mismatch.
+    :meth:`build` is the constructor under its older name.  Both dicts are
+    kept as checked, in insertion order, and connections with the same
+    values compare equal whatever that order; the sorted ``alpha_values``
+    and ``beta_values`` pairs are derived on first read.
     """
 
     base: Connection1
@@ -85,36 +93,13 @@ class Connection2(Record):
     _beta: Mapping[tuple[str, str, str], GroupElement] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_alpha", dict(self._alpha))
-        object.__setattr__(self, "_beta", dict(self._beta))
-
-    def __hash__(self) -> int:
-        return hash((self.base, frozenset(self._alpha.items()), frozenset(self._beta.items())))
-
-    @classmethod
-    def build(
-        cls,
-        base: Connection1,
-        alpha: Mapping[tuple[str, str, str], GroupElement],
-        beta: Mapping[tuple[str, str, str], GroupElement] | None = None,
-    ) -> "Connection2":
-        """Check every cell's support and every value's backend, then keep the maps as given.
-
-        The checks are two set inclusions, of the alpha and beta keys in
-        the complex's markings, and one pass over the values that compares
-        each backend with the connection's, by identity first, so that no
-        descriptor is hashed.  Only when one fails are the cells walked,
-        alpha before beta in insertion order, to raise a ``SweepError``
-        naming the first key that is not a triple of vertex names,
-        unsupported cell or mismatched value; a value that is not a
-        ``GroupElement`` is a backend mismatch.
-        """
-        K, G, beta = base.complex, base.group, beta or {}
-        marked = K._marking_set
-        if alpha.keys() <= marked and beta.keys() <= marked:
+        K, G, alpha, beta = self.base.complex, self.base.group, dict(self._alpha), dict(self._beta)
+        object.__setattr__(self, "_alpha", alpha)
+        object.__setattr__(self, "_beta", beta)
+        if alpha.keys() <= K._marking_set and beta.keys() <= K._marking_set:
             with suppress(AttributeError):  # a value that is not an element: the loop below names it
                 if all(g.group is G or g.group == G for g in chain(alpha.values(), beta.values())):
-                    return cls(base, alpha, beta)
+                    return
         # the loop names the first fault; a key must be a triple before it is read as a cell, so a pair is
         # never read as an edge cell; an alpha key is its cell, and a beta key (c, a, b) names the loop c.a.b.c
         for name, cells, loop in (("alpha", alpha, 0), ("beta", beta, 1)):
@@ -123,19 +108,26 @@ class Connection2(Record):
                     raise SweepError(f"{name} key {quote(key)} is not a triple of vertex names")
                 if not K.supports(cell := key + key[:loop]):
                     raise SweepError(f"cell {cell_name(cell)} is not supported by a triangle of the complex")
-                if not isinstance(g, GroupElement) or g.group != base.group:
+                if not isinstance(g, GroupElement) or g.group != G:
                     raise SweepError(f"backend mismatch at cell {cell_name(cell)}")
-        return cls(base, alpha, beta)
+
+    def __hash__(self) -> int:
+        return hash((self.base, frozenset(self._alpha.items()), frozenset(self._beta.items())))
+
+    @classmethod
+    def build(cls, base: Connection1, alpha: Mapping[tuple[str, str, str], GroupElement], beta: Mapping | None = None) -> "Connection2":
+        return cls(base, alpha, beta or {})
 
     @classmethod
     def flat(cls, group: GroupDescriptor, complex: SimplicialComplex) -> "Connection2":
         """All edges and all triangle cells carry the identity.
 
-        The cells are built unchecked: each key is a marking (source, apex,
-        target) of one of the complex's own triangles.
+        It is built trusted: each key is a marking (source, apex, target)
+        of one of the complex's own triangles, and each value the group's
+        identity.
         """
         e = identity(group)
-        return cls(Connection1.constant(group, complex, e), dict.fromkeys(complex.markings(), e))
+        return cls._trusted(Connection1.constant(group, complex, e), dict.fromkeys(complex.markings(), e), {})
 
     @property
     def group(self) -> GroupDescriptor:
@@ -182,9 +174,7 @@ class Section(Record):
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
         if len(self.letters) != len(self.path.steps):
-            raise SweepError(
-                f"section has {len(self.letters)} letters over {len(self.path.steps)} steps"
-            )
+            raise SweepError(f"section has {len(self.letters)} letters over {len(self.path.steps)} steps")
         if bad := [l for l in self.letters if not isinstance(l, GroupElement)]:
             raise SweepError(f"section letter {quote(bad[0])} is not a group element")
         if len({l.group for l in self.letters}) > 1:
@@ -197,13 +187,15 @@ class SweepTrace(Record):
     It keeps the group and two lists of deltas ``(i, j, new)``, one each
     per section: a path delta turns the steps of the section before (none,
     for the first) into its steps, and a letter delta turns the letters
-    before into its letters, as payloads; entries i:j become ``new``.  A
-    run takes its path deltas from the scheme's replay.  ``sections`` is
-    built from the deltas on first read.  The constructor refuses a trace
-    with no sections or with sections in more than one backend, and
-    records each section as a delta over the whole of the one before, so
-    a trace compares, hashes, prints and pickles as its scheme and
-    sections however it was made.
+    before into its letters, as payloads; entries i:j become ``new``.  The
+    path deltas are the scheme's replay.  ``sections`` is built from the
+    deltas on first read.  The constructor refuses a trace with no
+    sections, with sections in more than one backend, of a scheme whose
+    replay stops at a move, or whose sections are not one per path of that
+    replay, each over its path.  It records each section's letters as a
+    delta ``(0, None, payloads)`` over the whole of the one before, so a
+    trace compares, hashes, prints and pickles as its scheme and sections
+    however it was made.
     """
 
     scheme: SweepScheme
@@ -214,9 +206,15 @@ class SweepTrace(Record):
             raise SweepError("a trace needs at least one section")
         if len({s.letters[0].group for s in self.sections}) > 1:
             raise SweepError("trace sections must share one backend")
-        sizes = [0] + [len(s.letters) for s in self.sections]  # a section has one letter per step
-        paths = [(0, n, s.path.steps) for n, s in zip(sizes, self.sections)]
-        letters = [(0, n, [l.payload for l in s.letters]) for n, s in zip(sizes, self.sections)]
+        paths, _final, failure = self.scheme._replay
+        if failure is not None:
+            raise SweepError(f"step {len(paths) - 1}: {failure}", step_index=len(paths) - 1)
+        if len(self.sections) != len(paths):
+            raise SweepError(f"a trace needs one section per path of its scheme: {len(paths)}, not {len(self.sections)}")
+        for k, (s, steps) in enumerate(zip(self.sections, _states(paths))):
+            if list(s.path.steps) != steps:
+                raise SweepError(f"trace section {k} is over {s.path}, not over the scheme's {EdgePath._trusted(tuple(steps))}")
+        letters = [(0, None, [l.payload for l in s.letters]) for s in self.sections]  # each replaces every letter before
         object.__setattr__(self, "_deltas", (self.sections[0].letters[0].group, paths, letters))
 
     @classmethod
@@ -300,10 +298,11 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
     rules.
 
     A sweep's first move checks the section's backend against the
-    connection's, before the window.  ``run_scheme`` passes its ``_Sweep``
-    here, and the letters are spliced into it.  A plain section runs as a
-    sweep over the scheme of this one move, and the result is that sweep's
-    section.  Either way the move's path window comes from the scheme's
+    connection's, before the window; a cell value needs no check, since
+    the connection's constructor refuses one of another backend.
+    ``run_scheme`` passes its ``_Sweep`` here, and the letters are spliced
+    into it.  A plain section runs as a sweep over the scheme of this one
+    move, and the result is that sweep's section.  Either way the move's path window comes from the scheme's
     replay, and its cell is checked against the connection's complex.
     """
     sweep = section if isinstance(section, _Sweep) else _Sweep(section, SweepScheme(section.path, (step,)))
@@ -328,8 +327,6 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
     else:
         cell = step.cell
         phi = connection.alpha_value(*cell) if len(cell) == 3 else connection.beta_value(*cell[:3])
-        if phi.group is not group and phi.group != group:
-            raise SweepError(f"backend mismatch at cell {cell_name(cell)}")
         if len(produced) == 1:
             new = (mul(reduce(mul, letters[lo:hi]), sweep.inv(phi.payload)),)
         elif len(cell) == 3:

@@ -13,8 +13,17 @@ import tracemalloc
 import pytest
 
 import trisweep as ts
-from conftest import band_complex, product_of_letters, random_connection2, random_element, random_walk, torus_complex
-from trisweep.errors import PathError, SweepError, quote
+from conftest import (
+    band_complex,
+    product_of_letters,
+    random_connection1,
+    random_connection2,
+    random_element,
+    random_gauge,
+    random_walk,
+    torus_complex,
+)
+from trisweep.errors import BundleError, PathError, SweepError, quote
 from trisweep.paths import MOVES, _candidate_moves
 
 FREE = ts.free_group(["x", "y", "z"])
@@ -128,12 +137,35 @@ def test_section_moves_report_a_backend_mismatch(symbolic_connection):
 
 
 def test_a_cell_value_outside_the_connection_group_is_refused(tetra):
-    # Connection2's own constructor does not check its values; build does
+    # the constructor checks the values as build does, so no move meets a foreign cell value
     base = ts.Connection1.constant(S3, tetra, ts.identity(S3))
-    conn = ts.Connection2(base, ((("a", "c", "b"), ts.identity(Z5)),))
-    section = ts.Section(ts.EdgePath.from_vertices("a", "b"), (ts.identity(S3),))
-    with pytest.raises(SweepError, match="backend mismatch at cell a.c.b"):
-        ts.apply_move_section(section, ts.HomotopyStep("alpha_expand", 0, ("a", "c", "b")), conn)
+    for cells in (((("a", "c", "b"), ts.identity(Z5)),), {("a", "c", "b"): "junk"}):
+        for make in (ts.Connection2, ts.Connection2.build):
+            with pytest.raises(SweepError) as info:
+                make(base, cells)
+            assert str(info.value) == "backend mismatch at cell a.c.b"
+
+
+def test_values_built_trusted_are_what_the_checked_constructors_make_of_their_fields(tetra):
+    # each trusted builder skips a check that the constructor makes: a damaged field is refused
+    rng = random.Random(23)
+    empty = ts.SimplicialComplex(frozenset(), frozenset(), frozenset())
+    for group, K in ((S3, tetra), (Z5, torus_complex(3)), (FREE, band_complex(3)), (S4, empty)):
+        base = ts.Connection1.constant(group, K, random_element(group, rng))
+        assert ts.Connection1(base.group, base.complex, base._map) == base
+        flat = ts.Connection2.flat(group, K)
+        assert ts.Connection2(flat.base, flat._alpha, flat._beta) == flat
+        if K.vertices:
+            with pytest.raises(BundleError):
+                ts.Connection1(base.group, base.complex, base._map | {K.sorted_edges[0]: 5})
+            with pytest.raises(SweepError):
+                ts.Connection2(flat.base, flat._alpha | {next(K.markings()): ts.identity(Z3xS3)}, flat._beta)
+        if group is not FREE:
+            f = random_connection1(K, group, rng)
+            found = ts.find_isomorphism(f, ts.gauge_transform(f, random_gauge(K, group, rng)) if K.vertices else f)
+            assert ts.GaugeTransform(found.group, found.values) == found
+            with pytest.raises(BundleError):
+                ts.GaugeTransform(found.group, found.values + (("x", ts.identity(Z3xS3)),))
 
 
 def test_trace_to_json_formats_every_section_like_section_to_json():
@@ -148,8 +180,8 @@ def test_trace_to_json_formats_every_section_like_section_to_json():
     assert ts.sweep.trace_to_json(trace) == expected
     # equal letters that are distinct objects format alike
     twin = ts.Section(start_path, tuple(ts.element(FREE, l.payload) for l in start.letters))
-    doubled = ts.SweepTrace(scheme, (start, twin) + trace.sections)
-    assert ts.sweep.trace_to_json(doubled) == [ts.sweep.section_to_json(s) for s in doubled.sections]
+    retraced = ts.SweepTrace(scheme, (twin,) + trace.sections[1:])
+    assert ts.sweep.trace_to_json(retraced) == [ts.sweep.section_to_json(s) for s in retraced.sections] == expected
 
 
 # -- recorded traces ------------------------------------------------------------

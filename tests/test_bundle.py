@@ -111,12 +111,6 @@ def test_connection1_value_refuses_a_pair_whose_vertices_do_not_compare(tetra):
     assert str(info.value) == "(a,1) is not an edge of the complex"
 
 
-def test_connection1_value_reads_an_unsorted_key_of_the_unchecked_constructor_as_stored(tetra):
-    raw = ts.Connection1(Z12, tetra, {("b", "a"): ts.element(Z12, 5)})
-    assert raw.value("b", "a") == ts.element(Z12, 5)
-    assert raw.value("a", "b") == ts.element(Z12, 7)
-
-
 def test_connection1_build_refuses_keys_of_a_tuple_subclass(tetra):
     Pair = collections.namedtuple("Pair", "source target")
     values = {Pair(*e): ts.identity(Z12) for e in tetra.sorted_edges}
@@ -229,17 +223,6 @@ def test_find_isomorphism_rejects_infinite_backend(tetra):
     f = ts.Connection1.constant(free, tetra, ts.identity(free))
     with pytest.raises(BundleError, match="infinite backend"):
         ts.find_isomorphism(f, f)
-
-
-def test_find_isomorphism_names_an_edge_left_without_a_value():
-    # the unchecked constructor lets a connection miss an edge
-    Z3 = ts.cyclic_group(3)
-    K = ts.SimplicialComplex.build("abc", [("a", "b", "c")])
-    full = ts.Connection1.constant(Z3, K, ts.identity(Z3))
-    partial = ts.Connection1(Z3, K, {("a", "b"): ts.identity(Z3), ("b", "c"): ts.identity(Z3)})
-    for f, g in ((full, partial), (partial, full)):
-        with pytest.raises(BundleError, match=r"^connection has no value on edge \(a,c\)$"):
-            ts.find_isomorphism(f, g)
 
 
 def test_find_isomorphism_rejects_disconnected():

@@ -102,6 +102,11 @@ def identity_section(*vertices: str, group=SYMBOLIC.group) -> ts.Section:
 REFUSALS = {
     # paths
     "no vertices": (lambda: ts.EdgePath.from_vertices(), PathError, "at least one vertex is required"),
+    "step of three vertices": (
+        lambda: ts.EdgePath((("a", "b", "c"),)), PathError, "step ('a', 'b', 'c') is not a pair of vertices"
+    ),
+    "step of one vertex": (lambda: ts.EdgePath((("a",),)), PathError, "step ('a',) is not a pair of vertices"),
+    "step not a sequence": (lambda: ts.EdgePath([1]), PathError, "edge-path steps [1] are not pairs of vertices"),
     "negative position": (lambda: ts.HomotopyStep("alpha_merge", -1, ("a", "c", "b")), SchemeError, "negative position -1"),
     "move not a string": (lambda: ts.HomotopyStep(["x"], 0), SchemeError, "unknown move ['x']"),
     "cell on a degenerate move": (
@@ -175,6 +180,24 @@ REFUSALS = {
         SweepError,
         "sections live over different paths",
     ),
+    "cell value not an element": (
+        lambda: ts.Connection2(SYMBOLIC.base, {("a", "c", "b"): "junk"}), SweepError, "backend mismatch at cell a.c.b"
+    ),
+    "trace of a scheme that stops": (
+        lambda: ts.SweepTrace(ts.SweepScheme(ACB, (ts.HomotopyStep("deg_drop", 0),)), (identity_section("a", "c", "b"),)),
+        SweepError,
+        "step 0: path mismatch at position 0: (a,c), not degenerate",
+    ),
+    "trace with a section too many": (
+        lambda: ts.SweepTrace(EMPTY, (identity_section("a", "c", "b"),) * 2),
+        SweepError,
+        "a trace needs one section per path of its scheme: 1, not 2",
+    ),
+    "trace off the scheme's path": (
+        lambda: ts.SweepTrace(EMPTY, (identity_section("a", "b"),)),
+        SweepError,
+        "trace section 0 is over (a>b), not over the scheme's (a>c,c>b)",
+    ),
     "two-holonomy over different backends": (
         lambda: ts.two_holonomy(identity_section("a", "b"), identity_section("a", "b", group=Z2)),
         GroupError,
@@ -237,6 +260,23 @@ REFUSALS = {
                                     ts.Connection1.constant(Z3, TETRA, ts.identity(Z3))),
         BundleError,
         "connections must share a backend and a complex",
+    ),
+    "constant of a non-element": (
+        lambda: ts.Connection1.constant(Z2, TETRA, 5), BundleError, "backend mismatch at edge (a,b)"
+    ),
+    "edge values not elements": (
+        lambda: ts.Connection1(Z3, TETRA, dict.fromkeys(TETRA.sorted_edges, 5)), BundleError, "backend mismatch at edge (a,b)"
+    ),
+    "gauge value not an element": (
+        lambda: ts.GaugeTransform(S3, (("a", 7),)), BundleError, "backend mismatch in gauge value at vertex a"
+    ),
+    "gauge entry not a pair": (
+        lambda: ts.GaugeTransform(S3, ("a",)), BundleError, "gauge entry 'a' is not a (vertex, value) pair"
+    ),
+    "gauge vertex listed twice": (
+        lambda: ts.GaugeTransform(Z2, (("a", ts.identity(Z2)), ("a", ts.identity(Z2)))),
+        BundleError,
+        "gauge transform lists a vertex twice",
     ),
     "constant of a foreign value": (
         lambda: ts.Connection1.constant(Z2, TETRA, ts.identity(Z3)), BundleError, "backend mismatch at edge (a,b)"

@@ -26,7 +26,10 @@ Z3 = ts.cyclic_group(3)
 ONE = ts.element(Z3, 1)
 POINT = ts.SimplicialComplex(frozenset({"a"}), frozenset(), frozenset())
 AB = ts.EdgePath((("a", "b"),))
-C1 = ts.Connection1(Z3, POINT, {("a", "b"): ONE})
+# a connection's complex carries its edges and cells, so the connections are over one triangle
+TRIANGLE = ts.SimplicialComplex.build("abc", [("a", "b", "c")])
+C1_MAP = {("a", "b"): ONE, ("a", "c"): ONE, ("b", "c"): ONE}
+C1 = ts.Connection1(Z3, TRIANGLE, C1_MAP)
 GAUGE = ts.GaugeTransform(Z3, (("a", ONE),))
 SECTION = ts.Section(AB, (ONE,))
 SCHEME = ts.SweepScheme(AB, ())
@@ -37,7 +40,13 @@ Z3_TEXT = "GroupDescriptor(kind='cyclic', generators=(), modulus=3, degree=0, fa
 ONE_TEXT = f"GroupElement(group={Z3_TEXT}, payload=1)"
 POINT_TEXT = "SimplicialComplex(vertices=frozenset({'a'}), triangles=frozenset(), edges=frozenset(), pure_dim2=False)"
 AB_TEXT = "EdgePath(steps=(('a', 'b'),))"
-C1_TEXT = f"Connection1(group={Z3_TEXT}, complex={POINT_TEXT}, _map={{('a', 'b'): {ONE_TEXT}}})"
+# a frozenset of several strings prints in an order that varies between runs, so the
+# triangle's text is read here; POINT pins the text of a complex
+TRIANGLE_TEXT = repr(TRIANGLE)
+C1_TEXT = (
+    f"Connection1(group={Z3_TEXT}, complex={TRIANGLE_TEXT},"
+    f" _map={{('a', 'b'): {ONE_TEXT}, ('a', 'c'): {ONE_TEXT}, ('b', 'c'): {ONE_TEXT}}})"
+)
 GAUGE_TEXT = f"GaugeTransform(group={Z3_TEXT}, values=(('a', {ONE_TEXT}),))"
 SECTION_TEXT = f"Section(path={AB_TEXT}, letters=({ONE_TEXT},))"
 SCHEME_TEXT = f"SweepScheme(start_path={AB_TEXT}, steps=())"
@@ -89,7 +98,7 @@ CASES = [
     ),
     (ts.SweepScheme, {"start_path": AB, "steps": ()}, {}, SCHEME_TEXT),
     (ts.GaugeTransform, {"group": Z3, "values": (("a", ONE),)}, {}, GAUGE_TEXT),
-    (ts.Connection1, {"group": Z3, "complex": POINT, "_map": {("a", "b"): ONE}}, {}, C1_TEXT),
+    (ts.Connection1, {"group": Z3, "complex": TRIANGLE, "_map": C1_MAP}, {}, C1_TEXT),
     (
         ts.Connection2,
         {"base": C1, "_alpha": {("a", "c", "b"): ONE}, "_beta": {}},
