@@ -15,7 +15,7 @@ from typing import Collection, Iterable, Mapping, Optional
 
 from ._record import Record
 from .complexes import SimplicialComplex
-from .errors import BundleError, quote
+from .errors import BundleError, as_dict, quote
 from .groups import (
     GroupDescriptor,
     GroupElement,
@@ -37,8 +37,9 @@ class GaugeTransform(Record):
     """A choice of group element per vertex; unlisted vertices act as identity.
 
     The constructor takes (vertex, value) pairs and refuses an entry that
-    is not a pair, a vertex listed twice, and a value that is not an
-    element of the group, naming its vertex.  ``build`` takes a map and
+    is not a pair and a value that is not an element of the group, naming
+    its vertex, then a vertex that cannot be hashed and a vertex listed
+    twice.  ``build`` takes a map and
     lists its pairs sorted by vertex.
     """
 
@@ -52,7 +53,11 @@ class GaugeTransform(Record):
                 raise BundleError(f"gauge entry {quote(entry)} is not a (vertex, value) pair")
             if not isinstance(entry[1], GroupElement) or entry[1].group != self.group:
                 raise BundleError(f"backend mismatch in gauge value at vertex {entry[0]}")
-        if len(self._map) != len(self.values):
+        try:
+            twice = len(self._map) != len(self.values)
+        except TypeError:  # a vertex that cannot be hashed
+            raise BundleError(f"gauge entries {quote(self.values)} hold a vertex that cannot be hashed") from None
+        if twice:
             raise BundleError("gauge transform lists a vertex twice")
 
     @classmethod
@@ -80,9 +85,10 @@ class Connection1(Record):
     not compare, is a ``BundleError``.  The sorted ``edge_values`` pairs
     are derived on first read.
 
-    The constructor takes a map or (key, value) pairs, makes a dict of
-    them, and checks that the values are one per edge of the complex, in
-    the connection's backend.  The check is done in bulk when the keys are
+    The constructor takes a map or (key, value) pairs, refusing any other
+    values with a ``BundleError``, makes a dict of them, and checks that
+    the values are one per edge of the complex, in the connection's
+    backend.  The check is done in bulk when the keys are
     exactly the complex's edges as sorted vertex pairs, plain tuples: one
     set comparison with the pairs the complex indexes its edges by, which
     builds no set per key.  Then each value's backend is compared with the
@@ -99,7 +105,7 @@ class Connection1(Record):
     _map: Mapping[tuple[str, str], GroupElement]
 
     def __post_init__(self) -> None:
-        group, complex, values = self.group, self.complex, dict(self._map)
+        group, complex, values = self.group, self.complex, as_dict(self._map, BundleError, "edge values")
         object.__setattr__(self, "_map", values)
         keys = values.keys()
         if keys == complex._edge_pairs and set(map(type, keys)) <= {tuple}:  # a tuple subclass goes to the loop

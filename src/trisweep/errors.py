@@ -55,6 +55,14 @@ def quote(value: object) -> str:
     return shown if len(shown) <= 60 else shown[:60] + "…"
 
 
+def as_dict(value, error: type[TrisweepError], what: str) -> dict:
+    """``dict(value)``, or ``error`` saying that ``what``, quoted, is not a map or (key, value) pairs."""
+    try:
+        return dict(value)
+    except (TypeError, ValueError):  # not iterable, or an item that is not a pair
+        raise error(f"{what} {quote(value)} are not a map or (key, value) pairs") from None
+
+
 def input_limit_text(exc: Exception) -> str:
     """Say which interpreter limit refused an input, as a CLI user can act on it.
 

@@ -49,19 +49,21 @@ _MISMATCH = {"x1_cancel": "an opposite pair", "deg_drop": "degenerate"}
 class EdgePath(Record):
     """A nonempty composable sequence of ordered vertex pairs, kept as a tuple of tuples.
 
-    The constructor refuses steps that are not pairs, an empty sequence
-    and steps that do not compose, each with a ``PathError``.
+    The constructor refuses steps that are not pairs, a string among
+    them, an empty sequence and steps that do not compose, each with a
+    ``PathError``.
     """
 
     steps: tuple[Step, ...]
 
     def __post_init__(self) -> None:
         try:  # None, like an empty sequence, is the empty path refused below
-            object.__setattr__(self, "steps", tuple(map(tuple, self.steps or ())))
+            given = tuple(self.steps or ())
+            object.__setattr__(self, "steps", tuple(map(tuple, given)))
         except TypeError:  # the steps, or one of them, cannot be iterated
             raise PathError(f"edge-path steps {quote(self.steps)} are not pairs of vertices") from None
-        if set(map(len, self.steps)) - {2}:
-            raise PathError(f"step {quote(next(s for s in self.steps if len(s) != 2))} is not a pair of vertices")
+        if bad := [g for g, s in zip(given, self.steps) if len(s) != 2 or isinstance(g, str)]:
+            raise PathError(f"step {quote(bad[0])} is not a pair of vertices")
         if not self.steps:
             raise PathError("empty edge-path is not allowed; use an identity path")
         for (x, y), (x2, _y2) in zip(self.steps, self.steps[1:]):
@@ -202,16 +204,29 @@ class HomotopyStep(Record):
 
 
 class SweepScheme(Record):
-    """A start path together with a sequence of homotopy moves.
+    """A start path together with a tuple of homotopy moves.
 
+    The constructor refuses a start that is not an ``EdgePath`` and steps
+    that are not a tuple of ``HomotopyStep``, with a ``SchemeError``.
     ``_replay`` replays the moves on the start path once per scheme
-    object, checking each against the path alone, and ``validate_scheme``
-    and ``run_scheme`` read it; they check the cells against their own
-    complex on every call.
+    object, checking each against the path alone, and ``_cells`` holds
+    the distinct cells they name.  ``validate_scheme`` and ``run_scheme``
+    read both, and check the cells against their own complex on every
+    call.
     """
 
     start_path: EdgePath
     steps: tuple[HomotopyStep, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.start_path, EdgePath):
+            raise SchemeError(f"scheme start {quote(self.start_path)} is not an edge-path")
+        if type(self.steps) is not tuple or not all(isinstance(step, HomotopyStep) for step in self.steps):
+            raise SchemeError(f"scheme steps {quote(self.steps)} are not a tuple of homotopy steps")
+
+    @cached_property
+    def _cells(self) -> set[tuple[str, ...]]:
+        return {step.cell for step in self.steps} - {None}
 
     @cached_property
     def _replay(self) -> tuple[list[tuple], tuple[Step, ...], Optional[str]]:
@@ -340,12 +355,14 @@ def _replayed_window(scheme: SweepScheme, k: int, complex) -> tuple:
 
     Where the replay stopped at move k, the move's window does not apply
     on the path: that is its ``SchemeError``, raised before the cell is
-    checked, as ``apply_move_path`` orders the two.
+    checked, as ``apply_move_path`` orders the two.  A complex of None
+    skips the cell, for a caller that checked every cell in bulk.
     """
     deltas, _final, failure = scheme._replay
     if k + 1 == len(deltas):
         raise SchemeError(failure)
-    _check_support(scheme.steps[k].cell, complex)
+    if complex is not None:
+        _check_support(scheme.steps[k].cell, complex)
     return deltas[k + 1]
 
 
@@ -380,12 +397,15 @@ def validate_scheme(scheme: SweepScheme, complex) -> Sequence[EdgePath]:
     """Check a scheme against a complex and return every path it passes, start included.
 
     The scheme's replay checks the moves against the path once per scheme
-    object; each call checks each move's cell against ``complex``.  Raises
-    ``SchemeError`` (with the step index) on an invalid move.  Every path
-    keeps the start path's endpoints, since each move does.  The result is
-    a read-only sequence whose paths are built on first read.
+    object.  Each call then checks the scheme's distinct cells against
+    ``complex``, one ``supports`` call each.  Only when the replay stops
+    or a cell is not supported are the moves checked one at a time, to
+    raise the first fault's ``SchemeError`` with its step index.  Every
+    path keeps the start path's endpoints, since each move does.  The
+    result is a read-only sequence whose paths are built on first read.
     """
-    _sweep_scheme(scheme, lambda k, _step: _replayed_window(scheme, k, complex), SchemeError)
+    if scheme._replay[2] is not None or not all(map(complex.supports, scheme._cells)):
+        _sweep_scheme(scheme, lambda k, _step: _replayed_window(scheme, k, complex), SchemeError)
     return _SweptPaths(scheme)
 
 
@@ -490,11 +510,16 @@ def cell_name(cell: tuple[str, ...]) -> str:
     return ".".join(cell)
 
 
+_STEP_KEYS = {"move", "cell", "position"}
+
+
 def load_scheme(text: str) -> SweepScheme:
     """Parse the JSON scheme format into a SweepScheme.
 
     A step that cannot be read raises a ``SchemeError`` with ``step_index``
-    set and the text ``step k: ...``.
+    set and the text ``step k: ...``.  Each step's keys are checked with
+    one set inclusion, each distinct cell text is split once per file, and
+    the scheme is built from the checked start path and moves unchecked.
     """
     obj = decode_json(text, SchemeError, "scheme parse error")
     if not isinstance(obj, dict):
@@ -514,28 +539,26 @@ def load_scheme(text: str) -> SweepScheme:
     except PathError as exc:
         raise SchemeError(f"bad start path: {exc}") from exc
     moves: list[HomotopyStep] = []
+    cells: dict[str, tuple[str, ...]] = {}
     if not isinstance(obj["steps"], list):
         raise SchemeError('"steps" must be a list')
     for k, raw in enumerate(obj["steps"]):
         if not isinstance(raw, dict):
             raise SchemeError(f"step {k} must be an object", step_index=k)
         try:
-            unknown = set(raw) - {"move", "cell", "position"}
-            if unknown:
-                raise SchemeError(f"unknown keys {sorted(unknown)}")
-            move = raw.get("move")
-            position = raw.get("position")
-            if not isinstance(move, str) or not isinstance(position, int) or isinstance(position, bool):
+            if not raw.keys() <= _STEP_KEYS:
+                raise SchemeError(f"unknown keys {sorted(raw.keys() - _STEP_KEYS)}")
+            move, position, text = raw.get("move"), raw.get("position"), raw.get("cell")
+            if not isinstance(move, str) or type(position) is not int:  # a JSON true is a bool, not an int
                 raise SchemeError('needs string "move" and integer "position"')
-            cell = None
-            if "cell" in raw and raw["cell"] is not None:
-                if not isinstance(raw["cell"], str):
-                    raise SchemeError('"cell" must be a string')
-                cell = _cell_from_text(raw["cell"])
-            moves.append(HomotopyStep(move, position, cell))
+            if text is not None and not isinstance(text, str):
+                raise SchemeError('"cell" must be a string')
+            if text is not None and text not in cells:
+                cells[text] = _cell_from_text(text)
+            moves.append(HomotopyStep(move, position, cells.get(text)))
         except SchemeError as exc:  # each step's refusal names the step, in its text and its step_index
             raise SchemeError(f"step {k}: {exc}", step_index=k) from exc
-    return SweepScheme(start, tuple(moves))
+    return SweepScheme._trusted(start, tuple(moves))
 
 
 def dump_scheme(scheme: SweepScheme) -> str:

@@ -23,14 +23,14 @@ from __future__ import annotations
 import json
 import warnings
 from contextlib import suppress
-from functools import cached_property, partial, reduce
+from functools import cache, cached_property, partial, reduce
 from itertools import chain
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional
 
 from ._record import Record
 from .bundle import Connection1, GaugeTransform, _solve_gauge
 from .complexes import SimplicialComplex
-from .errors import BundleError, GroupError, SchemeError, SweepError, decode_json, quote
+from .errors import BundleError, GroupError, SchemeError, SweepError, as_dict, decode_json, quote
 # center_obstruction_check lives in groups; it stays importable from this
 # module, where it was defined before and where the benchmark's tracer wraps
 # it, as it wraps enumerate_elements, which is not called here
@@ -73,7 +73,8 @@ class Connection2(Record):
     identified them at load time.  Loop-cell (beta) values are derived
     from the matching alpha entry unless supplied explicitly.
 
-    The constructor takes maps or (key, value) pairs, makes a dict of
+    The constructor takes a ``Connection1`` and maps or (key, value)
+    pairs, refusing any other with a ``SweepError``, makes a dict of
     each, and checks every cell's support and every value's backend: two
     set inclusions, of the alpha and beta keys in the complex's markings,
     and one pass over the values that compares each backend with the
@@ -93,7 +94,10 @@ class Connection2(Record):
     _beta: Mapping[tuple[str, str, str], GroupElement] = ()
 
     def __post_init__(self) -> None:
-        K, G, alpha, beta = self.base.complex, self.base.group, dict(self._alpha), dict(self._beta)
+        if not isinstance(self.base, Connection1):
+            raise SweepError(f"connection base {quote(self.base)} is not an edge connection")
+        K, G = self.base.complex, self.base.group
+        alpha, beta = as_dict(self._alpha, SweepError, "alpha values"), as_dict(self._beta, SweepError, "beta values")
         object.__setattr__(self, "_alpha", alpha)
         object.__setattr__(self, "_beta", beta)
         if alpha.keys() <= K._marking_set and beta.keys() <= K._marking_set:
@@ -164,14 +168,17 @@ class Connection2(Record):
 class Section(Record):
     """A word of group elements over an edge-path, one letter per step, kept as a tuple.
 
-    A letter that is not a ``GroupElement`` is refused here, once, with a
-    ``SweepError`` that quotes it.
+    A path that is not an ``EdgePath``, or a letter that is not a
+    ``GroupElement``, is refused here, once, with a ``SweepError`` that
+    quotes it.
     """
 
     path: EdgePath
     letters: tuple[GroupElement, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.path, EdgePath):
+            raise SweepError(f"section path {quote(self.path)} is not an edge-path")
         object.__setattr__(self, "letters", tuple(self.letters))
         if len(self.letters) != len(self.path.steps):
             raise SweepError(f"section has {len(self.letters)} letters over {len(self.path.steps)} steps")
@@ -260,20 +267,64 @@ def interior_vertices(path: EdgePath) -> frozenset[str]:
 # -- elementary moves on sections -----------------------------------------
 
 class _Sweep:
-    """The payload letters of a section that a scheme's moves rewrite in place, with one letter delta per move.
+    """The payload letters of a section that a scheme's moves rewrite in place, one op per move, with one letter delta per move.
 
-    Each move's path window comes from the scheme's replay; a single
-    section move runs as a sweep over a scheme of that one move.  It holds
-    its group's payload rules, bound to the group.
+    An op ``(lo, hi, kind, payload)`` says what a move writes over
+    letters lo:hi.  A "fold" writes the product of the window's letters
+    and of the payload's, [phi^-1] on a merge and none on a drop, whose
+    window is widened by the letter the product folds into; "alpha"
+    writes (w, phi) and "beta" (e, w, phi), w the window's letter and phi
+    the payload; "put" writes the payload, an insertion's identities.
+
+    The ops are derived once, when the sweep is made, by ``_ops``.  When
+    every distinct cell of the scheme is supported by the connection's
+    complex, one ``supports`` call each, all of them are derived at once;
+    a fault on the way (the section's backend, a move the replay stopped
+    at, a missing cell value) drops that list.  Then, as for a scheme
+    with an unsupported cell, each op is derived with every check when
+    its move runs, so that the first fault is raised by its own move.
+    It holds its group's payload rules, bound to the group.
     """
 
-    def __init__(self, start: Section, scheme: SweepScheme) -> None:
+    def __init__(self, start: Section, scheme: SweepScheme, connection: Connection2) -> None:
         group = start.letters[0].group
         rules = payload_rules(group)
         self.scheme, self.group, self.e = scheme, group, rules.identity(group)
         self.mul, self.inv = partial(rules.multiply, group), partial(rules.inverse, group)
         self.letters = [l.payload for l in start.letters]
         self.deltas = [(0, 0, tuple(self.letters))]
+        self.ops = self._ops(connection, connection.complex)
+        if all(map(connection.complex.supports, scheme._cells)):
+            with suppress(SweepError):  # the checked ops above name the fault, at its move
+                self.ops = iter(list(self._ops(connection, None)))
+
+    def _ops(self, connection: Connection2, complex: SimplicialComplex | None) -> Iterator[tuple]:
+        """Each move's op, in order, once the move is checked.
+
+        The checks run in a move's order: the section's backend (first
+        move only), the window, the cell's support on ``complex`` unless
+        that is None, and the cell's value.
+        """
+        scheme, group, n = self.scheme, self.group, len(self.letters)
+        for k, step in enumerate(scheme.steps):
+            if k == 0 and group is not connection.group and group != connection.group:
+                section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (group, connection.group))
+                raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
+            try:
+                i, j, produced = _replayed_window(scheme, k, complex)
+            except SchemeError as exc:
+                raise SweepError(str(exc)) from exc
+            if step.move in ("x1_cancel", "deg_drop"):
+                # widen the window by the letter its product folds into
+                yield (i, j + 1, "fold", []) if j < n else (max(i - 1, 0), j, "fold", [])
+            elif i == j:
+                yield i, j, "put", (self.e,) * len(produced)
+            else:
+                cell = step.cell
+                phi = (connection.alpha_value(*cell) if len(cell) == 3 else connection.beta_value(*cell[:3])).payload
+                # a merge produces the short side, one step; an expansion the long side
+                yield (i, j, "fold", [self.inv(phi)]) if len(produced) == 1 else (i, j, "alpha" if len(cell) == 3 else "beta", phi)
+            n += len(produced) - (j - i)
 
     def section(self) -> Section:
         """The section once every move of the scheme has run, built unchecked.
@@ -297,43 +348,26 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
     identity path.  Letters are written as payloads, through the backend's
     rules.
 
-    A sweep's first move checks the section's backend against the
-    connection's, before the window; a cell value needs no check, since
-    the connection's constructor refuses one of another backend.
-    ``run_scheme`` passes its ``_Sweep`` here, and the letters are spliced
-    into it.  A plain section runs as a sweep over the scheme of this one
-    move, and the result is that sweep's section.  Either way the move's path window comes from the scheme's
-    replay, and its cell is checked against the connection's complex.
+    ``run_scheme`` passes its ``_Sweep`` here, and the next of its ops,
+    derived and checked by ``_Sweep``, is applied and spliced into it.  A
+    plain section runs as a sweep over the scheme of this one move, and
+    the result is that sweep's section: its one op comes with the same
+    checks, of the section's backend against the connection's, the move's
+    window against the path and its cell against the connection's complex.
+    A cell value needs no check of its own, since the connection's
+    constructor refuses one of another backend.
     """
-    sweep = section if isinstance(section, _Sweep) else _Sweep(section, SweepScheme(section.path, (step,)))
-    letters, group, mul = sweep.letters, sweep.group, sweep.mul
-    if len(sweep.deltas) == 1 and group is not connection.group and group != connection.group:
-        section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (group, connection.group))
-        raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
-    try:
-        i, j, produced = _replayed_window(sweep.scheme, len(sweep.deltas) - 1, connection.complex)
-    except SchemeError as exc:
-        raise SweepError(str(exc)) from exc
-    lo, hi = i, j
-    if step.move in ("x1_cancel", "deg_drop"):
-        # widen the window by the letter its product folds into
-        if hi < len(letters):
-            hi += 1
-        elif lo:
-            lo -= 1
-        new = (reduce(mul, letters[lo:hi]),)
-    elif i == j:
-        new = (sweep.e,) * len(produced)
+    sweep = section if isinstance(section, _Sweep) else _Sweep(section, SweepScheme(section.path, (step,)), connection)
+    lo, hi, kind, payload = next(sweep.ops)
+    if kind == "fold":
+        new = (reduce(sweep.mul, sweep.letters[lo:hi] + payload),)
+    elif kind == "alpha":
+        new = (sweep.letters[lo], payload)
+    elif kind == "beta":
+        new = (sweep.e, sweep.letters[lo], payload)
     else:
-        cell = step.cell
-        phi = connection.alpha_value(*cell) if len(cell) == 3 else connection.beta_value(*cell[:3])
-        if len(produced) == 1:
-            new = (mul(reduce(mul, letters[lo:hi]), sweep.inv(phi.payload)),)
-        elif len(cell) == 3:
-            new = (letters[lo], phi.payload)
-        else:
-            new = (sweep.e, letters[lo], phi.payload)
-    letters[lo:hi] = new
+        new = payload
+    sweep.letters[lo:hi] = new
     sweep.deltas.append((lo, hi, new))
     return sweep if sweep is section else sweep.section()
 
@@ -341,17 +375,19 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
 def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> SweepTrace:
     """Apply every move of the scheme in order to one letter list of payloads.
 
-    ``paths._sweep_scheme`` is the loop, as for ``validate_scheme``, and
-    each move goes through ``apply_move_section``, which takes the move's
-    path window from the scheme's replay: the path is checked once per
-    scheme object, each cell once per run.  A move so costs its letters
-    and a list splice, not a copy of the section.  The trace records one
-    letter delta per move, takes its path deltas from the replay, and
-    builds the final section once.
+    ``_Sweep`` checks the scheme's cells against the connection's complex
+    and derives one op per move, once per call; the path is checked once
+    per scheme object, by its replay.  ``paths._sweep_scheme`` is the
+    loop, as for ``validate_scheme``, and each move goes through
+    ``apply_move_section``, which applies its op: a move so costs its
+    letters and a list splice, not a copy of the section.  A fault is
+    raised by the move it belongs to, named by its step.  The trace
+    records one letter delta per move, takes its path deltas from the
+    replay, and builds the final section once.
     """
     if start.path != scheme.start_path:
         raise SweepError("section path does not match the scheme start path")
-    sweep = _Sweep(start, scheme)
+    sweep = _Sweep(start, scheme, connection)
 
     def move(_k: int, step: HomotopyStep) -> None:
         apply_move_section(sweep, step, connection)  # looked up on every move, so a wrapper set on the name sees each one
@@ -622,19 +658,13 @@ def trace_to_json(trace: SweepTrace) -> list[dict]:
 
     The deltas are replayed into one list of [x, y] steps and one of letter
     texts, and each section gets shallow copies of both: the sections share
-    their [x, y] lists, so treat the result as read-only.
+    their [x, y] lists, so treat the result as read-only.  Each distinct
+    letter value is formatted once: a merge brings back a value it already
+    wrote as another object, so the texts are memoised by payload value,
+    hashed once per letter by ``functools.cache``.
     """
     group, paths, letters = trace._deltas
-    rules, memo = payload_rules(group), {}
-
-    def fmt(payload) -> str:
-        # a payload recurs as the same object (kept across a window, or a cell value): each is formatted once,
-        # keyed by id, cheaper than hashing; the deltas keep every payload alive, so no id is reused
-        text = memo.get(id(payload))
-        if text is None:
-            text = memo[id(payload)] = rules.format(group, payload)
-        return text
-
+    fmt = cache(partial(payload_rules(group).format, group))
     return [{"path": steps[:], "letters": words[:]} for steps, words in zip(_states(paths, list), _states(letters, fmt))]
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -40,6 +43,34 @@ def scheme1() -> ts.SweepScheme:
 @pytest.fixture(scope="session")
 def scheme2() -> ts.SweepScheme:
     return ts.load_scheme(ts.data_path("scheme2.json").read_text())
+
+
+def _benchmark_inputs():
+    """``perfbench/inputs.py``, the benchmark's seeded input generators: plain Python that does not import trisweep."""
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def band_sweep(columns: int, seed: int = 1) -> SimpleNamespace:
+    """The band-sweep benchmark's inputs at ``columns`` columns, made by its generators.
+
+    ``K`` is the band, ``conn`` its symbolic connection (trivial edges,
+    one free generator per triangle marking), ``scheme_text`` a sweep of
+    the bottom ring across the strip and back (4 * columns moves, each
+    cell expanded once and merged once), and ``words`` one two-syllable
+    start word per step of the ring.
+    """
+    gen, rng = _benchmark_inputs(), random.Random(f"band-sweep:{seed}")
+    vertices, triangles = gen.band(columns)
+    K = ts.load_complex(gen.complex_json(vertices, triangles))
+    conn = ts.load_connection(gen.symbolic_connection(triangles)[0], K)
+    order = list(range(columns))
+    rng.shuffle(order)
+    scheme_text = gen.scheme_json(gen.bottom_ring(columns), gen.strip_sweep_steps(columns, order))
+    words = [gen.free_text(gen.random_free_word(["x", "y"], rng, 2)) for _ in range(columns)]
+    return SimpleNamespace(K=K, conn=conn, scheme_text=scheme_text, words=words)
 
 
 def band_complex(columns: int) -> ts.SimplicialComplex:

@@ -8,7 +8,7 @@ import pytest
 
 import trisweep as ts
 from trisweep import cli
-from trisweep.errors import BundleError, ComplexError, GroupError, PathError, SchemeError, SweepError, TrisweepError
+from trisweep.errors import BundleError, ComplexError, GroupError, PathError, SchemeError, SweepError, TrisweepError, quote
 
 
 def load_center(text: str):
@@ -107,6 +107,17 @@ REFUSALS = {
     ),
     "step of one vertex": (lambda: ts.EdgePath((("a",),)), PathError, "step ('a',) is not a pair of vertices"),
     "step not a sequence": (lambda: ts.EdgePath([1]), PathError, "edge-path steps [1] are not pairs of vertices"),
+    # a string of two characters is not read as a pair of one-character vertices
+    "step a string": (lambda: ts.EdgePath(["ab", "bc"]), PathError, "step 'ab' is not a pair of vertices"),
+    "scheme start not a path": (
+        lambda: ts.SweepScheme((("a", "b"),), ()), SchemeError, "scheme start (('a', 'b'),) is not an edge-path"
+    ),
+    "scheme steps not a tuple": (lambda: ts.SweepScheme(ACB, 5), SchemeError, "scheme steps 5 are not a tuple of homotopy steps"),
+    "scheme step not a move": (
+        lambda: ts.SweepScheme(ACB, (("alpha_merge", 0),)),
+        SchemeError,
+        "scheme steps (('alpha_merge', 0),) are not a tuple of homotopy steps",
+    ),
     "negative position": (lambda: ts.HomotopyStep("alpha_merge", -1, ("a", "c", "b")), SchemeError, "negative position -1"),
     "move not a string": (lambda: ts.HomotopyStep(["x"], 0), SchemeError, "unknown move ['x']"),
     "cell on a degenerate move": (
@@ -183,6 +194,16 @@ REFUSALS = {
     "cell value not an element": (
         lambda: ts.Connection2(SYMBOLIC.base, {("a", "c", "b"): "junk"}), SweepError, "backend mismatch at cell a.c.b"
     ),
+    "cell values not a map": (
+        lambda: ts.Connection2(SYMBOLIC.base, 5), SweepError, "alpha values 5 are not a map or (key, value) pairs"
+    ),
+    "loop cell values not a map": (
+        lambda: ts.Connection2(SYMBOLIC.base, {}, 5), SweepError, "beta values 5 are not a map or (key, value) pairs"
+    ),
+    "connection base not an edge connection": (
+        lambda: ts.Connection2("junk", {}), SweepError, "connection base 'junk' is not an edge connection"
+    ),
+    "section path not a path": (lambda: ts.Section("junk", ()), SweepError, "section path 'junk' is not an edge-path"),
     "trace of a scheme that stops": (
         lambda: ts.SweepTrace(ts.SweepScheme(ACB, (ts.HomotopyStep("deg_drop", 0),)), (identity_section("a", "c", "b"),)),
         SweepError,
@@ -277,6 +298,24 @@ REFUSALS = {
         lambda: ts.GaugeTransform(Z2, (("a", ts.identity(Z2)), ("a", ts.identity(Z2)))),
         BundleError,
         "gauge transform lists a vertex twice",
+    ),
+    "edge values not a map": (
+        lambda: ts.Connection1(Z3, TETRA, 5), BundleError, "edge values 5 are not a map or (key, value) pairs"
+    ),
+    "edge values not pairs": (
+        lambda: ts.Connection1(Z3, TETRA, [("a", "b", "c")]),
+        BundleError,
+        "edge values [('a', 'b', 'c')] are not a map or (key, value) pairs",
+    ),
+    "gauge vertex not hashable": (
+        lambda: ts.GaugeTransform(Z3, (([1], ts.identity(Z3)),)),
+        BundleError,
+        f"gauge entries {quote((([1], ts.identity(Z3)),))} hold a vertex that cannot be hashed",
+    ),
+    "gauge vertex holding a list": (
+        lambda: ts.GaugeTransform(Z3, ((("a", [1]), ts.identity(Z3)),)),
+        BundleError,
+        f"gauge entries {quote(((('a', [1]), ts.identity(Z3)),))} hold a vertex that cannot be hashed",
     ),
     "constant of a foreign value": (
         lambda: ts.Connection1.constant(Z2, TETRA, ts.identity(Z3)), BundleError, "backend mismatch at edge (a,b)"

@@ -304,13 +304,12 @@ def stepwise_paths(scheme: ts.SweepScheme, K: ts.SimplicialComplex):
     return paths
 
 
-def damage_one_step(rng: random.Random, start: ts.EdgePath, steps: list, conn: ts.Connection2, damage: str) -> ts.Connection2:
-    """Damage one move of ``steps`` in place, or its cell's value; returns the connection to run on."""
-    k = rng.randrange(len(steps))
+def damage_move(rng: random.Random, start: ts.EdgePath, steps: list, k: int, damage: str) -> None:
+    """Damage move k of ``steps`` in place, by a "path" or an "unsupported" damage; the moves before k must apply."""
     step = steps[k]
     if damage == "path":  # a shifted move may still apply: the outcomes must agree either way
         steps[k] = ts.HomotopyStep(step.move, rng.choice([step.position + 1, step.position + 3, 1000]), step.cell)
-    elif damage == "unsupported":  # an expansion or insertion at a step of the path, on a cell the torus lacks
+    else:  # an expansion or insertion at a step of the path, on a cell the torus lacks
         path = stepwise_paths(ts.SweepScheme(start, tuple(steps[:k])), TORUS)[-1]
         i = rng.randrange(len(path))
         a, b = path.steps[i]
@@ -320,14 +319,41 @@ def damage_one_step(rng: random.Random, start: ts.EdgePath, steps: list, conn: t
         else:
             far = rng.choice([v for v in TORUS.sorted_vertices if not TORUS.supports((a, v))])
             steps[k] = ts.HomotopyStep("x1_insert", i, (a, far))
-    else:  # a cell value missing
-        cells = [step.cell for step in steps if step.cell is not None and len(step.cell) > 2]
-        if not cells:
-            return conn
-        cell = rng.choice(cells)
-        alpha = dict(conn.alpha_values)
-        del alpha[cell if len(cell) == 3 else cell[1:]]  # a loop cell c.a.b.c takes the value of a.b.c
-        conn = ts.Connection2(conn.base, alpha)
+
+
+def without_value(conn: ts.Connection2, cell: tuple[str, ...]) -> ts.Connection2:
+    """The connection with no value for ``cell``: a loop cell c.a.b.c takes the value of a.b.c."""
+    alpha = dict(conn.alpha_values)
+    alpha.pop(cell if len(cell) == 3 else cell[1:], None)
+    return ts.Connection2(conn.base, alpha)
+
+
+def damage_one_step(rng: random.Random, start: ts.EdgePath, steps: list, conn: ts.Connection2, damage: str) -> ts.Connection2:
+    """Damage one move of ``steps`` in place, or its cell's value; returns the connection to run on."""
+    k = rng.randrange(len(steps))
+    if damage != "missing":
+        damage_move(rng, start, steps, k, damage)
+        return conn
+    cells = [step.cell for step in steps if step.cell is not None and len(step.cell) > 2]
+    return without_value(conn, rng.choice(cells)) if cells else conn
+
+
+def damage_two_steps(rng: random.Random, start: ts.EdgePath, steps: list, conn: ts.Connection2, kinds: tuple) -> ts.Connection2:
+    """Damage two distinct moves of ``steps`` in place, one per kind, the later move first; returns the connection to run on.
+
+    A "missing" damage removes the value of its own move's cell, so it
+    falls on a triangle or loop move.
+    """
+    picked: dict[int, str] = {}
+    for kind in kinds:
+        eligible = [k for k, step in enumerate(steps) if k not in picked and (kind != "missing" or step.move.startswith(("alpha", "beta")))]
+        hypothesis.assume(eligible)
+        picked[rng.choice(eligible)] = kind
+    for k in sorted(picked, reverse=True):  # so that the moves before each damaged one still apply
+        if picked[k] == "missing":
+            conn = without_value(conn, steps[k].cell)
+        else:
+            damage_move(rng, start, steps, k, picked[k])
     return conn
 
 
@@ -370,6 +396,30 @@ def test_a_run_and_a_validation_are_their_moves_one_at_a_time(seed, group, damag
         scheme = ts.SweepScheme(start.path, tuple(steps))
         for check in checks + checks:
             check(scheme)
+
+
+DAMAGE = st.sampled_from(["path", "unsupported", "missing"])
+
+
+@given(seed=st.integers(0, 2**32 - 1), group=st.sampled_from([FREE, S4, D5, Z3xS3]), kinds=st.tuples(DAMAGE, DAMAGE))
+def test_of_two_faults_a_run_and_a_validation_name_the_one_their_moves_one_at_a_time_meet_first(seed, group, kinds):
+    # a run and a validation check a scheme in bulk first: with two faults of any kinds they must still
+    # name the first one, with the text and step index of the moves made one at a time
+    rng = random.Random(seed)
+    conn = random_connection2(TORUS, group, rng)
+    start = random_section(TORUS, group, rng, rng.randrange(1, 5), stay_prob=0.2)
+    steps = list(random_scheme(TORUS, start.path, rng, rng.randrange(2, 12)).steps)
+    conn = damage_two_steps(rng, start.path, steps, conn, kinds)
+    scheme = ts.SweepScheme(start.path, tuple(steps))
+    for outcome, expected in (
+        (lambda: list(ts.run_scheme(start, scheme, conn).sections), stepwise_run(start, scheme, conn)),
+        (lambda: list(ts.validate_scheme(scheme, TORUS)), stepwise_paths(scheme, TORUS)),
+    ):
+        try:
+            got = outcome()
+        except ts.TrisweepError as exc:
+            got = type(exc), str(exc), exc.step_index
+        assert got == expected
 
 
 S3 = ts.symmetric_group(3)

@@ -14,6 +14,7 @@ import pytest
 import trisweep as ts
 from conftest import (
     all_alpha_markings,
+    band_sweep,
     product_of_letters,
     random_connection2,
     random_element,
@@ -480,6 +481,34 @@ def test_run_scheme_reports_failing_step(tetra, symbolic_connection, scheme1):
     with pytest.raises(SweepError) as err:
         ts.run_scheme(generic_start(symbolic_connection), bad, symbolic_connection)
     assert err.value.step_index == 1
+
+
+def test_a_band_sweep_checks_each_distinct_cell_once_and_formats_each_letter_value_once(monkeypatch):
+    # counts, not clocks: a per-move support check, or letter texts memoised by object, would exceed these
+    band = band_sweep(12)
+    scheme = ts.load_scheme(band.scheme_text)
+    cells = {step.cell for step in scheme.steps}
+    assert len(scheme.steps) == 2 * len(cells)  # each cell is expanded once and merged once
+    checked = []
+    supports = ts.SimplicialComplex.supports
+    monkeypatch.setattr(ts.SimplicialComplex, "supports", lambda K, cell: checked.append(cell) or supports(K, cell))
+    ts.validate_scheme(scheme, band.K)
+    assert len(checked) <= len(cells)
+    checked.clear()
+    start = ts.Section(scheme.start_path, tuple(ts.parse_element(w, band.conn.group) for w in band.words))
+    trace = ts.run_scheme(start, scheme, band.conn)
+    assert len(checked) <= len(cells)
+
+    rules = ts.groups.payload_rules(band.conn.group)
+    formatted = []
+    monkeypatch.setitem(ts.groups._BACKENDS, "free", rules._replace(format=lambda g, a: formatted.append(a) or rules.format(g, a)))
+    out = ts.sweep.trace_to_json(trace)
+    written = [payload for _i, _j, new in trace._deltas[2] for payload in new]
+    # a merge writes back a value an earlier move wrote, as another object
+    assert len({*written}) < len({*map(id, written)})
+    assert len(formatted) <= len({*written})
+    monkeypatch.undo()
+    assert out == [ts.sweep.section_to_json(s) for s in trace.sections]
 
 
 def test_run_scheme_deterministic(tetra, symbolic_connection, scheme2):
