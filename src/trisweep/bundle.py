@@ -54,11 +54,10 @@ class GaugeTransform(Record):
             if not isinstance(entry[1], GroupElement) or entry[1].group != self.group:
                 raise BundleError(f"backend mismatch in gauge value at vertex {entry[0]}")
         try:
-            twice = len(self._map) != len(self.values)
+            if len(self._map) != len(self.values):
+                raise BundleError("gauge transform lists a vertex twice")
         except TypeError:  # a vertex that cannot be hashed
             raise BundleError(f"gauge entries {quote(self.values)} hold a vertex that cannot be hashed") from None
-        if twice:
-            raise BundleError("gauge transform lists a vertex twice")
 
     @classmethod
     def build(cls, group: GroupDescriptor, values: Mapping[str, GroupElement]) -> "GaugeTransform":

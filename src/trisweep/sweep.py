@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from contextlib import suppress
-from functools import cache, cached_property, partial, reduce
+from functools import cached_property, partial, reduce
 from itertools import chain
 from typing import Collection, Iterable, Iterator, Mapping, Optional
 
@@ -266,24 +266,52 @@ def interior_vertices(path: EdgePath) -> frozenset[str]:
 
 # -- elementary moves on sections -----------------------------------------
 
+def _move_ops(scheme: SweepScheme, group: GroupDescriptor, e, n: int, connection: Connection2) -> Iterator[tuple]:
+    """Each move's op, in order, once the move is checked, for a sweep of n letters over ``group`` with identity e.
+
+    The checks run in a move's order: the section's backend (first move
+    only), the window, the cell's support on the connection's complex,
+    and the cell's value.  When the complex supports every distinct cell
+    of the scheme, checked once per cell at the first move, no move
+    checks its own.  It takes no ``_Sweep``: a sweep holds its ops, and a
+    run leaves its last op unfinished, so a reference back would make a
+    cycle that only the garbage collector frees.
+    """
+    if group is not connection.group and group != connection.group:
+        section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (group, connection.group))
+        raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
+    complex = None if all(map(connection.complex.supports, scheme._cells)) else connection.complex
+    for k, step in enumerate(scheme.steps):
+        try:
+            i, j, produced = _replayed_window(scheme, k, complex)
+        except SchemeError as exc:
+            raise SweepError(str(exc)) from exc
+        if step.move in ("x1_cancel", "deg_drop"):
+            # widen the window by the letter its product folds into
+            yield (i, j + 1, "fold", None) if j < n else (max(i - 1, 0), j, "fold", None)
+        elif i == j:
+            yield i, j, "put", (e,) * len(produced)
+        else:  # a merge produces the short side, one step; an expansion the long side
+            phi = (connection.alpha_value(*step.cell) if len(step.cell) == 3 else connection.beta_value(*step.cell[:3])).payload
+            yield i, j, "fold" if len(produced) == 1 else "alpha" if len(step.cell) == 3 else "beta", phi
+        n += len(produced) - (j - i)
+
+
 class _Sweep:
     """The payload letters of a section that a scheme's moves rewrite in place, one op per move, with one letter delta per move.
 
     An op ``(lo, hi, kind, payload)`` says what a move writes over
-    letters lo:hi.  A "fold" writes the product of the window's letters
-    and of the payload's, [phi^-1] on a merge and none on a drop, whose
-    window is widened by the letter the product folds into; "alpha"
-    writes (w, phi) and "beta" (e, w, phi), w the window's letter and phi
-    the payload; "put" writes the payload, an insertion's identities.
+    letters lo:hi.  A "fold" writes the product of the window's letters:
+    a drop's window is widened by the letter the product folds into, and
+    its payload is None; a merge's payload is phi, and the product is
+    taken times phi^-1, or of the letters before a last letter phi.
+    "alpha" writes (w, phi) and "beta" (e, w, phi), w the window's letter
+    and phi the payload; "put" writes the payload, an insertion's
+    identities.
 
-    The ops are derived once, when the sweep is made, by ``_ops``.  When
-    every distinct cell of the scheme is supported by the connection's
-    complex, one ``supports`` call each, all of them are derived at once;
-    a fault on the way (the section's backend, a move the replay stopped
-    at, a missing cell value) drops that list.  Then, as for a scheme
-    with an unsupported cell, each op is derived with every check when
-    its move runs, so that the first fault is raised by its own move.
-    It holds its group's payload rules, bound to the group.
+    ``_move_ops`` derives each op when its move runs, so that the first
+    fault is raised by its own move.  The sweep holds its group's payload
+    rules, bound to the group.
     """
 
     def __init__(self, start: Section, scheme: SweepScheme, connection: Connection2) -> None:
@@ -293,38 +321,7 @@ class _Sweep:
         self.mul, self.inv = partial(rules.multiply, group), partial(rules.inverse, group)
         self.letters = [l.payload for l in start.letters]
         self.deltas = [(0, 0, tuple(self.letters))]
-        self.ops = self._ops(connection, connection.complex)
-        if all(map(connection.complex.supports, scheme._cells)):
-            with suppress(SweepError):  # the checked ops above name the fault, at its move
-                self.ops = iter(list(self._ops(connection, None)))
-
-    def _ops(self, connection: Connection2, complex: SimplicialComplex | None) -> Iterator[tuple]:
-        """Each move's op, in order, once the move is checked.
-
-        The checks run in a move's order: the section's backend (first
-        move only), the window, the cell's support on ``complex`` unless
-        that is None, and the cell's value.
-        """
-        scheme, group, n = self.scheme, self.group, len(self.letters)
-        for k, step in enumerate(scheme.steps):
-            if k == 0 and group is not connection.group and group != connection.group:
-                section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (group, connection.group))
-                raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
-            try:
-                i, j, produced = _replayed_window(scheme, k, complex)
-            except SchemeError as exc:
-                raise SweepError(str(exc)) from exc
-            if step.move in ("x1_cancel", "deg_drop"):
-                # widen the window by the letter its product folds into
-                yield (i, j + 1, "fold", []) if j < n else (max(i - 1, 0), j, "fold", [])
-            elif i == j:
-                yield i, j, "put", (self.e,) * len(produced)
-            else:
-                cell = step.cell
-                phi = (connection.alpha_value(*cell) if len(cell) == 3 else connection.beta_value(*cell[:3])).payload
-                # a merge produces the short side, one step; an expansion the long side
-                yield (i, j, "fold", [self.inv(phi)]) if len(produced) == 1 else (i, j, "alpha" if len(cell) == 3 else "beta", phi)
-            n += len(produced) - (j - i)
+        self.ops = _move_ops(scheme, group, self.e, len(self.letters), connection)
 
     def section(self) -> Section:
         """The section once every move of the scheme has run, built unchecked.
@@ -341,15 +338,17 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
     The move's window comes from a scheme's replay.  Over it, an expansion
     writes (w, phi) across a triangle and (e, w, phi) across a loop
     boundary, phi being the cell value; a merge writes the product of the
-    window's letters times phi^-1; an insertion writes identities.  A drop
-    keeps the ordered product of the letters: the window's product is
-    folded into the following letter, into the preceding one at the end of
-    the path, and is the only letter when the path collapses to an
+    window's letters times phi^-1, which for a window ending in phi is
+    the product of the letters before it, so that a merge undoing an
+    expansion writes back w itself; an insertion writes identities.  A
+    drop keeps the ordered product of the letters: the window's product
+    is folded into the following letter, into the preceding one at the
+    end of the path, and is the only letter when the path collapses to an
     identity path.  Letters are written as payloads, through the backend's
     rules.
 
     ``run_scheme`` passes its ``_Sweep`` here, and the next of its ops,
-    derived and checked by ``_Sweep``, is applied and spliced into it.  A
+    derived and checked by ``_move_ops``, is applied and spliced into it.  A
     plain section runs as a sweep over the scheme of this one move, and
     the result is that sweep's section: its one op comes with the same
     checks, of the section's backend against the connection's, the move's
@@ -360,7 +359,10 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
     sweep = section if isinstance(section, _Sweep) else _Sweep(section, SweepScheme(section.path, (step,)), connection)
     lo, hi, kind, payload = next(sweep.ops)
     if kind == "fold":
-        new = (reduce(sweep.mul, sweep.letters[lo:hi] + payload),)
+        window = sweep.letters[lo:hi]
+        if payload is not None:  # phi^-1 cancels a last letter phi: a merge writes back the letter an expansion kept
+            window = window[:-1] if window[-1] == payload else window + [sweep.inv(payload)]
+        new = (reduce(sweep.mul, window),)
     elif kind == "alpha":
         new = (sweep.letters[lo], payload)
     elif kind == "beta":
@@ -375,15 +377,15 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
 def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> SweepTrace:
     """Apply every move of the scheme in order to one letter list of payloads.
 
-    ``_Sweep`` checks the scheme's cells against the connection's complex
-    and derives one op per move, once per call; the path is checked once
-    per scheme object, by its replay.  ``paths._sweep_scheme`` is the
-    loop, as for ``validate_scheme``, and each move goes through
-    ``apply_move_section``, which applies its op: a move so costs its
-    letters and a list splice, not a copy of the section.  A fault is
-    raised by the move it belongs to, named by its step.  The trace
-    records one letter delta per move, takes its path deltas from the
-    replay, and builds the final section once.
+    ``_Sweep`` checks the scheme's distinct cells against the connection's
+    complex once per call, and derives each move's op as the move runs;
+    the path is checked once per scheme object, by its replay.
+    ``paths._sweep_scheme`` is the loop, as for ``validate_scheme``, and
+    each move goes through ``apply_move_section``, which applies its op:
+    a move so costs its letters and a list splice, not a copy of the
+    section.  A fault is raised by the move it belongs to, named by its
+    step.  The trace records one letter delta per move, takes its path
+    deltas from the replay, and builds the final section once.
     """
     if start.path != scheme.start_path:
         raise SweepError("section path does not match the scheme start path")
@@ -658,13 +660,16 @@ def trace_to_json(trace: SweepTrace) -> list[dict]:
 
     The deltas are replayed into one list of [x, y] steps and one of letter
     texts, and each section gets shallow copies of both: the sections share
-    their [x, y] lists, so treat the result as read-only.  Each distinct
-    letter value is formatted once: a merge brings back a value it already
-    wrote as another object, so the texts are memoised by payload value,
-    hashed once per letter by ``functools.cache``.
+    their [x, y] lists, so treat the result as read-only.
     """
     group, paths, letters = trace._deltas
-    fmt = cache(partial(payload_rules(group).format, group))
+    rules, memo = payload_rules(group), {}
+
+    def fmt(payload) -> str:
+        # a payload recurs as the same object (kept across a window, a cell value, a letter a merge wrote back):
+        # each is formatted once, keyed by id, cheaper than hashing; the deltas keep every payload alive, so no id is reused
+        return memo[id(payload)] if id(payload) in memo else memo.setdefault(id(payload), rules.format(group, payload))
+
     return [{"path": steps[:], "letters": words[:]} for steps, words in zip(_states(paths, list), _states(letters, fmt))]
 
 

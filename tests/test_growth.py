@@ -56,11 +56,12 @@ def events(call, args: tuple) -> int:
         seen += event in ("call", "c_call")
 
     gc.collect()
+    before = sys.getprofile()  # a coverage tool's or debugger's hook, put back after
     sys.setprofile(profile)
     try:
         call(*args)
     finally:
-        sys.setprofile(None)
+        sys.setprofile(before)
     return seen
 
 
@@ -74,11 +75,12 @@ def lines(call, args: tuple) -> int:
         return trace
 
     gc.collect()
+    before = sys.gettrace()
     sys.settrace(trace)
     try:
         call(*args)
     finally:
-        sys.settrace(None)
+        sys.settrace(before)
     return seen
 
 

@@ -483,8 +483,8 @@ def test_run_scheme_reports_failing_step(tetra, symbolic_connection, scheme1):
     assert err.value.step_index == 1
 
 
-def test_a_band_sweep_checks_each_distinct_cell_once_and_formats_each_letter_value_once(monkeypatch):
-    # counts, not clocks: a per-move support check, or letter texts memoised by object, would exceed these
+def test_a_band_sweep_checks_each_distinct_cell_once_and_formats_each_letter_object_once(monkeypatch):
+    # counts, not clocks: a per-move support check, a merge that writes a new object, or a letter text per write would exceed these
     band = band_sweep(12)
     scheme = ts.load_scheme(band.scheme_text)
     cells = {step.cell for step in scheme.steps}
@@ -504,9 +504,10 @@ def test_a_band_sweep_checks_each_distinct_cell_once_and_formats_each_letter_val
     monkeypatch.setitem(ts.groups._BACKENDS, "free", rules._replace(format=lambda g, a: formatted.append(a) or rules.format(g, a)))
     out = ts.sweep.trace_to_json(trace)
     written = [payload for _i, _j, new in trace._deltas[2] for payload in new]
-    # a merge writes back a value an earlier move wrote, as another object
-    assert len({*written}) < len({*map(id, written)})
-    assert len(formatted) <= len({*written})
+    # each merge undoes an expansion and writes back the start letter it kept: no letter object but a start letter or a cell value
+    assert len({*map(id, written)}) == len(start.letters) + len(cells)
+    assert all(a.payload is b.payload for a, b in zip(trace.final.letters, start.letters))
+    assert len(formatted) <= len({*map(id, written)})
     monkeypatch.undo()
     assert out == [ts.sweep.section_to_json(s) for s in trace.sections]
 
