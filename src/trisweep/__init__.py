@@ -32,22 +32,17 @@ from .paths import (
 )
 from .complexes import (
     Diagnostic,
-    OrientedTriangle,
     SimplicialComplex,
-    classify_cell,
     dump_complex,
     load_complex,
-    oriented_triangles,
     validate_complex,
 )
 from .groups import (
     GroupDescriptor,
     GroupElement,
-    Representation,
     center,
     center_obstruction_check,
     conjugate,
-    cyclic_character,
     cyclic_group,
     descriptor_from_json,
     descriptor_to_json,
@@ -60,25 +55,17 @@ from .groups import (
     identity,
     inverse,
     is_finite,
-    mat_identity,
-    mat_mul,
-    mat_trace,
     multiply,
     parse_element,
-    permutation_representation,
     product_group,
-    represent,
     symmetric_group,
-    table_representation,
 )
 from .bundle import (
     Connection1,
     GaugeTransform,
-    associated_transport,
     find_isomorphism,
     gauge_transform,
     holonomy,
-    wilson_loop,
 )
 from .sweep import (
     Connection2,

@@ -15,20 +15,16 @@ from typing import Collection, Iterable, Mapping, Optional
 
 from ._record import Record
 from .complexes import SimplicialComplex
-from .errors import BundleError, as_dict, quote
+from .errors import BundleError, as_collection, quote
 from .groups import (
     GroupDescriptor,
     GroupElement,
-    Matrix,
-    Representation,
     enumerate_elements,
     identity,
     inverse,
     is_finite,
-    mat_trace,
     multiply,
     payload_rules,
-    represent,
 )
 from .paths import EdgePath
 
@@ -36,18 +32,19 @@ from .paths import EdgePath
 class GaugeTransform(Record):
     """A choice of group element per vertex; unlisted vertices act as identity.
 
-    The constructor takes (vertex, value) pairs and refuses an entry that
-    is not a pair and a value that is not an element of the group, naming
-    its vertex, then a vertex that cannot be hashed and a vertex listed
-    twice.  ``build`` takes a map and
-    lists its pairs sorted by vertex.
+    The constructor takes a group descriptor and a sequence of (vertex,
+    value) pairs, where a string or a map is no sequence.  It refuses, in
+    this order, pairs that are not a sequence, an entry that is not a
+    pair, a value that is not an element of the group (naming its
+    vertex), a vertex that cannot be hashed and a vertex listed twice.
+    ``build`` takes a map and lists its pairs sorted by vertex.
     """
 
     group: GroupDescriptor
     values: tuple[tuple[str, GroupElement], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", as_collection(tuple, self.values, BundleError, "gauge entries"))
         for entry in self.values:
             if type(entry) is not tuple or len(entry) != 2:
                 raise BundleError(f"gauge entry {quote(entry)} is not a (vertex, value) pair")
@@ -84,8 +81,9 @@ class Connection1(Record):
     not compare, is a ``BundleError``.  The sorted ``edge_values`` pairs
     are derived on first read.
 
-    The constructor takes a map or (key, value) pairs, refusing any other
-    values with a ``BundleError``, makes a dict of them, and checks that
+    The constructor takes a complex and a map or (key, value) pairs,
+    refusing any other with a ``BundleError``, makes a dict of the values,
+    and checks that
     the values are one per edge of the complex, in the connection's
     backend.  The check is done in bulk when the keys are
     exactly the complex's edges as sorted vertex pairs, plain tuples: one
@@ -104,7 +102,9 @@ class Connection1(Record):
     _map: Mapping[tuple[str, str], GroupElement]
 
     def __post_init__(self) -> None:
-        group, complex, values = self.group, self.complex, as_dict(self._map, BundleError, "edge values")
+        group, complex, values = self.group, self.complex, as_collection(dict, self._map, BundleError, "edge values")
+        if not isinstance(complex, SimplicialComplex):
+            raise BundleError(f"connection complex {quote(complex)} is not a simplicial complex")
         object.__setattr__(self, "_map", values)
         keys = values.keys()
         if keys == complex._edge_pairs and set(map(type, keys)) <= {tuple}:  # a tuple subclass goes to the loop
@@ -268,14 +268,3 @@ def find_isomorphism(f: Connection1, g: Connection1) -> Optional[GaugeTransform]
     walk += [(a, b, fm[a, b].payload, gm[a, b].payload) for a, b in K.sorted_edges if (a, b) not in tree]
     return _solve_gauge(grp, K.sorted_vertices[0], walk, ())
 
-
-def wilson_loop(connection: Connection1, loop: EdgePath, rho: Representation):
-    """Trace of the loop holonomy in the given representation."""
-    if not loop.is_loop():
-        raise BundleError(f"path from {loop.source} to {loop.target} is not a loop")
-    return mat_trace(represent(rho, holonomy(connection, loop)))
-
-
-def associated_transport(connection: Connection1, path: EdgePath, rho: Representation) -> Matrix:
-    """The matrix transporting the associated linear fiber along the path."""
-    return represent(rho, holonomy(connection, path))

@@ -1,12 +1,10 @@
-"""Simplicial complexes of pure dimension two and their oriented triangle cells.
+"""Simplicial complexes of pure dimension two, their file format and validation.
 
 A complex stores vertices, unordered triangles and unordered edges; the
-edges always include every side of every triangle.  Oriented cells come in
-six kinds: the two triangle orientations over a marked edge, the two loop
-orientations at a marked basepoint, and the identity cells at an oriented
-edge or a vertex.  They are built from the two cell sides that a move
-swaps (``paths.cell_sides``), and ``classify_cell`` recognises a triangle
-or loop cell by its short side and its support.
+edges always include every side of every triangle.  Its queries answer
+incidence (the faces at a vertex or an edge, the neighbours of a vertex)
+and list each face's six markings (source, apex, target): the triangle
+cells that the moves of ``paths`` sweep across.
 ``SimplicialComplex.supports`` is the one rule for which cells a complex
 carries.
 """
@@ -17,13 +15,10 @@ import json
 from collections import defaultdict
 from functools import cached_property
 from itertools import chain, combinations, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ._record import Record
 from .errors import ComplexError, decode_json, quote
-from .paths import EdgePath, cell_name, cell_sides, reduce_x1
-
-KINDS = ("alpha", "alpha_star", "beta", "beta_star", "identity_edge", "identity_vertex")
 
 
 class SimplicialComplex(Record):
@@ -31,7 +26,8 @@ class SimplicialComplex(Record):
 
     Instances are immutable and safe to share between workers.  Build them
     with :meth:`build` or :func:`load_complex`, which add the derived edges.
-    The constructor refuses a triangle that is not three vertices or an
+    The constructor refuses fields that are not three frozensets and a
+    boolean, then a triangle that is not three vertices or an
     edge that is not two, in one C-level pass over each set's sizes; only
     then are they sorted, to name the first, triangles before edges.
 
@@ -52,6 +48,8 @@ class SimplicialComplex(Record):
     pure_dim2: bool = False
 
     def __post_init__(self) -> None:
+        if not all(isinstance(s, frozenset) for s in (self.vertices, self.triangles, self.edges)) or type(self.pure_dim2) is not bool:
+            raise ComplexError(f"complex fields {quote(self._field_values(self))} are not three frozensets and a boolean")
         if set(map(len, self.triangles)) <= {3} and set(map(len, self.edges)) <= {2}:
             return
         for what, simplices, size in (("triangle", self.triangles, 3), ("edge", self.edges, 2)):
@@ -278,9 +276,15 @@ def dump_complex(complex: SimplicialComplex) -> str:
 # -- validation ----------------------------------------------------------
 
 class Diagnostic(Record):
+    """One finding of ``validate_complex``: its rule, the simplex it names and its text, each a string."""
+
     rule: str
     simplex: str
     message: str
+
+    def __post_init__(self) -> None:
+        if not {str}.issuperset(map(type, self._field_values(self))):
+            raise ComplexError(f"diagnostic fields {quote(self._field_values(self))} are not all text")
 
     def __str__(self) -> str:
         return self.message
@@ -327,100 +331,3 @@ def validate_complex(complex: SimplicialComplex, require_pure_dim2: bool = False
                 out.append(Diagnostic("pure_dim2", "{%s}" % ",".join(e), f"edge {{{','.join(e)}}} not in any 2-simplex"))
     return out
 
-
-# -- oriented cells ------------------------------------------------------
-
-class OrientedTriangle(Record):
-    """An oriented cell: marked source/target vertices plus its two boundary paths.
-
-    ``direction`` is set on loop cells: +1 when the boundary follows the
-    cyclic order of the lexicographically sorted face, -1 otherwise.
-    """
-
-    kind: str
-    source: str
-    target: str
-    source_path: EdgePath
-    target_path: EdgePath
-    apex: Optional[str] = None
-    direction: Optional[int] = None
-
-    @classmethod
-    def _of(cls, cell: tuple[str, ...], star: bool = False) -> "OrientedTriangle":
-        """The cell on the chain ``a.c.b``, ``c.a.b.c``, ``a.b`` or ``a.a``; ``star`` runs it from the long side to the short.
-
-        Both sides of an identity cell are its one step.
-        """
-        short, long = cell_sides(cell) if len(cell) > 2 else ((cell,), (cell,))
-        # a loop in the sorted face's cyclic order ascends on two of its three steps, the reverse loop on one
-        direction = 2 * sum(x < y for x, y in long) - 3 if len(cell) == 4 else None
-        paths = (EdgePath(long), EdgePath(short)) if star else (EdgePath(short), EdgePath(long))
-        apex = cell[1] if len(cell) == 3 else None
-        return cls(_cell_kind(cell, star), cell[0], cell[-1], *paths, apex, direction)
-
-    @property
-    def marked_vertices(self) -> tuple[str, str]:
-        return (self.source, self.target)
-
-    @property
-    def name(self) -> str:
-        star = self.kind.endswith("_star")
-        chain = (self.source_path if star else self.target_path).vertices
-        if self.kind.startswith("identity"):
-            return "id." + cell_name(chain[: 1 + (self.kind == "identity_edge")])
-        return cell_name(chain) + "*" * star
-
-
-def _cell_kind(cell: tuple[str, ...], star: bool) -> str:
-    if len(cell) == 2:
-        return "identity_vertex" if cell[0] == cell[1] else "identity_edge"
-    return ("alpha", "beta")[len(cell) - 3] + "_star" * star
-
-
-def oriented_triangles(complex: SimplicialComplex, kind_filter: Optional[str] = None) -> list[OrientedTriangle]:
-    """Enumerate oriented cells in deterministic order.
-
-    Per triangle: six cells of each triangle-move orientation (three apex
-    choices times two directions of the marked edge) and three loop cells,
-    one per basepoint, in the canonical direction.  Identity cells come one
-    per oriented edge and one per vertex.
-    """
-    if kind_filter is not None and kind_filter not in KINDS:
-        raise ComplexError(f"unknown cell kind {kind_filter!r}")
-    loops = ((c, a, b, c) for p, q, r in complex.sorted_triangles for c, a, b in ((p, q, r), (q, r, p), (r, p, q)))
-    edges = (pair for u, w in complex.sorted_edges for pair in ((u, w), (w, u)))
-    vertices = ((v, v) for v in complex.sorted_vertices)
-    families = ((complex.markings(), (False, True)), (loops, (False, True)), (edges, (False,)), (vertices, (False,)))
-    return [
-        OrientedTriangle._of(cell, star)
-        for cells, stars in families
-        for cell in cells
-        for star in stars
-        if kind_filter in (None, _cell_kind(cell, star))
-    ]
-
-
-def classify_cell(source_path: EdgePath, target_path: EdgePath, complex: SimplicialComplex) -> Optional[OrientedTriangle]:
-    """Identify the elementary cell realizing the pair, reduced rel endpoints.
-
-    The cell is the vertex chain of the longer reduced path.  Equal one-step
-    paths give an identity cell; otherwise the shorter path must be the
-    cell's short side, one step, and the complex must support the cell.
-    Returns None when no single oriented triangle connects the two paths;
-    composite homotopies are not elementary.
-    """
-    if source_path.source != target_path.source or source_path.target != target_path.target:
-        return None
-    rs = reduce_x1(source_path)
-    rt = reduce_x1(target_path)
-    star = len(rs) > len(rt)
-    short, long = (rt, rs) if star else (rs, rt)
-    if len(short) != 1:
-        return None
-    cell = long.vertices
-    if short == long:
-        x, y = cell
-        return OrientedTriangle._of(cell) if x == y or complex.has_edge(x, y) else None
-    if len(cell) not in (3, 4) or cell_sides(cell)[0] != short.steps or not complex.supports(cell):
-        return None
-    return OrientedTriangle._of(cell, star)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Mapping
+from contextlib import suppress
 
 
 class TrisweepError(Exception):
@@ -55,12 +57,16 @@ def quote(value: object) -> str:
     return shown if len(shown) <= 60 else shown[:60] + "…"
 
 
-def as_dict(value, error: type[TrisweepError], what: str) -> dict:
-    """``dict(value)``, or ``error`` saying that ``what``, quoted, is not a map or (key, value) pairs."""
-    try:
-        return dict(value)
-    except (TypeError, ValueError):  # not iterable, or an item that is not a pair
-        raise error(f"{what} {quote(value)} are not a map or (key, value) pairs") from None
+def as_collection(kind: type, value, error: type[TrisweepError], what: str):
+    """``kind(value)``, where ``kind`` is ``dict`` or ``tuple``, or ``error`` saying that ``what``, quoted, cannot be one.
+
+    A dict is made of a map or of (key, value) pairs, and a tuple of a
+    sequence; a string is neither, and a map is no sequence.
+    """
+    with suppress(TypeError, ValueError):  # not iterable, or an item that is not a pair
+        if not isinstance(value, (str, Mapping) if kind is tuple else str):
+            return kind(value)
+    raise error(f"{what} {quote(value)} are not {'a map or (key, value) pairs' if kind is dict else 'a sequence'}")
 
 
 def input_limit_text(exc: Exception) -> str:

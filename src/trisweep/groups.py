@@ -28,13 +28,10 @@ import json
 import math
 import re
 from collections import namedtuple
-from functools import cached_property
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 from ._record import Record
 from .errors import GroupError, input_limit_text, quote as _quote
-
-Matrix = tuple[tuple[Any, ...], ...]
 
 
 class GroupDescriptor(Record):
@@ -653,110 +650,3 @@ def center(group: GroupDescriptor) -> list[GroupElement]:
     elems = enumerate_elements(group)
     return [z for z in elems if all(multiply(z, u) == multiply(u, z) for u in elems)]
 
-
-# -- linear representations ----------------------------------------------
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if len(b) != len(a[0]):
-        raise GroupError("matrix dimension mismatch")
-    cols = range(len(b[0]))
-    return tuple(tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in cols) for row in a)
-
-
-def mat_trace(a: Matrix):
-    return sum(a[i][i] for i in range(len(a)))
-
-
-class Representation(Record):
-    """A finite-dimensional linear action of one backend.
-
-    ``exact`` is False only for the cyclic character, whose rotation
-    matrices use machine floats.
-    """
-
-    kind: str
-    group: GroupDescriptor
-    power: int = 0
-    table: tuple[tuple[str, Matrix], ...] = ()
-    exact: bool = True
-
-    @cached_property
-    def _lookup(self) -> dict[str, Matrix]:
-        return dict(self.table)
-
-
-def permutation_representation(group: GroupDescriptor) -> Representation:
-    if group.kind != "symmetric":
-        raise GroupError("permutation representation needs the symmetric backend")
-    return Representation("permutation", group)
-
-
-def cyclic_character(group: GroupDescriptor, power: int = 1) -> Representation:
-    if group.kind != "cyclic":
-        raise GroupError("cyclic character needs the cyclic backend")
-    return Representation("cyclic_character", group, power=power, exact=False)
-
-
-def table_representation(group: GroupDescriptor, table: Mapping[str, Sequence[Sequence[Any]]]) -> Representation:
-    """Explicit matrix table over a finite backend, validated on all pairs.
-
-    Each entry must be a nonempty square matrix of numbers that
-    ``fractions.Fraction`` reads, the matrix and each of its rows a list
-    or a tuple; any other entry is a ``GroupError`` naming its key.
-    """
-    from fractions import Fraction  # here, so that importing the package does not load it
-
-    elems = enumerate_elements(group)
-    frozen: dict[str, Matrix] = {}
-    for key, mat in table.items():
-        try:
-            if not isinstance(mat, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in mat):
-                raise TypeError("a matrix and each of its rows must be a list or a tuple")
-            frozen[key] = m = tuple(tuple(Fraction(v) for v in row) for row in mat)
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise GroupError(f"table entry {_quote(key)} is not a matrix of numbers: {exc}") from exc
-        if not m or set(map(len, m)) != {len(m)}:
-            raise GroupError(f"table entry {_quote(key)} is not a nonempty square matrix")
-    dims = set(map(len, frozen.values()))
-    if len(dims) != 1:
-        raise GroupError("table matrices must share one square dimension")
-    missing = [format_element(x) for x in elems if format_element(x) not in frozen]
-    if missing:
-        raise GroupError(f"table representation misses elements: {missing}")
-    n = dims.pop()
-    if frozen[format_element(identity(group))] != mat_identity(n):
-        raise GroupError("table must send the identity to the identity matrix")
-    for x in elems:
-        for y in elems:
-            lhs = frozen[format_element(multiply(x, y))]
-            rhs = mat_mul(frozen[format_element(x)], frozen[format_element(y)])
-            if lhs != rhs:
-                raise GroupError(
-                    f"table is not a homomorphism at {format_element(x)}, {format_element(y)}"
-                )
-    return Representation("table", group, table=tuple(sorted(frozen.items())))
-
-
-def represent(rho: Representation, a: GroupElement) -> Matrix:
-    """Evaluate the representation; the result is an immutable matrix."""
-    if a.group != rho.group:
-        raise GroupError("backend mismatch: element does not live in the represented group")
-    if rho.kind == "permutation":
-        # 1 in the column of each point and the row of its image, so that
-        # matrix products follow the pinned multiplication order
-        n = rho.group.degree
-        return tuple(tuple(1 if a.payload[j] == i + 1 else 0 for j in range(n)) for i in range(n))
-    if rho.kind == "cyclic_character":
-        theta = 2.0 * math.pi * rho.power * a.payload / rho.group.modulus
-        c, s = math.cos(theta), math.sin(theta)
-        return ((c, -s), (s, c))
-    if rho.kind == "table":
-        key = format_element(a)
-        if key not in rho._lookup:
-            raise GroupError(f"element {key} missing from representation table")
-        return rho._lookup[key]
-    raise GroupError(f"unknown representation kind {rho.kind!r}")

@@ -22,6 +22,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from ._record import Record
+from .complexes import SimplicialComplex
 from .errors import PathError, SchemeError, TrisweepError, decode_json, quote
 
 Step = tuple[str, str]
@@ -95,9 +96,6 @@ class EdgePath(Record):
     def vertices(self) -> tuple[str, ...]:
         """The vertex chain v0..vn visited by the path."""
         return (self.steps[0][0],) + tuple(y for _x, y in self.steps)
-
-    def is_loop(self) -> bool:
-        return self.source == self.target
 
     def is_identity(self) -> bool:
         return len(self.steps) == 1 and self.steps[0][0] == self.steps[0][1]
@@ -304,14 +302,14 @@ def _path_window(steps: Sequence[Step], step: HomotopyStep) -> tuple[tuple[Step,
     return consumed, produced
 
 
-def _check_support(cell: Optional[tuple[str, ...]], complex) -> None:
+def _check_support(cell: Optional[tuple[str, ...]], complex: SimplicialComplex) -> None:
     """Raise ``SchemeError`` unless the move's cell, if any, is one ``complex.supports``."""
     if cell is not None and not complex.supports(cell):
         shape = "an edge" if len(cell) == 2 else "a triangle"
         raise SchemeError(f"cell not supported: {cell_name(cell)} is not {shape} of the complex")
 
 
-def apply_move_path(path: EdgePath, step: HomotopyStep, complex) -> EdgePath:
+def apply_move_path(path: EdgePath, step: HomotopyStep, complex: SimplicialComplex) -> EdgePath:
     """Apply one move to a bare path, checking it against the complex.
 
     The path is checked first, as a scheme's replay checks it, then the
@@ -350,7 +348,7 @@ def _sweep_scheme(scheme: SweepScheme, move, error: type[TrisweepError]) -> None
             raise error(f"step {idx}: {exc}", step_index=idx) from exc
 
 
-def _replayed_window(scheme: SweepScheme, k: int, complex) -> tuple:
+def _replayed_window(scheme: SweepScheme, k: int, complex: Optional[SimplicialComplex]) -> tuple:
     """Move k's path delta ``(i, j, produced)`` from the scheme's replay, once the complex supports its cell.
 
     Where the replay stopped at move k, the move's window does not apply
@@ -393,7 +391,7 @@ class _SweptPaths(Sequence):
         return repr(list(self))
 
 
-def validate_scheme(scheme: SweepScheme, complex) -> Sequence[EdgePath]:
+def validate_scheme(scheme: SweepScheme, complex: SimplicialComplex) -> Sequence[EdgePath]:
     """Check a scheme against a complex and return every path it passes, start included.
 
     The scheme's replay checks the moves against the path once per scheme
@@ -409,7 +407,7 @@ def validate_scheme(scheme: SweepScheme, complex) -> Sequence[EdgePath]:
     return _SweptPaths(scheme)
 
 
-def _candidate_moves(path: EdgePath, complex) -> Iterator[HomotopyStep]:
+def _candidate_moves(path: EdgePath, complex: SimplicialComplex) -> Iterator[HomotopyStep]:
     steps = path.steps
     chain = path.vertices
     n = len(steps)
@@ -450,7 +448,7 @@ def _candidate_moves(path: EdgePath, complex) -> Iterator[HomotopyStep]:
 SEARCH_NODE_LIMIT = 20_000
 
 
-def search_homotopy(p: EdgePath, q: EdgePath, complex, depth_bound: int) -> Optional[SweepScheme]:
+def search_homotopy(p: EdgePath, q: EdgePath, complex: SimplicialComplex, depth_bound: int) -> Optional[SweepScheme]:
     """Breadth-first search for a scheme from p to q with at most depth_bound moves.
 
     Returns None when no scheme exists within the bound; this is

@@ -30,7 +30,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Optional
 from ._record import Record
 from .bundle import Connection1, GaugeTransform, _solve_gauge
 from .complexes import SimplicialComplex
-from .errors import BundleError, GroupError, SchemeError, SweepError, as_dict, decode_json, quote
+from .errors import BundleError, GroupError, SchemeError, SweepError, as_collection, decode_json, quote
 # center_obstruction_check lives in groups; it stays importable from this
 # module, where it was defined before and where the benchmark's tracer wraps
 # it, as it wraps enumerate_elements, which is not called here
@@ -97,7 +97,7 @@ class Connection2(Record):
         if not isinstance(self.base, Connection1):
             raise SweepError(f"connection base {quote(self.base)} is not an edge connection")
         K, G = self.base.complex, self.base.group
-        alpha, beta = as_dict(self._alpha, SweepError, "alpha values"), as_dict(self._beta, SweepError, "beta values")
+        alpha, beta = as_collection(dict, self._alpha, SweepError, "alpha values"), as_collection(dict, self._beta, SweepError, "beta values")
         object.__setattr__(self, "_alpha", alpha)
         object.__setattr__(self, "_beta", beta)
         if alpha.keys() <= K._marking_set and beta.keys() <= K._marking_set:
@@ -168,9 +168,9 @@ class Connection2(Record):
 class Section(Record):
     """A word of group elements over an edge-path, one letter per step, kept as a tuple.
 
-    A path that is not an ``EdgePath``, or a letter that is not a
-    ``GroupElement``, is refused here, once, with a ``SweepError`` that
-    quotes it.
+    A path that is not an ``EdgePath``, letters that are not a sequence,
+    or a letter that is not a ``GroupElement``, is refused here, once,
+    with a ``SweepError`` that quotes it.
     """
 
     path: EdgePath
@@ -179,7 +179,7 @@ class Section(Record):
     def __post_init__(self) -> None:
         if not isinstance(self.path, EdgePath):
             raise SweepError(f"section path {quote(self.path)} is not an edge-path")
-        object.__setattr__(self, "letters", tuple(self.letters))
+        object.__setattr__(self, "letters", as_collection(tuple, self.letters, SweepError, "section letters"))
         if len(self.letters) != len(self.path.steps):
             raise SweepError(f"section has {len(self.letters)} letters over {len(self.path.steps)} steps")
         if bad := [l for l in self.letters if not isinstance(l, GroupElement)]:
@@ -196,10 +196,11 @@ class SweepTrace(Record):
     for the first) into its steps, and a letter delta turns the letters
     before into its letters, as payloads; entries i:j become ``new``.  The
     path deltas are the scheme's replay.  ``sections`` is built from the
-    deltas on first read.  The constructor refuses a trace with no
-    sections, with sections in more than one backend, of a scheme whose
-    replay stops at a move, or whose sections are not one per path of that
-    replay, each over its path.  It records each section's letters as a
+    deltas on first read.  The constructor refuses a scheme that is not a
+    ``SweepScheme`` and sections that are not a sequence of ``Section``,
+    then a trace with no sections, with sections in more than one
+    backend, of a scheme whose replay stops at a move, or whose sections
+    are not one per path of that replay, each over its path.  It records each section's letters as a
     delta ``(0, None, payloads)`` over the whole of the one before, so a
     trace compares, hashes, prints and pickles as its scheme and sections
     however it was made.
@@ -209,6 +210,9 @@ class SweepTrace(Record):
     sections: tuple[Section, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sections", as_collection(tuple, self.sections, SweepError, "trace sections"))
+        if not isinstance(self.scheme, SweepScheme) or not all(isinstance(s, Section) for s in self.sections):
+            raise SweepError(f"trace fields {quote((self.scheme, self.sections))} are not a sweep scheme and sections")
         if not self.sections:
             raise SweepError("a trace needs at least one section")
         if len({s.letters[0].group for s in self.sections}) > 1:
@@ -248,11 +252,20 @@ class SweepTrace(Record):
 
 
 class DefectReport(Record):
-    """Letterwise quotient of a final section against the initial one."""
+    """Letterwise quotient of a final section against the initial one.
+
+    The constructor refuses a path, a tuple of defects or a gauge of
+    another type with a ``SweepError``.
+    """
 
     path: EdgePath
     defects: tuple[GroupElement, ...]
     gauge_used: GaugeTransform
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.path, EdgePath) and isinstance(self.gauge_used, GaugeTransform)
+                and type(self.defects) is tuple and all(isinstance(d, GroupElement) for d in self.defects)):
+            raise SweepError(f"defect report fields {quote(self._field_values(self))} are not a path, group elements and a gauge")
 
     def is_flat(self) -> bool:
         return all(d.is_identity() for d in self.defects)
@@ -472,9 +485,20 @@ def two_holonomy(initial: Section, final: Section) -> DefectReport:
 
 
 class SchemeComparison(Record):
+    """The verdict on two schemes, the letterwise quotient of their final words, and the gauge that was found.
+
+    The constructor refuses an unknown verdict, and a quotient tuple or a
+    gauge of another type, with a ``SweepError``.
+    """
+
     verdict: str  # "equal" | "gauge_equivalent" | "different"
     quotient: tuple[GroupElement, ...]
     gauge: Optional[GaugeTransform] = None
+
+    def __post_init__(self) -> None:
+        if not (self.verdict in ("equal", "gauge_equivalent", "different") and isinstance(self.gauge, (GaugeTransform, type(None)))
+                and type(self.quotient) is tuple and all(isinstance(l, GroupElement) for l in self.quotient)):
+            raise SweepError(f"comparison fields {quote(self._field_values(self))} are not a verdict, group elements and a gauge or None")
 
 
 def compare_schemes(

@@ -572,13 +572,7 @@ def test_a_boolean_scheme_position_is_an_error(tmp_path: Path):
 
 
 def test_modules_imported_on_use_still_work():
-    from fractions import Fraction
-
     assert "vertices" in json.loads(ts.data_path("tetrahedron.json").read_text())
-    rho = ts.table_representation(ts.cyclic_group(2), {"0": [[1, 0], [0, 1]], "1": [[0, 2], ["1/2", 0]]})
-    matrix = ts.represent(rho, ts.element(ts.cyclic_group(2), 1))
-    assert matrix == ((0, 2), (Fraction(1, 2), 0))
-    assert all(type(v) is Fraction for row in matrix for v in row)
 
 
 @pytest.mark.parametrize(

@@ -210,12 +210,8 @@ ONE_VERTEX_EDGE = (frozenset("ab"), frozenset(), frozenset({frozenset("a"), froz
         (lambda K: ts.Connection1.constant(ts.cyclic_group(2), K, ts.identity(ts.cyclic_group(2))).edge_values, ((("a", "b"), ts.identity(ts.cyclic_group(2))),)),
         (lambda K: K.is_connected(), True),
         (lambda K: K.neighbors("a"), ("b",)),
-        (
-            lambda K: [(t.kind, t.source, t.target) for t in ts.oriented_triangles(K)],
-            [("identity_edge", "a", "b"), ("identity_edge", "b", "a"), ("identity_vertex", "a", "a"), ("identity_vertex", "b", "b")],
-        ),
     ],
-    ids=["constant", "is_connected", "neighbors", "oriented_triangles"],
+    ids=["constant", "is_connected", "neighbors"],
 )
 def test_an_edge_without_two_vertices_is_refused_where_edges_are_read_as_pairs(read, expected):
     # the constructor refuses the one-vertex edge before any reader can meet it
@@ -233,29 +229,9 @@ def test_alpha_count_on_tetrahedron(tetra):
     for tri in tetra.sorted_triangles:
         for src, apex, tgt in itertools.permutations(tri):
             expected.add((src, apex, tgt))
-    cells = ts.oriented_triangles(tetra, "alpha")
+    cells = list(tetra.markings())
     assert len(cells) == 24
-    assert {(c.source, c.apex, c.target) for c in cells} == expected
-
-
-def test_oriented_triangles_empty_complex():
-    K = ts.SimplicialComplex.build([])
-    assert ts.oriented_triangles(K) == []
-
-
-def test_beta_cells_single_triangle():
-    K = ts.SimplicialComplex.build("abc", [("a", "b", "c")])
-    cells = ts.oriented_triangles(K, "beta")
-    assert [c.name for c in cells] == ["a.b.c.a", "b.c.a.b", "c.a.b.c"]
-    assert all(c.direction == 1 for c in cells)
-    assert all(c.source_path.is_identity() for c in cells)
-
-
-def test_identity_cell_counts(tetra):
-    assert len(ts.oriented_triangles(tetra, "identity_edge")) == 12
-    assert len(ts.oriented_triangles(tetra, "identity_vertex")) == 4
-    assert len(ts.oriented_triangles(tetra, "alpha_star")) == 24
-    assert len(ts.oriented_triangles(tetra, "beta_star")) == 12
+    assert set(cells) == expected
 
 
 def test_enumeration_counts_random_complexes():
@@ -267,73 +243,7 @@ def test_enumeration_counts_random_complexes():
         while len(faces) < n_faces:
             faces.add(frozenset(rng.sample(letters, 3)))
         K = ts.SimplicialComplex.build(letters, faces)
-        T = len(K.triangles)
-        assert len(ts.oriented_triangles(K, "alpha")) == 6 * T
-        assert len(ts.oriented_triangles(K, "beta")) == 3 * T
-
-
-def test_classify_alpha(tetra):
-    cell = ts.classify_cell(
-        ts.EdgePath((("a", "b"),)), ts.EdgePath((("a", "c"), ("c", "b"))), tetra
-    )
-    assert cell is not None
-    assert cell.kind == "alpha"
-    assert cell.name == "a.c.b"
-    assert cell.marked_vertices == ("a", "b")
-
-
-def test_classify_identity_edge(tetra):
-    p = ts.EdgePath((("a", "b"),))
-    cell = ts.classify_cell(p, p, tetra)
-    assert cell.kind == "identity_edge"
-    assert cell.marked_vertices == ("a", "b")
-
-
-def test_classify_missing_face():
-    K = ts.SimplicialComplex.build("abcd", [("a", "b", "c")])
-    got = ts.classify_cell(
-        ts.EdgePath((("a", "b"),)),
-        ts.EdgePath((("a", "d"), ("d", "b"))),
-        K,
-    )
-    assert got is None
-
-
-def test_classify_reduces_before_matching(tetra):
-    # a redundant degenerate step must not block recognition
-    src = ts.EdgePath((("a", "b"), ("b", "b")))
-    tgt = ts.EdgePath((("a", "c"), ("c", "b")))
-    cell = ts.classify_cell(src, tgt, tetra)
-    assert cell is not None and cell.kind == "alpha"
-
-
-def test_classify_beta_both_directions(tetra):
-    loop = ts.EdgePath.identity("c")
-    forward = ts.EdgePath((("c", "a"), ("a", "b"), ("b", "c")))
-    backward = ts.EdgePath((("c", "b"), ("b", "a"), ("a", "c")))
-    assert ts.classify_cell(loop, forward, tetra).kind == "beta"
-    cell = ts.classify_cell(loop, backward, tetra)
-    assert cell.kind == "beta" and cell.direction == -1
-    assert ts.classify_cell(forward, loop, tetra).kind == "beta_star"
-
-
-def test_classified_cell_is_homotopic_to_inputs(tetra):
-    rng = random.Random(3)
-    from conftest import random_walk
-
-    for _ in range(200):
-        p = random_walk(tetra, rng, rng.randrange(1, 5), stay_prob=0.2)
-        q = random_walk(tetra, rng, rng.randrange(1, 5), stay_prob=0.2)
-        cell = ts.classify_cell(p, q, tetra)
-        if cell is None:
-            continue
-        assert ts.x1_homotopic(cell.source_path, p)
-        assert ts.x1_homotopic(cell.target_path, q)
-
-
-def test_not_elementary_for_equal_long_paths(tetra):
-    p = ts.EdgePath((("a", "b"), ("b", "c")))
-    assert ts.classify_cell(p, p, tetra) is None
+        assert len(list(K.markings())) == 6 * len(K.triangles)
 
 
 def test_dump_complex_round_trips(tetra):

@@ -140,7 +140,6 @@ REFUSALS = {
     "pure_dim2 not a boolean": (
         lambda: ts.load_complex('{"vertices": ["a"], "pure_dim2": 1}'), ComplexError, '"pure_dim2" must be a boolean'
     ),
-    "unknown cell kind": (lambda: ts.oriented_triangles(TETRA, "gamma"), ComplexError, "unknown cell kind 'gamma'"),
     # sweep
     "connection without edges": (
         lambda: ts.load_connection('{"group": {"cyclic": 2}}', TETRA),
@@ -246,29 +245,6 @@ REFUSALS = {
         lambda: ts.parse_element('["0"]', ts.product_group(Z2, Z3)),
         GroupError,
         "product element must be an array of 2 entries",
-    ),
-    "matrix product shapes": (lambda: ts.mat_mul(((1,),), ((1,), (2,))), GroupError, "matrix dimension mismatch"),
-    "permutation representation of Z_2": (
-        lambda: ts.permutation_representation(Z2), GroupError, "permutation representation needs the symmetric backend"
-    ),
-    "cyclic character of S_3": (lambda: ts.cyclic_character(S3), GroupError, "cyclic character needs the cyclic backend"),
-    "table of two dimensions": (
-        lambda: ts.table_representation(Z2, {"0": [[1]], "1": [[1, 0], [0, 1]]}),
-        GroupError,
-        "table matrices must share one square dimension",
-    ),
-    "table missing an element": (
-        lambda: ts.table_representation(Z2, {"0": [[1]]}), GroupError, "table representation misses elements: ['1']"
-    ),
-    "table moving the identity": (
-        lambda: ts.table_representation(Z2, {"0": [[2]], "1": [[1]]}),
-        GroupError,
-        "table must send the identity to the identity matrix",
-    ),
-    "represented element of another group": (
-        lambda: ts.represent(ts.cyclic_character(Z3), ts.identity(Z2)),
-        GroupError,
-        "backend mismatch: element does not live in the represented group",
     ),
     # bundle
     "gauge of another backend": (

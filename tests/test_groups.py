@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import pickle
 import random
@@ -333,107 +332,6 @@ def test_finiteness_follows_group_order(group, order):
     assert ts.descriptor_from_json(ts.descriptor_to_json(group)) == group
 
 
-# -- representations ---------------------------------------------------------------
-
-def test_permutation_rep_identity():
-    rho = ts.permutation_representation(S3)
-    assert ts.represent(rho, ts.identity(S3)) == ts.mat_identity(3)
-
-
-def test_permutation_rep_trace_counts_fixed_points():
-    rho = ts.permutation_representation(S3)
-    g = ts.parse_element("(1 2 3)", S3)
-    # oracle: the diagonal entry at i is 1 exactly when i is fixed
-    fixed = sum(1 for i, img in enumerate(g.payload) if img == i + 1)
-    assert fixed == 0
-    assert ts.mat_trace(ts.represent(rho, g)) == 0
-
-
-def test_cyclic_character_rotation():
-    Z4 = ts.cyclic_group(4)
-    rho = ts.cyclic_character(Z4, 1)
-    mat = ts.represent(rho, ts.element(Z4, 2))
-    # oracle: the primitive fourth root squared is a half turn
-    assert abs(ts.mat_trace(mat) - 2.0 * math.cos(math.pi)) < 1e-12
-    assert abs(ts.mat_trace(mat) + 2.0) < 1e-12
-    assert not rho.exact
-
-
-def test_representation_homomorphism_random():
-    rng = random.Random(7)
-    rho = ts.permutation_representation(S4)
-    for _ in range(1000):
-        a = random_element(S4, rng)
-        b = random_element(S4, rng)
-        assert ts.represent(rho, ts.multiply(a, b)) == ts.mat_mul(
-            ts.represent(rho, a), ts.represent(rho, b)
-        )
-
-
-def test_trace_conjugation_invariant():
-    rng = random.Random(9)
-    rho = ts.permutation_representation(S4)
-    for _ in range(300):
-        g = random_element(S4, rng)
-        h = random_element(S4, rng)
-        assert ts.mat_trace(ts.represent(rho, ts.conjugate(h, g))) == ts.mat_trace(
-            ts.represent(rho, h)
-        )
-
-
-def _parity(p: tuple[int, ...]) -> int:
-    swaps = 0
-    q = list(p)
-    for i in range(len(q)):
-        while q[i] != i + 1:
-            j = q[i] - 1
-            q[i], q[j] = q[j], q[i]
-            swaps += 1
-    return -1 if swaps % 2 else 1
-
-
-def test_table_representation_sign_of_s3():
-    table = {
-        ts.format_element(g): [[_parity(g.payload)]] for g in ts.enumerate_elements(S3)
-    }
-    rho = ts.table_representation(S3, table)
-    assert ts.represent(rho, ts.parse_element("(1 2)", S3)) == ((-1,),)
-    assert ts.represent(rho, ts.parse_element("(1 2 3)", S3)) == ((1,),)
-
-
-def test_table_representation_rejects_non_homomorphism():
-    bad = {ts.format_element(g): [[1]] for g in ts.enumerate_elements(S3)}
-    bad[ts.format_element(ts.parse_element("(1 2)", S3))] = [[2]]
-    with pytest.raises(GroupError):
-        ts.table_representation(S3, bad)
-
-
-@pytest.mark.parametrize(
-    "order, table, refusal",
-    [
-        (1, {"0": []}, "table entry '0' is not a nonempty square matrix"),
-        (2, {"0": [[1, 0], [0, 1]], "1": [[0, 1], [1]]}, "table entry '1' is not a nonempty square matrix"),
-        (2, {"0": [[1]], "1": [["x"]]}, "table entry '1' is not a matrix of numbers: "),
-        (2, {"0": [[1]], "1": [[None]]}, "table entry '1' is not a matrix of numbers: "),
-        (1, {"0": 5}, "table entry '0' is not a matrix of numbers: "),
-        (2, {"0": ["10", "01"], "1": ["01", "10"]}, "table entry '0' is not a matrix of numbers: "),
-        (1, {"0": [{"1": "x"}]}, "table entry '0' is not a matrix of numbers: "),
-        (1, {"0": "1"}, "table entry '0' is not a matrix of numbers: "),
-    ],
-    ids=["empty", "ragged", "text-entry", "none-entry", "number-matrix", "text-rows", "mapping-row", "text-matrix"],
-)
-def test_table_representation_refuses_a_malformed_entry_by_its_key(order, table, refusal):
-    with pytest.raises(GroupError) as info:
-        ts.table_representation(ts.cyclic_group(order), table)
-    assert str(info.value).startswith(refusal)
-
-
-def test_represent_backend_mismatch():
-    rho = ts.permutation_representation(S3)
-    with pytest.raises(GroupError, match="backend"):
-        ts.represent(rho, ts.identity(Z12))
-
-
 # -- descriptors --------------------------------------------------------------------
 
 def test_descriptor_json_round_trip():
@@ -482,7 +380,6 @@ def test_whole_group_operations_stop_at_the_enumeration_limit(group):
         lambda: ts.center(group),
         lambda: ts.center_obstruction_check(group),
         lambda: ts.find_isomorphism(f, f),
-        lambda: ts.table_representation(group, {}),
         # with both path vertices movable nothing pins the root value, so it is searched for
         lambda: ts.sections_gauge_equivalent(section, section, movable={"a", "b"}),
     ]
@@ -497,7 +394,6 @@ INFINITE_GROUP_REFUSALS = {
     "enumerate_elements": (lambda group, s, t, f: ts.enumerate_elements(group), GroupError),
     "center": (lambda group, s, t, f: ts.center(group), GroupError),
     "center_obstruction_check": (lambda group, s, t, f: ts.center_obstruction_check(group), GroupError),
-    "table_representation": (lambda group, s, t, f: ts.table_representation(group, {}), GroupError),
     # with both path vertices movable nothing pins the root value, so it is searched for
     "sections_gauge_equivalent": (
         lambda group, s, t, f: ts.sections_gauge_equivalent(s, t, movable={"a", "b"}),

@@ -9,7 +9,7 @@ import pytest
 import trisweep as ts
 from conftest import random_walk, torus_complex
 from trisweep.errors import PathError, SchemeError, quote
-from trisweep.paths import _candidate_moves
+from trisweep.paths import _candidate_moves, cell_sides
 
 
 def P(*chain: str) -> ts.EdgePath:
@@ -169,6 +169,13 @@ def test_drop_requires_degenerate():
         deg(P("a", "b"), "deg_drop", 0)
     with pytest.raises(SchemeError, match="only step of an identity path"):
         deg(ts.EdgePath.identity("a"), "deg_drop", 0)
+
+
+# -- cells ---------------------------------------------------------------------
+
+def test_cell_sides_of_a_triangle_and_a_loop():
+    assert cell_sides(("a", "c", "b")) == ((("a", "b"),), (("a", "c"), ("c", "b")))
+    assert cell_sides(("c", "a", "b", "c")) == ((("c", "c"),), (("c", "a"), ("a", "b"), ("b", "c")))
 
 
 # -- scheme validation ---------------------------------------------------------

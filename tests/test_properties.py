@@ -7,14 +7,16 @@ equality, moves undone by their inverses, the abelian flux law of a
 whole scheme, whole runs and validations against their moves one at a
 time, complex and scheme file round trips, the gauge covariance
 of the defects, the section gauge search against a brute-force search,
-the oriented cells of random complexes, the cell-support rule, and the
-set-level ingest checks and bulk file readers against per-entry scans."""
+the expand moves across the cells of random complexes, the cell-support
+rule, and the set-level ingest checks and bulk file readers against
+per-entry scans."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import random
+import typing
 import warnings
 
 import pytest
@@ -36,10 +38,11 @@ from conftest import (  # noqa: E402
     tree_propagation_search,
 )
 from test_boundary import random_scheme  # noqa: E402
+from test_records import CASES as RECORD_CASES  # noqa: E402
 from test_sweep import SWEEP_A, SWEEP_C, runs_in_sorted_cyclic_order  # noqa: E402
 from trisweep.errors import quote  # noqa: E402
 from trisweep.groups import _reduce_free  # noqa: E402
-from trisweep.paths import _candidate_moves  # noqa: E402
+from trisweep.paths import _candidate_moves, cell_sides  # noqa: E402
 from trisweep.sweep import _parse_cell_key, _parse_edge_key  # noqa: E402
 
 FREE = ts.free_group(["x", "y"])
@@ -496,31 +499,29 @@ COMPLEXES = st.builds(
 )
 
 
-@given(COMPLEXES)
-def test_every_enumerated_cell_is_classified_as_itself(K):
-    for cell in ts.oriented_triangles(K):
-        assert ts.classify_cell(cell.source_path, cell.target_path, K) == cell
+def cells(K: ts.SimplicialComplex):
+    """Each cell of each marking (a, c, b) of the complex, the triangle a.c.b and the loop c.a.b.c, with its short and long side."""
+    for a, c, b in K.markings():
+        for cell in ((a, c, b), (c, a, b, c)):
+            yield (cell, *map(ts.EdgePath, cell_sides(cell)))
 
 
 @given(COMPLEXES)
 def test_the_expand_move_on_a_cells_short_side_gives_its_long_side(K):
-    for cell in ts.oriented_triangles(K):
-        if cell.kind.startswith("identity"):
-            continue
-        star = cell.kind.endswith("_star")
-        short, long = (cell.target_path, cell.source_path) if star else (cell.source_path, cell.target_path)
-        if cell.kind.startswith("alpha"):
-            step = ts.HomotopyStep("alpha_expand", 0, (cell.source, cell.apex, cell.target))
+    for cell, short, long in cells(K):
+        if len(cell) == 3:
+            step = ts.HomotopyStep("alpha_expand", 0, cell)
         else:
             assert short.is_identity() and len(long) == 3
-            step = ts.HomotopyStep("beta_expand", 0, long.vertices)
+            step = ts.HomotopyStep("beta_expand", 0, cell)
         assert ts.apply_move_path(short, step, K) == long
 
 
 @given(COMPLEXES)
 def test_the_flat_connection_has_a_value_on_exactly_the_alpha_cells(K):
     flat = ts.Connection2.flat(ts.cyclic_group(2), K)
-    alpha = [(c.source, c.apex, c.target) for c in ts.oriented_triangles(K, "alpha")]
+    # the alpha cells (source, apex, target): every ordering of each face's three vertices
+    alpha = [cell for face in K.triangles for cell in itertools.permutations(face)]
     assert [key for key, _ in flat.alpha_values] == sorted(alpha)
 
 
@@ -923,3 +924,44 @@ def test_load_connection_reads_a_file_as_its_per_entry_loops_do(seed, count):
             cell_block = with_faults(rng, cell_block, cell_faults, 1)
     text = json.dumps({"group": {"dihedral": 5}, "edges": dict(edge_block), "cells": dict(cell_block)})
     assert outcome(ts.load_connection, text, K) == outcome(per_entry_load_connection, text, K)
+
+
+# The records built elsewhere by design: GroupElement, whose constructor is the hot
+# path of every product, is checked by element and parse_element, and GroupDescriptor
+# by its factories.
+BUILT_ELSEWHERE = {ts.GroupElement, ts.GroupDescriptor}
+# the constructors read any sequence as a tuple, so an empty list, of no ints, is the empty tuple
+HOSTILE_VALUES = st.one_of(
+    st.none(),
+    st.integers(),
+    st.text(max_size=3),
+    st.lists(st.integers(), min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from([cls(**fields) for cls, fields, _defaults, _text in RECORD_CASES]),
+)
+
+
+def of_type(value: object, hint) -> bool:
+    """Whether the value is of the annotated type, judged by its outer type alone."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(of_type(value, h) for h in typing.get_args(hint))
+    return hint is typing.Any or isinstance(value, typing.get_origin(hint) or hint)
+
+
+# each field of each record class that its constructor checks: (class, a valid record's fields, name, type)
+RECORD_FIELDS = [
+    (cls, fields, name, hint)
+    for cls, fields, _defaults, _text in RECORD_CASES
+    if cls not in BUILT_ELSEWHERE
+    for name in fields
+    for hint in [typing.get_type_hints(cls)[name]]
+]
+
+
+@given(st.lists(HOSTILE_VALUES, min_size=len(RECORD_FIELDS), max_size=len(RECORD_FIELDS)))
+def test_a_record_refuses_a_field_of_another_type_with_a_domain_error(values):
+    # each field of a valid record in turn is replaced by its drawn value, where that is not of the field's type
+    for (cls, fields, name, hint), value in zip(RECORD_FIELDS, values):
+        if not of_type(value, hint):
+            with pytest.raises(ts.TrisweepError):
+                cls(**{**fields, name: value})
