@@ -34,9 +34,10 @@ class GaugeTransform(Record):
 
     The constructor takes a group descriptor and a sequence of (vertex,
     value) pairs, where a string or a map is no sequence.  It refuses, in
-    this order, pairs that are not a sequence, an entry that is not a
-    pair, a value that is not an element of the group (naming its
-    vertex), a vertex that cannot be hashed and a vertex listed twice.
+    this order, a group that is not a descriptor, pairs that are not a
+    sequence, an entry that is not a pair, a value that is not an element
+    of the group (naming its vertex), a vertex that cannot be hashed and a
+    vertex listed twice.
     ``build`` takes a map and lists its pairs sorted by vertex.
     """
 
@@ -44,6 +45,8 @@ class GaugeTransform(Record):
     values: tuple[tuple[str, GroupElement], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.group, GroupDescriptor):
+            raise BundleError(f"gauge group {quote(self.group)} is not a group descriptor")
         object.__setattr__(self, "values", as_collection(tuple, self.values, BundleError, "gauge entries"))
         for entry in self.values:
             if type(entry) is not tuple or len(entry) != 2:
@@ -81,16 +84,15 @@ class Connection1(Record):
     not compare, is a ``BundleError``.  The sorted ``edge_values`` pairs
     are derived on first read.
 
-    The constructor takes a complex and a map or (key, value) pairs,
-    refusing any other with a ``BundleError``, makes a dict of the values,
-    and checks that
-    the values are one per edge of the complex, in the connection's
-    backend.  The check is done in bulk when the keys are
-    exactly the complex's edges as sorted vertex pairs, plain tuples: one
-    set comparison with the pairs the complex indexes its edges by, which
-    builds no set per key.  Then each value's backend is compared with the
-    connection's, by identity first, so that no descriptor is hashed, and
-    the dict is kept as given, unsorted.  Any other map is walked entry by
+    The constructor takes a group descriptor, a complex and a map or
+    (key, value) pairs, refusing any other with a ``BundleError``, makes a
+    dict of the values, and checks that the values are one per edge of
+    the complex, in the connection's backend.  The check is done in bulk
+    when the keys are exactly the complex's edges as sorted vertex pairs,
+    plain tuples: one set comparison with the pairs the complex indexes
+    its edges by, which builds no set per key.  Then each value's backend
+    is compared with the connection's, by identity first, so that no
+    descriptor is hashed, and the dict is kept as given, unsorted.  Any other map is walked entry by
     entry, which stores the inverse under a reversed key and names the
     first fault.  A key that is not a tuple of two vertices is refused,
     and a value that is not a ``GroupElement`` is a backend mismatch.
@@ -103,6 +105,8 @@ class Connection1(Record):
 
     def __post_init__(self) -> None:
         group, complex, values = self.group, self.complex, as_collection(dict, self._map, BundleError, "edge values")
+        if not isinstance(group, GroupDescriptor):
+            raise BundleError(f"connection group {quote(group)} is not a group descriptor")
         if not isinstance(complex, SimplicialComplex):
             raise BundleError(f"connection complex {quote(complex)} is not a simplicial complex")
         object.__setattr__(self, "_map", values)

@@ -28,6 +28,7 @@ import json
 import math
 import re
 from collections import namedtuple
+from functools import cached_property
 from typing import Any, Iterable, Optional
 
 from ._record import Record
@@ -66,6 +67,11 @@ class GroupDescriptor(Record):
         # rebuild through __init__: a stored hash of strings is only valid
         # in the process that computed it
         return (GroupDescriptor, self._field_values(self))
+
+    @cached_property
+    def _generator_set(self) -> frozenset[str]:
+        # a free word's letters are looked up here, not scanned for in the tuple
+        return frozenset(self.generators)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -263,7 +269,7 @@ def _free_from_json(arg: Any) -> GroupDescriptor:
 def _free_normalise(g: GroupDescriptor, payload: Any) -> tuple[tuple[str, int], ...]:
     raw = tuple((str(gen), int(k)) for gen, k in payload)
     for gen, _k in raw:
-        if gen not in g.generators:
+        if gen not in g._generator_set:
             raise GroupError(f"unknown generator {_quote(gen)}")
     return _reduce_free(raw)
 
@@ -360,7 +366,7 @@ def _symmetric_parse(g: GroupDescriptor, text: str) -> tuple[int, ...]:
 
 def _symmetric_order(g: GroupDescriptor, cap: Optional[int]) -> int:
     if cap is None:
-        return math.factorial(g.degree)
+        return math.factorial(_symmetric_degree(g))
     # the factorial of a huge degree takes seconds: stop once past the cap
     order = 1
     for k in range(2, g.degree + 1):

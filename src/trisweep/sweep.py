@@ -25,7 +25,7 @@ import warnings
 from contextlib import suppress
 from functools import cached_property, partial, reduce
 from itertools import chain
-from typing import Collection, Iterable, Iterator, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from ._record import Record
 from .bundle import Connection1, GaugeTransform, _solve_gauge
@@ -279,62 +279,24 @@ def interior_vertices(path: EdgePath) -> frozenset[str]:
 
 # -- elementary moves on sections -----------------------------------------
 
-def _move_ops(scheme: SweepScheme, group: GroupDescriptor, e, n: int, connection: Connection2) -> Iterator[tuple]:
-    """Each move's op, in order, once the move is checked, for a sweep of n letters over ``group`` with identity e.
-
-    The checks run in a move's order: the section's backend (first move
-    only), the window, the cell's support on the connection's complex,
-    and the cell's value.  When the complex supports every distinct cell
-    of the scheme, checked once per cell at the first move, no move
-    checks its own.  It takes no ``_Sweep``: a sweep holds its ops, and a
-    run leaves its last op unfinished, so a reference back would make a
-    cycle that only the garbage collector frees.
-    """
-    if group is not connection.group and group != connection.group:
-        section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (group, connection.group))
-        raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
-    complex = None if all(map(connection.complex.supports, scheme._cells)) else connection.complex
-    for k, step in enumerate(scheme.steps):
-        try:
-            i, j, produced = _replayed_window(scheme, k, complex)
-        except SchemeError as exc:
-            raise SweepError(str(exc)) from exc
-        if step.move in ("x1_cancel", "deg_drop"):
-            # widen the window by the letter its product folds into
-            yield (i, j + 1, "fold", None) if j < n else (max(i - 1, 0), j, "fold", None)
-        elif i == j:
-            yield i, j, "put", (e,) * len(produced)
-        else:  # a merge produces the short side, one step; an expansion the long side
-            phi = (connection.alpha_value(*step.cell) if len(step.cell) == 3 else connection.beta_value(*step.cell[:3])).payload
-            yield i, j, "fold" if len(produced) == 1 else "alpha" if len(step.cell) == 3 else "beta", phi
-        n += len(produced) - (j - i)
-
-
 class _Sweep:
-    """The payload letters of a section that a scheme's moves rewrite in place, one op per move, with one letter delta per move.
+    """The payload letters of a section that a scheme's moves rewrite in place, with one letter delta per move.
 
-    An op ``(lo, hi, kind, payload)`` says what a move writes over
-    letters lo:hi.  A "fold" writes the product of the window's letters:
-    a drop's window is widened by the letter the product folds into, and
-    its payload is None; a merge's payload is phi, and the product is
-    taken times phi^-1, or of the letters before a last letter phi.
-    "alpha" writes (w, phi) and "beta" (e, w, phi), w the window's letter
-    and phi the payload; "put" writes the payload, an insertion's
-    identities.
-
-    ``_move_ops`` derives each op when its move runs, so that the first
-    fault is raised by its own move.  The sweep holds its group's payload
-    rules, bound to the group.
+    ``k`` is the index of the next move.  ``complex`` is None when the
+    connection's complex supports every distinct cell of the scheme,
+    checked once per cell when the sweep is made, and else that complex,
+    for each move to check its own cell.  The sweep holds its group's
+    payload rules, bound to the group.
     """
 
     def __init__(self, start: Section, scheme: SweepScheme, connection: Connection2) -> None:
         group = start.letters[0].group
         rules = payload_rules(group)
-        self.scheme, self.group, self.e = scheme, group, rules.identity(group)
+        self.scheme, self.group, self.e, self.k = scheme, group, rules.identity(group), 0
         self.mul, self.inv = partial(rules.multiply, group), partial(rules.inverse, group)
         self.letters = [l.payload for l in start.letters]
         self.deltas = [(0, 0, tuple(self.letters))]
-        self.ops = _move_ops(scheme, group, self.e, len(self.letters), connection)
+        self.complex = None if all(map(connection.complex.supports, scheme._cells)) else connection.complex
 
     def section(self) -> Section:
         """The section once every move of the scheme has run, built unchecked.
@@ -360,30 +322,40 @@ def apply_move_section(section: Section, step: HomotopyStep, connection: Connect
     identity path.  Letters are written as payloads, through the backend's
     rules.
 
-    ``run_scheme`` passes its ``_Sweep`` here, and the next of its ops,
-    derived and checked by ``_move_ops``, is applied and spliced into it.  A
-    plain section runs as a sweep over the scheme of this one move, and
-    the result is that sweep's section: its one op comes with the same
-    checks, of the section's backend against the connection's, the move's
-    window against the path and its cell against the connection's complex.
-    A cell value needs no check of its own, since the connection's
-    constructor refuses one of another backend.
+    The checks run in the move's order: the section's backend against the
+    connection's (first move only), the window against the path, the cell
+    against the connection's complex, and the cell's value.  A cell value
+    needs no check of its own, since the connection's constructor refuses
+    one of another backend.  ``run_scheme`` passes its ``_Sweep`` here, and
+    its next move is applied and spliced into it.  A plain section runs
+    as a sweep over the scheme of this one move, and the result is that
+    sweep's section.
     """
     sweep = section if isinstance(section, _Sweep) else _Sweep(section, SweepScheme(section.path, (step,)), connection)
-    lo, hi, kind, payload = next(sweep.ops)
-    if kind == "fold":
-        window = sweep.letters[lo:hi]
-        if payload is not None:  # phi^-1 cancels a last letter phi: a merge writes back the letter an expansion kept
-            window = window[:-1] if window[-1] == payload else window + [sweep.inv(payload)]
-        new = (reduce(sweep.mul, window),)
-    elif kind == "alpha":
-        new = (sweep.letters[lo], payload)
-    elif kind == "beta":
-        new = (sweep.e, sweep.letters[lo], payload)
+    if sweep.k == 0 and sweep.group is not connection.group and sweep.group != connection.group:
+        section_text, connection_text = (json.dumps(descriptor_to_json(g)) for g in (sweep.group, connection.group))
+        raise SweepError(f"backend mismatch: section over {section_text}, connection over {connection_text}")
+    try:
+        i, j, produced = _replayed_window(sweep.scheme, sweep.k, sweep.complex)
+    except SchemeError as exc:
+        raise SweepError(str(exc)) from exc
+    letters = sweep.letters
+    if step.move in ("x1_cancel", "deg_drop"):
+        # widen the window by the letter its product folds into
+        i, j = (i, j + 1) if j < len(letters) else (max(i - 1, 0), j)
+        new = (reduce(sweep.mul, letters[i:j]),)
+    elif i == j:
+        new = (sweep.e,) * len(produced)
     else:
-        new = payload
-    sweep.letters[lo:hi] = new
-    sweep.deltas.append((lo, hi, new))
+        phi = (connection.alpha_value(*step.cell) if len(step.cell) == 3 else connection.beta_value(*step.cell[:3])).payload
+        if len(produced) == 1:  # a merge; phi^-1 cancels a last letter phi, so it writes back the letter an expansion kept
+            window = letters[i:j]
+            new = (reduce(sweep.mul, window[:-1] if window[-1] == phi else window + [sweep.inv(phi)]),)
+        else:
+            new = (letters[i], phi) if len(step.cell) == 3 else (sweep.e, letters[i], phi)
+    letters[i:j] = new
+    sweep.deltas.append((i, j, new))
+    sweep.k += 1
     return sweep if sweep is section else sweep.section()
 
 
@@ -391,14 +363,14 @@ def run_scheme(start: Section, scheme: SweepScheme, connection: Connection2) -> 
     """Apply every move of the scheme in order to one letter list of payloads.
 
     ``_Sweep`` checks the scheme's distinct cells against the connection's
-    complex once per call, and derives each move's op as the move runs;
-    the path is checked once per scheme object, by its replay.
-    ``paths._sweep_scheme`` is the loop, as for ``validate_scheme``, and
-    each move goes through ``apply_move_section``, which applies its op:
-    a move so costs its letters and a list splice, not a copy of the
-    section.  A fault is raised by the move it belongs to, named by its
-    step.  The trace records one letter delta per move, takes its path
-    deltas from the replay, and builds the final section once.
+    complex once per call; the path is checked once per scheme object, by
+    its replay.  ``paths._sweep_scheme`` is the loop, as for
+    ``validate_scheme``, and each move goes through ``apply_move_section``,
+    which checks and applies it: a move so costs its letters and a list
+    splice, not a copy of the section.  A fault is raised by the move it
+    belongs to, named by its step; a scheme of no moves checks no backend.
+    The trace records one letter delta per move, takes its path deltas
+    from the replay, and builds the final section once.
     """
     if start.path != scheme.start_path:
         raise SweepError("section path does not match the scheme start path")
@@ -579,13 +551,12 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
     sorted order, so that a word over fresh generators parses.  Each
     distinct element text is parsed once per call.
 
-    The edge and cell blocks are read alike: each key is looked up by name
-    among the complex's own tuples (an edge "a>b" among its sorted vertex
-    pairs, a cell "a.c.b" among its markings), so a found key is the
-    complex's tuple.  When every key is found, the new value texts are
-    parsed in bulk; a key not found, or a bad value, makes the block be
-    read entry by entry, each key split by ``_parse_edge_key`` or
-    ``_parse_cell_key``, so that the first fault in file order is named.
+    The edge and cell blocks are read alike, entry by entry in file order,
+    so that the first fault is named: each key is looked up by name among
+    the complex's own tuples (an edge "a>b" among its sorted vertex pairs,
+    a cell "a.c.b" among its markings), so a found key is the complex's
+    tuple, and a key not found is split by ``_parse_edge_key`` or
+    ``_parse_cell_key``.
     """
     obj = decode_json(text, BundleError, "connection parse error")
     if not isinstance(obj, dict):
@@ -606,9 +577,8 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
     parsed: dict[str, GroupElement] = {}
 
     def parse(value) -> GroupElement:
-        if not (isinstance(value, str) and value in parsed):
-            parsed[value] = parse_element(value, group)  # which refuses a non-string
-        return parsed[value]
+        parsed[value] = got = parse_element(value, group)  # which refuses a non-string first
+        return got
 
     def read(block: dict, keys: Collection[tuple[str, ...]], sep: str, parse_key) -> dict:
         """The block as {key tuple: element}: a key that names one of ``keys`` by its ``sep``-joined vertices is that tuple."""
@@ -616,16 +586,7 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
         names = dict(zip(map(sep.join, keys), keys)) if set(map(type, complex.vertices)) <= {str} else {}
         if names and sep in "".join(complex.vertices):  # a name that splits into other parts is left to parse_key
             names = {name: key for name, key in names.items() if name.count(sep) == len(key) - 1}
-        found = list(map(names.get, block))
-        if None not in found:
-            try:
-                new = set(block.values()) - parsed.keys()
-                if set(map(type, new)) <= {str}:
-                    parsed.update({value: parse_element(value, group) for value in new})
-                    return dict(zip(found, map(parsed.__getitem__, block.values())))
-            except (TypeError, GroupError):  # an unhashable value, or a bad text
-                pass
-        return {names.get(k) or parse_key(k): parse(v) for k, v in block.items()}
+        return {names.get(k) or parse_key(k): parsed[v] if type(v) is str and v in parsed else parse(v) for k, v in block.items()}
 
     base = Connection1.build(group, complex, read(edges, complex._edge_pairs, ">", _parse_edge_key))
     if "cells" not in obj and "cell_relations" not in obj:
@@ -635,7 +596,7 @@ def load_connection(text: str, complex: SimplicialComplex, words: Iterable[str] 
     if not isinstance(cells, dict):
         raise BundleError('"cells" must be an object')
     alpha: dict[tuple[str, ...], GroupElement] = read(cells, complex._markings, ".", _parse_cell_key)
-    # a loop cell c.a.b.c is keyed by its four parts, which only the entry-by-entry read gives
+    # a loop cell c.a.b.c is no marking, so _parse_cell_key keys it by its four parts
     beta = {k[:3]: alpha.pop(k) for k in [k for k in alpha if len(k) == 4]} if 4 in set(map(len, alpha)) else {}
 
     relations = obj.get("cell_relations", [])

@@ -118,11 +118,15 @@ def test_run_scheme_reports_a_backend_mismatch_on_a_merge(symbolic_connection, s
 
 def test_run_scheme_reports_a_backend_mismatch_on_an_expansion(symbolic_connection):
     path = ts.EdgePath((("a", "b"),))
-    scheme = ts.SweepScheme(path, (ts.HomotopyStep("alpha_expand", 0, ("a", "c", "b")),))
-    with pytest.raises(SweepError) as info:
-        ts.run_scheme(z5_section(path), scheme, symbolic_connection)
-    assert info.value.step_index == 0
-    assert_names_both_groups(info.value)
+    # an insertion reads no cell value, and is still the first move to check the backend
+    for step in (ts.HomotopyStep("alpha_expand", 0, ("a", "c", "b")), ts.HomotopyStep("deg_insert", 0)):
+        with pytest.raises(SweepError) as info:
+            ts.run_scheme(z5_section(path), ts.SweepScheme(path, (step,)), symbolic_connection)
+        assert info.value.step_index == 0
+        assert_names_both_groups(info.value)
+    # the backend is checked on the first move only, so a scheme of no moves is the one-section trace
+    trace = ts.run_scheme(z5_section(path), ts.SweepScheme(path, ()), symbolic_connection)
+    assert trace.sections == (z5_section(path),) and trace.final == z5_section(path)
 
 
 def test_section_moves_report_a_backend_mismatch(symbolic_connection):

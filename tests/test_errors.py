@@ -296,6 +296,13 @@ REFUSALS = {
     "constant of a foreign value": (
         lambda: ts.Connection1.constant(Z2, TETRA, ts.identity(Z3)), BundleError, "backend mismatch at edge (a,b)"
     ),
+    # with no values, nothing but the group field names the backend
+    "gauge group not a descriptor": (
+        lambda: ts.GaugeTransform(None, ()), BundleError, "gauge group None is not a group descriptor"
+    ),
+    "connection group not a descriptor": (
+        lambda: ts.Connection1(5, ts.SimplicialComplex.build("a"), {}), BundleError, "connection group 5 is not a group descriptor"
+    ),
 }
 
 

@@ -153,6 +153,27 @@ def test_parse_reduces():
     assert ts.format_element(ts.parse_element("x*x^-1", FREE_XY)) == "e"
 
 
+class CountedName(str):
+    """A generator name that counts the comparisons made with it."""
+
+    compared = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        CountedName.compared += 1
+        return str.__eq__(self, other)
+
+
+def test_a_free_letter_is_looked_up_among_the_generators_not_scanned_for():
+    # a scan of the generator tuple runs in C, where no count of calls or lines sees it: its comparisons do
+    G = ts.free_group([CountedName(f"g{k}") for k in range(2000)])
+    CountedName.compared = 0
+    word = ts.parse_element("g1999^2*g0", G)
+    assert ts.element(G, [("g1999", 1)]).payload == (("g1999", 1),)
+    assert CountedName.compared <= 8  # a scan makes 2,000 + 1 + 2,000
+    assert ts.format_element(word) == "g1999^2*g0"
+
+
 def test_parse_cycle_notation():
     assert ts.parse_element("(1 2 3)", S3).payload == (2, 3, 1)
     assert ts.parse_element("[2,3,1]", S3).payload == (2, 3, 1)
@@ -450,6 +471,8 @@ def test_a_symmetric_degree_above_the_limit_builds_no_permutation():
         lambda: ts.identity(big),
         lambda: ts.parse_element("e", big),
         lambda: ts.element(big, range(1, limit + 2)),
+        lambda: ts.group_order(big),
+        lambda: ts.group_order(ts.product_group(ts.cyclic_group(2), big)),
     ):
         with pytest.raises(GroupError, match=message):
             call()

@@ -13,6 +13,13 @@ rescans a list; its lines do not.  From one size to the next, 4x larger,
 each event count may grow at most 4.6x and the peak at most 5.5x: linear
 work with room for dict and list resizes, where a layer that rescans its
 input per item grows 16x.  No count depends on the speed of the host.
+
+The counts cannot see a rescan made in C: an ``in`` test on a tuple or a
+list, per item, is one ``c_call`` or none, and no line, so such a
+quadratic layer passes these gates.  Such a scan is pinned by counting
+its comparisons instead, as
+``tests/test_groups.py::test_a_free_letter_is_looked_up_among_the_generators_not_scanned_for``
+does for the generators of a free group.
 """
 
 from __future__ import annotations

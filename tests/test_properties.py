@@ -948,10 +948,15 @@ def of_type(value: object, hint) -> bool:
     return hint is typing.Any or isinstance(value, typing.get_origin(hint) or hint)
 
 
+# valid records that hold no values, so that no value's backend checks the group field in its place
+EMPTY_RECORDS = [
+    (ts.GaugeTransform, {"group": Z12, "values": ()}),
+    (ts.Connection1, {"group": Z12, "complex": ts.SimplicialComplex.build("a"), "_map": {}}),
+]
 # each field of each record class that its constructor checks: (class, a valid record's fields, name, type)
 RECORD_FIELDS = [
     (cls, fields, name, hint)
-    for cls, fields, _defaults, _text in RECORD_CASES
+    for cls, fields in [(cls, fields) for cls, fields, _defaults, _text in RECORD_CASES] + EMPTY_RECORDS
     if cls not in BUILT_ELSEWHERE
     for name in fields
     for hint in [typing.get_type_hints(cls)[name]]
