@@ -8,6 +8,10 @@ one ``error:`` line on stderr, and a warning one ``warning:`` line.
 Bare file names that do not exist in the working directory fall back to
 the bundled examples shipped with the package, so
 ``trisweep sweep --complex tetrahedron.json ...`` works out of the box.
+A file that is not UTF-8 text is bad file content.
+
+Each subcommand loads only the library modules it calls, when it runs:
+``validate`` loads ``complexes`` and ``center`` loads ``groups``.
 """
 
 from __future__ import annotations
@@ -17,39 +21,45 @@ import json
 import re
 import sys
 import warnings
+from importlib import import_module
 from pathlib import Path
 
 from . import data_path
-from .complexes import load_complex, validate_complex
 from .errors import TrisweepError, decode_json
-from .groups import (
-    center_obstruction_check,
-    descriptor_from_json,
-    format_element,
-    identity,
-    parse_element,
-)
-from .paths import EdgePath, load_scheme
-from .sweep import (
-    Connection2,
-    Section,
-    compare_schemes,
-    curvature_square,
-    defect_report_to_json,
-    load_connection,
-    run_scheme,
-    trace_to_json,
-)
-from .bundle import holonomy as edge_holonomy
+
+# The names perfbench/tracer.py wraps on this module, and the module that
+# defines each (``edge_holonomy`` is ``bundle.holonomy``).  The subcommands
+# import on use, from the defining module; these names go when the tracer
+# wraps names only where they are defined (ROADMAP item 4).
+_TRACED = {
+    "load_complex": "complexes", "validate_complex": "complexes", "load_scheme": "paths",
+    "parse_element": "groups", "format_element": "groups", "center_obstruction_check": "groups",
+    "edge_holonomy": "bundle", "load_connection": "sweep", "run_scheme": "sweep",
+    "trace_to_json": "sweep", "compare_schemes": "sweep", "curvature_square": "sweep",
+}
+
+
+def __getattr__(name: str):
+    """The function a traced name stands for, from its defining module.
+
+    It is bound here on the first read, so that later reads see what that
+    read saw, not what the defining module holds then: the tracer puts back
+    what it read here, and while it is installed the module holds its wrapper.
+    """
+    if name not in _TRACED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__package__}.{_TRACED[name]}"), name.removeprefix("edge_"))
+    return value
 
 
 def _read_text(path: str) -> str:
     p = Path(path)
-    if p.exists():
+    if not p.exists() and ("/" in path or "\\" in path or not (p := data_path(path)).is_file()):
+        raise FileNotFoundError(f"no such file: {path}")
+    try:
         return p.read_text(encoding="utf-8")
-    if "/" not in path and "\\" not in path and (bundled := data_path(path)).is_file():
-        return bundled.read_text(encoding="utf-8")
-    raise FileNotFoundError(f"no such file: {path}")
+    except UnicodeDecodeError as exc:
+        raise TrisweepError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
 
 
 def _fmt_path(steps) -> str:
@@ -88,14 +98,18 @@ def _split_word(word: str) -> list[str]:
     return letters
 
 
-def _sweep_inputs(args, path: EdgePath) -> tuple[Section, Connection2]:
-    """The start section over ``path`` and the connection of a sweeping subcommand.
+def _sweep_inputs(args, path):
+    """The start ``Section`` over the ``EdgePath`` ``path`` and the ``Connection2`` of a sweeping subcommand.
 
     The connection is loaded with the --word's letters, so that a free
     backend gains the word's fresh generators.  The section's letters are
     the word's, or one identity per step of ``path`` when there is no word.
     A connection without cells is refused last, so a bad word is named first.
     """
+    from .complexes import load_complex
+    from .groups import identity, parse_element
+    from .sweep import Connection2, Section, load_connection
+
     complex = load_complex(_read_text(args.complex))
     word_texts = _split_word(args.word) if args.word else []
     connection = load_connection(_read_text(args.connection), complex, word_texts)
@@ -110,6 +124,8 @@ def _sweep_inputs(args, path: EdgePath) -> tuple[Section, Connection2]:
 # -- subcommands -----------------------------------------------------------
 
 def cmd_validate(args) -> int:
+    from .complexes import load_complex, validate_complex
+
     complex = load_complex(_read_text(args.complex))
     diagnostics = validate_complex(complex, require_pure_dim2=args.require_pure_dim2)
     result = {"diagnostics": [{"rule": d.rule, "simplex": d.simplex, "message": d.message} for d in diagnostics]}
@@ -118,16 +134,25 @@ def cmd_validate(args) -> int:
 
 
 def cmd_holonomy(args) -> int:
+    from .bundle import holonomy
+    from .complexes import load_complex
+    from .groups import format_element
+    from .paths import EdgePath
+    from .sweep import Connection2, load_connection
+
     complex = load_complex(_read_text(args.complex))
     connection = load_connection(_read_text(args.connection), complex)
     base = connection.base if isinstance(connection, Connection2) else connection
     chain = [v.strip() for v in re.split(r"[,\s]+", args.path.strip()) if v.strip()]
     path = EdgePath.from_vertices(*chain)
-    text = format_element(edge_holonomy(base, path))
+    text = format_element(holonomy(base, path))
     return _emit(args, {"holonomy": text}, [text])
 
 
 def cmd_sweep(args) -> int:
+    from .paths import load_scheme
+    from .sweep import run_scheme, trace_to_json
+
     scheme = load_scheme(_read_text(args.scheme))
     start, connection = _sweep_inputs(args, scheme.start_path)
     sections = trace_to_json(run_scheme(start, scheme, connection))
@@ -136,6 +161,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .groups import format_element
+    from .paths import load_scheme
+    from .sweep import compare_schemes
+
     if len(args.scheme) != 2:
         raise TrisweepError("compare needs exactly two --scheme files")
     scheme1, scheme2 = (load_scheme(_read_text(name)) for name in args.scheme)
@@ -149,6 +178,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    from .paths import EdgePath
+    from .sweep import curvature_square, defect_report_to_json
+
     a, b, c, d = args.vertices
     start, connection = _sweep_inputs(args, EdgePath(((a, b), (b, d))))
     report = defect_report_to_json(curvature_square(a, b, c, d, start, connection))
@@ -157,6 +189,8 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_center(args) -> int:
+    from .groups import center_obstruction_check, descriptor_from_json, format_element
+
     descriptor = descriptor_from_json(decode_json(args.group, TrisweepError, "bad group descriptor"))
     elements = [format_element(z) for z in center_obstruction_check(descriptor)]
     return _emit(args, {"center": elements}, elements)

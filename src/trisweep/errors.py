@@ -85,12 +85,15 @@ def decode_json(text: str, error: type[TrisweepError], what: str):
     """The JSON value of ``text``, or ``error`` saying ``what`` failed and why.
 
     A syntax error gives ``"{what} at line L, column C: ..."`` with ``line``
-    and ``column`` set; an input past an interpreter limit gives
-    ``"{what}: ..."`` through ``input_limit_text``.
+    and ``column`` set; bytes that do not decode as the encoding JSON finds
+    for them, and an input past an interpreter limit (``input_limit_text``),
+    give ``"{what}: ..."``.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{what} at line {exc.lineno}, column {exc.colno}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what}: text that cannot be decoded as {exc.encoding}: {exc.reason} at byte {exc.start}") from exc
     except (ValueError, RecursionError) as exc:  # an integer past the int-to-str limit, or deep nesting
         raise error(f"{what}: {input_limit_text(exc)}") from exc

@@ -9,10 +9,11 @@ import pytest
 
 import trisweep as ts
 
+# through dir() and getattr(), since the package binds each name on first use
 EXPORTED = {
     name: obj
-    for name, obj in vars(ts).items()
-    if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__.startswith("trisweep")
+    for name in dir(ts)
+    if not name.startswith("_") and inspect.isfunction(obj := getattr(ts, name)) and obj.__module__.startswith("trisweep")
 }
 
 

@@ -536,6 +536,31 @@ def test_importing_the_cli_leaves_out_modules_it_does_not_use():
     assert not added & {"dataclasses", "fractions", "decimal", "inspect", "importlib.resources"}
 
 
+LAYERS = {"trisweep.groups", "trisweep.paths", "trisweep.bundle", "trisweep.sweep", "trisweep.complexes"}
+
+
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        ([], set()),
+        (["validate", "--complex", "tetrahedron.json"], {"trisweep.complexes"}),
+        (["center", '{"symmetric": 3}'], {"trisweep.groups"}),
+    ],
+)
+def test_the_package_and_each_subcommand_load_only_the_layers_they_use(argv, needed):
+    # in a fresh interpreter: import the package and the CLI, run main(argv)
+    # unless argv is empty, and list every loaded module on the last line
+    code = (
+        "import json, sys; import trisweep, trisweep.cli; argv = json.loads(sys.argv[1]);"
+        "code = trisweep.cli.main(argv) if argv else 0; print(code, *sorted(sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True, check=True)
+    exit_code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert exit_code == "0"
+    assert {"trisweep", "trisweep.cli"} <= set(loaded)
+    assert set(loaded) & LAYERS == needed
+
+
 def test_reading_a_bundled_example_leaves_out_importlib_resources(tmp_path: Path):
     # without site, which may preload importlib.resources, and from a directory
     # without a local tetrahedron.json, so that the bundled one is read
@@ -551,6 +576,19 @@ def test_reading_a_bundled_example_leaves_out_importlib_resources(tmp_path: Path
     )
     assert proc.stdout.startswith("ok\n0 ")
     assert "importlib.resources" not in proc.stdout.split()
+
+
+@pytest.mark.parametrize("option", ["complex", "connection", "scheme"])
+def test_a_file_that_is_not_utf8_is_a_one_line_error_naming_it(tmp_path: Path, option):
+    files = {"complex": "tetrahedron.json", "connection": "tetrahedron_symbolic.json", "scheme": "scheme1.json"}
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"vertices": ["\u00e9"]}'.encode("latin-1"))
+    files[option] = str(bad)
+    proc = run_cli("sweep", *(arg for name, path in files.items() for arg in (f"--{name}", path)), "--word", "x,y")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {bad} is not UTF-8 text") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_a_boolean_scheme_position_is_an_error(tmp_path: Path):

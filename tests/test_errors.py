@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -51,6 +52,21 @@ def test_an_input_past_an_interpreter_limit_has_no_position(case):
         read("[" * 100_000)
     assert str(info.value) == f"{what}: arrays or objects nested too deeply"
     assert (info.value.line, info.value.column, info.value.step_index) == (None, None, None)
+
+
+@pytest.mark.parametrize("case", ["complex", "scheme", "connection"])
+def test_bytes_that_do_not_decode_are_not_called_an_integer_past_the_limit(case):
+    read, error, what, _text = BAD_JSON[case]
+    with pytest.raises(error) as info:
+        read(b"\xff\xfe\x00")  # a UTF-16 byte order mark, then half a code unit
+    assert str(info.value) == f"{what}: text that cannot be decoded as utf-16-le: truncated data at byte 2"
+    with pytest.raises(error) as info:
+        read(b"\xff\xff")
+    assert str(info.value) == f"{what}: text that cannot be decoded as utf-8: invalid start byte at byte 0"
+    # the real limit keeps its own text
+    with pytest.raises(error) as info:
+        read("[" + "1" * 5000 + "]")
+    assert str(info.value) == f"{what}: an integer longer than {sys.get_int_max_str_digits()} digits"
 
 
 def test_run_scheme_and_validate_scheme_errors_keep_their_step_index(tetra, symbolic_connection, scheme1):
